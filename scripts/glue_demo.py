@@ -6,7 +6,8 @@ buffer under the identity background, and
 runs the threshold / glue / smooth / certify pipeline.  The report lists the
 dyadic threshold, the smoothing epsilon the sweep settled on, both model
 declarations, and the per-region eigenvalue margins (switching band
-excluded).  A failed sweep exits 2 with the stuck region and grid point.
+excluded).  A failed sweep exits 2 with the stuck region and grid point; a
+region that holds no grid points is reported as failed and exits 1.
 
 Example:
     python3 scripts/glue_demo.py --grid 64 --weight 0.05 --lower-bound 0.5
@@ -68,7 +69,7 @@ def main() -> int:
         return 2
 
     verdict = {
-        "passed": True,
+        "passed": report.passed,
         "threshold": report.result.threshold,
         "smoothing_eps": report.result.smoothing_eps,
         "declarations": report.declarations,
@@ -81,7 +82,7 @@ def main() -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_heatmap_csv(out / "psi_heatmap.csv", report.result.psi.values)
 
-    return 0
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -5,10 +5,20 @@ Derivatives use the trigonometric-interpolant (FFT) convention with
     d/dz_j = (d/dx_j - i d/dy_j) / 2,      d/dz_bar_j = (d/dx_j + i d/dy_j) / 2,
 
 so on the unit torus ``d^2/dz dz_bar cos(2 pi x) = -pi^2 cos(2 pi x)``.
-Fields store numpy arrays broadcastable to the full grid shape; an axis of
-length one means "constant along that coordinate" and spectral derivatives
-along such axes vanish identically, which both is exact and keeps storage
-proportional to the coordinates a problem actually activates.
+Potentials are real, so every transform is a real FFT (``rfftn``/``irfftn``
+over all real axes): the complex Hessian entry ``(j, k)`` is assembled from
+the real second derivatives
+
+    4 d^2/dz_j dz_bar_k = (d_xj d_xk + d_yj d_yk) + i (d_xj d_yk - d_yj d_xk),
+
+which makes the result Hermitian by construction.  Wavenumbers have the
+Nyquist mode zeroed, so every symbol is real and even and the real
+transforms are exact.  Fields store numpy arrays broadcastable to the full
+grid shape; an axis of length one means "constant along that coordinate" and
+spectral derivatives along such axes vanish identically, which both is exact
+and keeps storage proportional to the coordinates a problem actually
+activates.  Small-matrix kernels (determinants, eigenvalues) live in
+:mod:`qposlab.smallmat`.
 """
 
 from __future__ import annotations
@@ -18,8 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import smallmat
 from .errors import ModelError, NumericsError
 from .geometry import TorusModel
+from .smallmat import hermitian_det
 
 __all__ = [
     "PotentialField",
@@ -111,7 +123,10 @@ def _require_same_torus(a, b):
 class HermitianFormField:
     """Pointwise Hermitian n x n matrix field on the torus grid.
 
-    ``values`` has shape ``(*grid_broadcast, n, n)`` complex.
+    ``values`` has shape ``(*grid_broadcast, n, n)`` complex.  Fields built
+    by the constructor are checked to be Hermitian; the package's own results
+    (Hessians, sums of fields) are Hermitian by construction and skip the
+    check through :meth:`_trusted`.
     """
 
     torus: TorusModel
@@ -135,38 +150,25 @@ class HermitianFormField:
             raise ModelError(f"constant form matrix must be {torus.n} x {torus.n}, got {m.shape}")
         return cls(torus, m.reshape((1,) * torus.ndim_real + m.shape))
 
+    @classmethod
+    def _trusted(cls, torus: TorusModel, values: np.ndarray) -> "HermitianFormField":
+        """Wrap complex values that are Hermitian and grid-shaped by construction."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "torus", torus)
+        object.__setattr__(field, "values", values)
+        return field
+
     def __add__(self, other):
         if isinstance(other, HermitianFormField):
             _require_same_torus(self, other)
-            return HermitianFormField(self.torus, self.values + other.values)
+            return HermitianFormField._trusted(self.torus, self.values + other.values)
         raise TypeError("can only add HermitianFormField to HermitianFormField")
 
     def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.values)[..., 0]))
+        return float(np.min(smallmat.eigvalsh(self.values)[..., 0]))
 
     def det(self) -> np.ndarray:
         return hermitian_det(self.values)
-
-
-def hermitian_det(mats: np.ndarray) -> np.ndarray:
-    """Batched determinant of Hermitian 1..3 matrices, by cofactor expansion.
-
-    Closed-form expansion keeps integer/rational inputs exact in floats and
-    avoids pivoting noise; the result is returned as the real part.
-    """
-    m = np.asarray(mats)
-    k = m.shape[-1]
-    if k == 1:
-        return m[..., 0, 0].real.copy()
-    if k == 2:
-        return (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
-    if k == 3:
-        return (
-            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-        ).real
-    raise ModelError(f"determinants implemented for sizes 1..3, got {k}")
 
 
 def form_top_density(form: HermitianFormField) -> np.ndarray:
@@ -179,44 +181,55 @@ def form_top_density(form: HermitianFormField) -> np.ndarray:
     return math.factorial(n) * (2.0**n) * hermitian_det(form.values)
 
 
-def _dz_symbols(torus: TorusModel, shape: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Fourier multipliers of d/dz_j and d/dz_bar_j, sliced to a stored shape.
+def _half_spectrum_wavenumbers(torus: TorusModel, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Integer wavenumbers per real axis on the ``rfftn`` half spectrum of a stored shape.
 
-    Along axes where the field is constant (stored length one) only the zero
-    mode exists, so the corresponding wavenumber array collapses to [0]; the
-    derivative along such an axis is identically zero, exactly.
+    The last axis keeps its non-negative half.  Along axes where the field is
+    constant (stored length one) only the zero mode exists, so the wavenumber
+    array collapses to [0] and the derivative along that axis is identically
+    zero, exactly.
     """
     kappa = list(torus.wavenumbers())
+    last = len(shape) - 1
     for a, size in enumerate(shape):
         if size == 1:
-            kappa[a] = np.zeros((1,) * torus.ndim_real)
-    dz, dzbar = [], []
-    for j in range(torus.n):
-        kx, ky = kappa[2 * j], kappa[2 * j + 1]
-        dz.append(np.pi * (ky + 1j * kx))
-        dzbar.append(np.pi * (-ky + 1j * kx))
-    return dz, dzbar
+            kappa[a] = np.zeros((1,) * len(shape))
+    if shape[last] > 1:
+        # fftfreq's first half plus the (zeroed) Nyquist entry is rfftfreq's.
+        kappa[last] = kappa[last][..., : shape[last] // 2 + 1]
+    return kappa
+
+
+def _rfftn(v: np.ndarray) -> np.ndarray:
+    return np.fft.rfftn(v, axes=tuple(range(v.ndim)))
+
+
+def _irfftn(vhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.fft.irfftn(vhat, s=shape, axes=tuple(range(len(shape))))
 
 
 def complex_hessian(phi: PotentialField) -> HermitianFormField:
-    """Pointwise complex Hessian d^2 phi / dz_j dz_bar_k via FFT multipliers."""
+    """Pointwise complex Hessian d^2 phi / dz_j dz_bar_k from real second derivatives."""
     v = phi.values
     if not np.all(np.isfinite(v)):
         raise NumericsError("potential has non-finite values; cannot differentiate")
     torus = phi.torus
     n = torus.n
-    vhat = np.fft.fftn(v)
-    dz, dzbar = _dz_symbols(torus, v.shape)
-    out = np.empty(v.shape + (n, n), dtype=np.complex128)
+    vhat = _rfftn(v)
+    kappa = _half_spectrum_wavenumbers(torus, v.shape)
+    out = np.zeros(v.shape + (n, n), dtype=np.complex128)
+    re, im = out.real, out.imag
     for j in range(n):
-        for k in range(j, n):
-            entry = np.fft.ifftn(vhat * dz[j] * dzbar[k])
-            out[..., j, k] = entry
-            if k != j:
-                out[..., k, j] = np.conj(entry)
-    # Hermitian symmetrisation scrubs FFT round-off; diagonals become real.
-    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
-    return HermitianFormField(torus, out)
+        xj, yj = kappa[2 * j], kappa[2 * j + 1]
+        # d^2/dx_a dx_b has symbol -(2 pi)^2 kappa_a kappa_b; with the 1/4 above, -pi^2.
+        re[..., j, j] = _irfftn(vhat * (-np.pi**2 * (xj * xj + yj * yj)), v.shape)
+        for k in range(j + 1, n):
+            xk, yk = kappa[2 * k], kappa[2 * k + 1]
+            re[..., j, k] = _irfftn(vhat * (-np.pi**2 * (xj * xk + yj * yk)), v.shape)
+            im[..., j, k] = _irfftn(vhat * (-np.pi**2 * (xj * yk - yj * xk)), v.shape)
+            re[..., k, j] = re[..., j, k]
+            im[..., k, j] = -im[..., j, k]
+    return HermitianFormField._trusted(torus, out)
 
 
 def _fd_first(v: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
@@ -269,7 +282,7 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
             entry = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
             out[..., j, k] = entry
             out[..., k, j] = np.conj(entry)
-    return HermitianFormField(torus, out)
+    return HermitianFormField._trusted(torus, out)
 
 
 def c2_norm(phi: PotentialField) -> float:
@@ -307,9 +320,9 @@ def poisson_solve(torus: TorusModel, rhs: np.ndarray) -> np.ndarray:
     if torus.n != 1:
         raise ModelError("poisson_solve is the n=1 path")
     rhs = np.asarray(rhs, dtype=np.float64)
-    dz, dzbar = _dz_symbols(torus, rhs.shape)
-    symbol = np.broadcast_to((dz[0] * dzbar[0]).real, rhs.shape)  # -pi^2 |kappa|^2 <= 0
-    rhat = np.fft.fftn(rhs - np.mean(rhs))
+    kx, ky = _half_spectrum_wavenumbers(torus, rhs.shape)
+    rhat = _rfftn(rhs - np.mean(rhs))
+    symbol = np.broadcast_to(-np.pi**2 * (kx * kx + ky * ky), rhat.shape)
     phihat = np.divide(rhat, symbol, out=np.zeros_like(rhat), where=symbol != 0)
-    phi = np.fft.ifftn(phihat).real
+    phi = _irfftn(phihat, rhs.shape)
     return phi - np.mean(phi)

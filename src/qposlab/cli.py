@@ -786,7 +786,8 @@ def _cmd_glue(config, settings, problems):
     artifacts = [("psi.qpf", lambda p: write_field(p, torus, psi.values))]
     if np.squeeze(psi.values).ndim <= 2:
         artifacts.append(("psi_heatmap.csv", lambda p: write_heatmap_csv(p, psi.values)))
-    return EXIT_CERTIFIED, verdict, artifacts, files
+    code = EXIT_CERTIFIED if report.passed else EXIT_NOT_CERTIFIED
+    return code, verdict, artifacts, files
 
 
 _HANDLERS = {

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .errors import HypothesisViolation, ModelError, SearchExhausted
 
 __all__ = [
@@ -162,20 +163,6 @@ class KahlerClass(ConstantHermitianClass):
             raise ModelError("Kahler class matrix must be positive definite")
 
 
-def _det_exact(m: np.ndarray) -> complex:
-    """Cofactor-expansion determinant for sizes 1..3 (no pivoting noise)."""
-    k = m.shape[0]
-    if k == 1:
-        return m[0, 0]
-    if k == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
 def _mixed_coefficient(mats: list[np.ndarray]) -> float:
     """Coefficient of t_1...t_n in det(sum t_i A_i) via inclusion-exclusion."""
     n = len(mats)
@@ -187,7 +174,7 @@ def _mixed_coefficient(mats: list[np.ndarray]) -> float:
             s = mats[subset[0]].copy()
             for i in subset[1:]:
                 s = s + mats[i]
-            d = _det_exact(s)
+            d = smallmat.det(s)
             scale = max(scale, abs(d))
             total += sign * d
     if abs(total.imag) > 1e-9 * scale:

@@ -14,8 +14,10 @@ The final check differentiates the *smoothed* maximum (softmax at dyadic
 epsilon, which sandwiches the true maximum within ``eps * log 2``) with
 second-order finite differences, skipping the one-cell band where the active
 branch switches; the smoothing weight retreats along a dyadic ladder until
-every region certifies, and exhaustion raises with the failing region and
-grid point attached.
+every region that holds grid points certifies, and exhaustion raises with the
+failing region and grid point attached.  A region without grid points never
+passes: the report then carries it as failed, because nothing was checked
+there.
 
 All masks live in Chebyshev geometry: dilation by radius ``r`` is the
 separable per-axis sweep, periodic across the torus seam.
@@ -28,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import smallmat
 from .calculus import HermitianFormField, PotentialField, complex_hessian, fd_complex_hessian
 from .errors import ModelError, PipelineFailure
 from .geometry import ConstantHermitianClass, TorusModel
@@ -205,7 +208,10 @@ def glue_max(
 
 @dataclass(frozen=True)
 class RegionCertificate:
-    """Eigenvalue margin of one region, switching band excluded."""
+    """Eigenvalue margin of one region, switching band excluded.
+
+    A region with no grid points has ``min_margin = inf`` and does not pass.
+    """
 
     name: str
     n_points: int
@@ -223,12 +229,16 @@ class GlueReport:
     certificates: tuple[RegionCertificate, ...]
     q: int
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.certificates)
+
 
 def _masked_certificate(name: str, margin_field: np.ndarray, mask: np.ndarray, margin: float) -> RegionCertificate:
     vals, msk = np.broadcast_arrays(margin_field, mask)
     n_points = int(np.count_nonzero(msk))
     if n_points == 0:
-        return RegionCertificate(name=name, n_points=0, min_margin=math.inf, passed=True, worst_point=None)
+        return RegionCertificate(name=name, n_points=0, min_margin=math.inf, passed=False, worst_point=None)
     masked = np.where(msk, vals, np.inf)
     flat = int(np.argmin(masked))
     worst = tuple(int(i) for i in np.unravel_index(flat, masked.shape))
@@ -243,7 +253,7 @@ def _masked_certificate(name: str, margin_field: np.ndarray, mask: np.ndarray, m
 
 
 def _ascending_margins(form: HermitianFormField, index: int) -> np.ndarray:
-    return np.linalg.eigvalsh(form.values)[..., index]
+    return smallmat.eigvalsh(form.values)[..., index]
 
 
 def zariski_fujita_pipeline(
@@ -268,10 +278,12 @@ def zariski_fujita_pipeline(
         ``n - q`` positive eigenvalues on a one-cell enlargement of ``U_C``.
     3.  Threshold selection and the raw maximum glue.
     4.  Dyadic smoothing sweep: the first ``eps`` whose smoothed glue
-        certifies on all three regions (band excluded) wins.
+        certifies on every region that holds grid points (band excluded)
+        wins.
 
     Any failed stage raises :class:`PipelineFailure` naming the region and
-    the worst grid point; a returned report is a success end to end.
+    the worst grid point.  A returned report is a success end to end exactly
+    when ``report.passed``; otherwise a region held no grid points.
     """
     torus = singular.torus
     n = torus.n
@@ -285,6 +297,8 @@ def zariski_fujita_pipeline(
 
     pole = singular.pole_mask
     u_c = dilate(pole, pole_band)
+    if np.all(u_c):
+        raise ModelError("region_u covers the whole grid; nothing to glue against")
 
     # declaration (a): singular branch beats the lower bound away from poles
     phi_s_finite = PotentialField(torus, singular.finite_values())
@@ -328,12 +342,12 @@ def zariski_fujita_pipeline(
             torus, regularized_max(phi_b.values - threshold, singular.values, eps)
         )
         evolved = background + fd_complex_hessian(psi_eps, order=2)
-        ascending = np.linalg.eigvalsh(evolved.values)
+        ascending = smallmat.eigvalsh(evolved.values)
         certs = tuple(
             _masked_certificate(name, ascending[..., idx], mask, margin)
             for name, mask, idx in region_defs
         )
-        if all(c.passed for c in certs):
+        if all(c.passed or c.n_points == 0 for c in certs):
             return GlueReport(
                 result=replace(raw, psi=psi_eps, smoothing_eps=eps),
                 declarations={
@@ -346,7 +360,7 @@ def zariski_fujita_pipeline(
             )
         last_certs = certs
         eps *= 0.5
-    failing = next(c for c in last_certs if not c.passed)
+    failing = next(c for c in last_certs if not c.passed and c.n_points > 0)
     raise PipelineFailure(
         f"smoothing sweep exhausted at eps >= {eps_min:.3e}; region '{failing.name}' "
         f"stuck at margin {failing.min_margin:.3e}",

@@ -17,9 +17,17 @@ divergence identity turns it into
     A(delta) = sum_{j,k} d/dz_bar_j ( adj(M)_{jk}  d delta / dz_k ),
 
 which is exactly self-adjoint and negative semidefinite for the spectral
-derivatives used here, so conjugate gradients applies verbatim.  A
-constant-coefficient version of ``A`` built from the grid-mean of ``adj(M)``
-preconditions the solve diagonally in Fourier space.  Steps are halved until
+derivatives used here, so conjugate gradients applies verbatim.  On real
+fields its real part is the divergence form
+
+    Re A(delta) = 1/4 sum_j ( d_xj P_j + d_yj Q_j ),
+    P_j = sum_k ( Re adj_jk d_xk delta + Im adj_jk d_yk delta ),
+    Q_j = sum_k ( Re adj_jk d_yk delta - Im adj_jk d_xk delta ),
+
+so every transform is a real FFT.  A constant-coefficient version of ``A``
+built from the grid-mean of ``adj(M)`` preconditions the solve diagonally in
+Fourier space.  Determinants, adjugates and the positivity test's smallest
+eigenvalue come from :mod:`qposlab.smallmat`.  Steps are halved until
 pointwise positivity of ``W + dd_bar(phi)`` is preserved and the sup residual
 does not increase.
 
@@ -34,10 +42,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import smallmat
 from .calculus import (
     HermitianFormField,
     PotentialField,
-    _dz_symbols,
+    _half_spectrum_wavenumbers,
+    _irfftn,
+    _rfftn,
     complex_hessian,
     form_top_density,
     hermitian_det,
@@ -114,66 +125,54 @@ def compatibility_check(problem: MAProblem) -> MAProblem:
     return replace(problem, target_density=f * factor, compat_factor=factor)
 
 
-def _herm_adjugate(m: np.ndarray) -> np.ndarray:
-    """Batched adjugate of Hermitian 1..3 matrices (Hermitian PSD for PD input)."""
-    k = m.shape[-1]
-    if k == 1:
-        return np.ones_like(m)
-    if k == 2:
-        out = np.empty_like(m)
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 1, 1] = m[..., 0, 0]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        return out
-    if k == 3:
-        out = np.empty_like(m)
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [b for b in range(3) if b != i]
-                minor = m[..., r[0], c[0]] * m[..., r[1], c[1]] - m[..., r[0], c[1]] * m[..., r[1], c[0]]
-                out[..., i, j] = (-1) ** (i + j) * minor
-        return out
-    raise ModelError(f"adjugate implemented for sizes 1..3, got {k}")
-
-
 class _NewtonOperator:
-    """The SPD operator  u -> -sum_j d/dz_bar_j(adj_jk d u/dz_k)  and its preconditioner."""
+    """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  and its preconditioner.
+
+    Acts on real fields of the full stored ``shape`` through real FFTs; the
+    real and imaginary parts of ``adj`` are stored once, contiguously.
+    """
 
     def __init__(self, torus: TorusModel, adj: np.ndarray, shape: tuple[int, ...]):
-        self.torus = torus
-        self.n = torus.n
-        self.adj = adj
+        n = torus.n
+        self.n = n
         self.shape = shape
-        self.dz, self.dzbar = _dz_symbols(torus, shape)
-        mean_adj = np.mean(adj.reshape(-1, self.n, self.n), axis=0)
-        symbol = np.zeros(shape, dtype=np.complex128)
-        for j in range(self.n):
-            for k in range(self.n):
-                symbol = symbol + mean_adj[j, k] * np.conj(self.dz[j]) * self.dz[k]
-        self.symbol = np.ascontiguousarray(np.broadcast_to(symbol.real, shape))
+        self.adj_re = np.ascontiguousarray(np.moveaxis(adj.real, (-2, -1), (0, 1)))
+        self.adj_im = np.ascontiguousarray(np.moveaxis(adj.imag, (-2, -1), (0, 1)))
+        kappa = _half_spectrum_wavenumbers(torus, shape)
+        self.deriv = [2j * np.pi * k for k in kappa]  # symbols of d/dx_1, d/dy_1, ...
+        mean_adj = np.mean(adj.reshape(-1, n, n), axis=0)
+        dz = [np.pi * (kappa[2 * j + 1] + 1j * kappa[2 * j]) for j in range(n)]
+        symbol = 0.0
+        for j in range(n):
+            for k in range(n):
+                symbol = symbol + mean_adj[j, k] * np.conj(dz[j]) * dz[k]
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        self.symbol = np.ascontiguousarray(np.broadcast_to(np.real(symbol), half))
         self.active = self.symbol > 0  # modes the operator can reach
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        uhat = np.fft.fftn(u)
-        grads = [np.fft.ifftn(uhat * self.dz[k]) for k in range(self.n)]
-        acc = np.zeros(self.shape, dtype=np.complex128)
+        uhat = _rfftn(u)
+        grad = [_irfftn(uhat * d, self.shape) for d in self.deriv]
+        gx, gy = grad[0::2], grad[1::2]
+        acc = 0.0
         for j in range(self.n):
-            vj = np.zeros(self.shape, dtype=np.complex128)
+            p = np.zeros(self.shape)
+            q = np.zeros(self.shape)
             for k in range(self.n):
-                vj = vj + self.adj[..., j, k] * grads[k]
-            acc = acc + np.fft.fftn(vj) * self.dzbar[j]
-        return -np.fft.ifftn(acc).real
+                re, im = self.adj_re[j, k], self.adj_im[j, k]
+                p += re * gx[k] + im * gy[k]
+                q += re * gy[k] - im * gx[k]
+            acc = acc + _rfftn(p) * self.deriv[2 * j] + _rfftn(q) * self.deriv[2 * j + 1]
+        return -0.25 * _irfftn(acc, self.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        rhat = np.fft.fftn(r)
+        rhat = _rfftn(r)
         out = np.divide(rhat, self.symbol, out=np.zeros_like(rhat), where=self.active)
-        return np.fft.ifftn(out).real
+        return _irfftn(out, self.shape)
 
     def project(self, r: np.ndarray) -> np.ndarray:
-        """Restrict to the modes the operator can reach (drops DC/Nyquist)."""
-        return np.fft.ifftn(np.fft.fftn(r) * self.active).real
+        """Restrict to the modes the operator can reach (drops the mean and Nyquist-only modes)."""
+        return _irfftn(_rfftn(r) * self.active, self.shape)
 
 
 def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> np.ndarray:
@@ -207,7 +206,7 @@ def _state(wvals: np.ndarray, phi: np.ndarray, torus: TorusModel, fvals: np.ndar
     """Current form, determinant, compensating constant and sup residual."""
     hess = complex_hessian(PotentialField(torus, phi)).values
     m = wvals + hess
-    min_eig = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+    min_eig = float(np.min(smallmat.eigvalsh(m)[..., 0]))
     if min_eig <= 0:
         return m, None, None, None, min_eig
     det = hermitian_det(m)
@@ -236,7 +235,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         raise ModelError("target density must be strictly positive")
 
     wform = problem.background_form()
-    if float(np.min(np.linalg.eigvalsh(wform.values)[..., 0])) <= 0:
+    if wform.min_eigenvalue() <= 0:
         raise ModelError("background form is not positive definite at every grid point")
     wvals = wform.values
 
@@ -286,8 +285,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
                 log_constant=float(np.sum(det * (np.log(det) - np.log(f))) / np.sum(det)),
                 residual_history=tuple(history),
             )
-        adj = _herm_adjugate(m)
-        op = _NewtonOperator(torus, adj, shape)
+        op = _NewtonOperator(torus, smallmat.adjugate(m), shape)
         # A(delta) = -b with A negative semidefinite, i.e. op(delta) = b for op = -A.
         b = det * rho_c
         delta = _pcg(op, b, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))

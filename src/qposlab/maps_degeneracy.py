@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .calculus import HermitianFormField, PotentialField, fd_complex_hessian
 from .errors import ModelError, PipelineFailure
 from .geometry import TorusModel
@@ -167,30 +168,6 @@ def _submatrix(mats: np.ndarray, rows, cols) -> np.ndarray:
     return mats[..., r[:, None], c[None, :]]
 
 
-def _det_closed(mats: np.ndarray) -> np.ndarray:
-    """Batched complex determinant by cofactor expansion, sizes 1..4."""
-    k = mats.shape[-1]
-    if k == 1:
-        return mats[..., 0, 0].copy()
-    if k == 2:
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    if k == 3:
-        return (
-            mats[..., 0, 0] * (mats[..., 1, 1] * mats[..., 2, 2] - mats[..., 1, 2] * mats[..., 2, 1])
-            - mats[..., 0, 1] * (mats[..., 1, 0] * mats[..., 2, 2] - mats[..., 1, 2] * mats[..., 2, 0])
-            + mats[..., 0, 2] * (mats[..., 1, 0] * mats[..., 2, 1] - mats[..., 1, 1] * mats[..., 2, 0])
-        )
-    if k == 4:
-        rest = list(range(1, 4))
-        acc = np.zeros(mats.shape[:-2], dtype=np.complex128)
-        for c in range(4):
-            cols = [x for x in range(4) if x != c]
-            minor = _det_closed(_submatrix(mats, rest, cols))
-            acc = acc + ((-1) ** c) * mats[..., 0, c] * minor
-        return acc
-    raise ModelError(f"closed-form determinants cover sizes 1..4, got {k}")
-
-
 def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
     """j-th elementary symmetric function of eig(J^H J) from squared minors.
 
@@ -202,12 +179,15 @@ def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
     mrows, ncols = jac.shape[-2:]
     if not 1 <= j <= ncols:
         raise ModelError(f"sigma index {j} outside 1..{ncols}")
-    acc = np.zeros(jac.shape[:-2], dtype=np.float64)
+    # one batch axis even for a single Jacobian, so every point takes the
+    # same (array) arithmetic in smallmat.det
+    flat = jac.reshape((-1, mrows, ncols))
+    acc = np.zeros(flat.shape[0], dtype=np.float64)
     for rows in itertools.combinations(range(mrows), j):
         for cols in itertools.combinations(range(ncols), j):
-            d = _det_closed(_submatrix(jac, rows, cols))
+            d = smallmat.det(_submatrix(flat, rows, cols))
             acc = acc + (d * d.conj()).real
-    return acc
+    return acc.reshape(jac.shape[:-2])
 
 
 def sigma_profile(jacobians: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Relative eigenvalue fields and q-positivity certificates.
 
 A Hermitian form field ``A`` is measured against a pointwise positive
-reference ``B`` through the generalized eigenvalues of ``A v = lambda B v``,
-computed by Cholesky reduction ``B = L L^H`` and a dense Hermitian solve of
-``L^{-1} A L^{-H}``; eigenvalues are returned sorted descending.  A class is
+reference ``B`` through the generalized eigenvalues of ``A v = lambda B v``.
+``B = L L^H`` is factored on its stored shape only (one n x n Cholesky when
+the reference is constant, as in every pipeline), ``L^{-1} A L^{-H}`` is
+formed entry by entry, and its eigenvalues come from the closed-form kernels
+of :mod:`qposlab.smallmat`; they are returned sorted descending.  A class is
 *q-positive* at a point when at least ``n - q`` of them are positive, so the
 certificate tracks the (n-q)-th largest eigenvalue as its margin.
 
@@ -11,9 +13,11 @@ Pipeline for a single positive pairing (the (n-1)-positivity statement on the
 torus): pick the smallest admissible shift k with volume ratio D_k > 1, solve
 the Monge-Ampere equation with constant target ``D_k (k omega)^n``, and read
 the certificate off the relative eigenvalue field of the evolved form against
-``k omega``.  Two redundant identities are checked on the way (the pointwise
-eigenvalue product equals D_k; the smallest eigenvalue stays positive) and a
-violation raises, because it can only come from a solver defect.
+``k omega``, one eigen pass in all: the curvature ``evolved - k omega`` has
+relative eigenvalues ``lambda - 1``.  Two redundant identities are checked on
+the way (the pointwise eigenvalue product equals D_k; the smallest eigenvalue
+stays positive) and a violation raises, because it can only come from a
+solver defect.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import smallmat
 from .calculus import HermitianFormField, PotentialField, complex_hessian
 from .errors import ConsistencyFailure, HypothesisViolation, ModelError
 from .geometry import (
@@ -87,18 +92,29 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
     a = _form_values(curvature, torus)
     b = _form_values(reference, torus)
     n = torus.n
-    eigb = np.linalg.eigvalsh(b)[..., 0]
+    eigb = smallmat.eigvalsh(b)[..., 0]
     if float(np.min(eigb)) <= 0:
         worst = np.unravel_index(int(np.argmin(eigb)), eigb.shape)
         raise ModelError(f"reference form is not positive definite at grid point {worst}")
+    # Factor on the reference's stored shape only: one matrix when it is constant.
+    inv_chol = np.linalg.inv(np.linalg.cholesky(b))
+    conj_inv = inv_chol.conj()
     shape = np.broadcast_shapes(a.shape, b.shape)
-    a = np.broadcast_to(a, shape)
-    b = np.broadcast_to(b, shape)
-    chol = np.linalg.cholesky(b)
-    inv_chol = np.linalg.inv(chol)
-    reduced = inv_chol @ a @ inv_chol.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(reduced)[..., ::-1]
-    return EigenvalueField(torus, np.ascontiguousarray(lam.real))
+    reduced = np.empty(shape, dtype=np.complex128)
+    for j in range(n):
+        for k in range(j + 1):
+            # (L^{-1} A L^{-H})_jk, with L^{-1} lower triangular
+            acc = 0.0
+            for p in range(j + 1):
+                for r in range(k + 1):
+                    acc = acc + (inv_chol[..., j, p] * conj_inv[..., k, r]) * a[..., p, r]
+            if k == j:
+                reduced[..., j, j] = np.real(acc)
+            else:
+                reduced[..., j, k] = acc
+                reduced[..., k, j] = np.conj(acc)
+    lam = smallmat.eigvalsh(reduced)[..., ::-1]
+    return EigenvalueField(torus, np.ascontiguousarray(lam))
 
 
 @dataclass(frozen=True)
@@ -119,20 +135,22 @@ class PositivityCertificate:
     metadata: dict = field(default_factory=dict)
 
 
-def certify_q_positive(curvature, reference, torus: TorusModel, q: int, margin: float = 1e-8,
-                       metadata: dict | None = None) -> PositivityCertificate:
-    """Certify that ``curvature`` is q-positive relative to ``reference``.
-
-    The count of positive eigenvalues does not depend on the (positive)
-    reference; the margin values do, and are reported relative to it.
-    """
-    n = torus.n
+def _check_certificate_args(n: int, q: int, margin: float) -> None:
     if not 0 <= q <= n - 1:
         raise ModelError(f"q must lie in 0..{n - 1}, got {q}")
     if margin < 0:
         raise ModelError("margin must be non-negative")
-    lam = eigenvalues_relative(curvature, reference, torus)
-    margin_field = lam.values[..., n - q - 1]
+
+
+def _certificate(lam: EigenvalueField, q: int, margin: float, shift: float = 0.0,
+                 metadata: dict | None = None) -> PositivityCertificate:
+    """Certificate read off relative eigenvalues ``lam - shift``.
+
+    Shifting every eigenvalue by one constant leaves their neighbour jumps
+    unchanged, so the jump is read off ``lam`` itself.
+    """
+    n = lam.values.shape[-1]
+    margin_field = lam.values[..., n - q - 1] - shift
     min_margin = float(np.min(margin_field))
     worst = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin_field)), margin_field.shape))
     return PositivityCertificate(
@@ -145,6 +163,17 @@ def certify_q_positive(curvature, reference, torus: TorusModel, q: int, margin: 
         eigen_jump=lam.max_neighbor_jump(),
         metadata=dict(metadata or {}),
     )
+
+
+def certify_q_positive(curvature, reference, torus: TorusModel, q: int, margin: float = 1e-8,
+                       metadata: dict | None = None) -> PositivityCertificate:
+    """Certify that ``curvature`` is q-positive relative to ``reference``.
+
+    The count of positive eigenvalues does not depend on the (positive)
+    reference; the margin values do, and are reported relative to it.
+    """
+    _check_certificate_args(torus.n, q, margin)
+    return _certificate(eigenvalues_relative(curvature, reference, torus), q, margin, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -192,6 +221,7 @@ def one_positive_pipeline(
         raise HypothesisViolation(f"(L . omega^(n-1)) = {pairing} must be positive")
     if q is None:
         q = n - 1
+    _check_certificate_args(n, q, margin)
 
     k = choose_k(H.matrix, G.matrix, k_max)
     dk = dk_constant(H.matrix, G.matrix, k)
@@ -210,13 +240,12 @@ def one_positive_pipeline(
     if lam.min_over_grid(n) <= 0:
         raise ConsistencyFailure("evolved form lost pointwise positivity; solver defect")
 
-    curvature = HermitianFormField(torus, evolved.values - reference.values)
-    cert = certify_q_positive(
-        curvature,
-        reference,
-        torus,
-        q=q,
-        margin=margin,
+    # The curvature evolved - k omega has relative eigenvalues lam - 1.
+    cert = _certificate(
+        lam,
+        q,
+        margin,
+        shift=1.0,
         metadata={
             "k": k,
             "dk": dk,

@@ -8,6 +8,7 @@ but not certified, 2 numerics failure, 3 invalid model or configuration.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +425,17 @@ class TestGlue:
         assert regions["U_C minus V_C"]["n_points"] == 56
         names = {os.path.basename(p) for p in report["artifacts"]}
         assert names == {"psi.qpf", "psi_heatmap.csv"}
+
+    def test_empty_region_is_not_certified(self, capsys):
+        # At grid 256 the buffer branch wins at no grid point outside the
+        # switching band, so V_C holds nothing and cannot pass.
+        cfg = str(Path(__file__).resolve().parent.parent / "configs" / "glue.json")
+        code, report, _ = run_cli(["glue", "--config", cfg, "--grid", "256"], capsys)
+        assert code == 1
+        regions = {r["name"]: r for r in report["verdict"]["regions"]}
+        assert regions["V_C"]["n_points"] == 0
+        assert regions["V_C"]["passed"] is False
+        assert regions["outside U_C"]["passed"] and regions["U_C minus V_C"]["passed"]
 
     def test_unreachable_margin_exits_two(self, tmp_path, capsys):
         data = dict(GLUE_CONFIG)
