@@ -13,12 +13,18 @@ the real second derivatives
 
 which makes the result Hermitian by construction.  Wavenumbers have the
 Nyquist mode zeroed, so every symbol is real and even and the real
-transforms are exact.  Fields store numpy arrays broadcastable to the full
-grid shape; an axis of length one means "constant along that coordinate" and
-spectral derivatives along such axes vanish identically, which both is exact
-and keeps storage proportional to the coordinates a problem actually
-activates.  Small-matrix kernels (determinants, eigenvalues) live in
-:mod:`qposlab.smallmat`.
+transforms are exact.  An nd transform runs one pass per axis, as numpy's
+does and with bitwise the same result, but every pass works in one array:
+the forward passes all write into the output, and the inverse complex
+passes run in place in the caller's temporary spectrum before the real pass
+on the last axis writes the result, for a Hessian straight into its entry of
+the form field.
+
+Fields store numpy arrays broadcastable to the full grid shape; an axis of
+length one means "constant along that coordinate" and spectral derivatives
+along such axes vanish identically, which both is exact and keeps storage
+proportional to the coordinates a problem actually activates.  Small-matrix
+kernels (determinants, eigenvalues) live in :mod:`qposlab.smallmat`.
 """
 
 from __future__ import annotations
@@ -201,11 +207,21 @@ def _half_spectrum_wavenumbers(torus: TorusModel, shape: tuple[int, ...]) -> lis
 
 
 def _rfftn(v: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(v, axes=tuple(range(v.ndim)))
+    """``np.fft.rfftn`` over every axis, each axis pass writing into one buffer."""
+    half = v.shape[:-1] + (v.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(v, axes=tuple(range(v.ndim)), out=np.empty(half, dtype=np.complex128))
 
 
-def _irfftn(vhat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return np.fft.irfftn(vhat, s=shape, axes=tuple(range(len(shape))))
+def _irfftn(vhat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.irfftn`` over every axis, bitwise equal to it; consumes ``vhat``.
+
+    The complex passes run in place in ``vhat`` (a complex128 temporary the
+    caller gives up), in numpy's axis order, before the real pass on the last
+    axis, which writes into ``out`` when given (any strides).
+    """
+    for axis in range(len(shape) - 1):
+        np.fft.ifft(vhat, axis=axis, out=vhat)
+    return np.fft.irfft(vhat, n=shape[-1], axis=-1, out=out)
 
 
 def complex_hessian(phi: PotentialField) -> HermitianFormField:
@@ -219,16 +235,20 @@ def complex_hessian(phi: PotentialField) -> HermitianFormField:
     kappa = _half_spectrum_wavenumbers(torus, v.shape)
     out = np.zeros(v.shape + (n, n), dtype=np.complex128)
     re, im = out.real, out.imag
+
+    def entry(symbol, dest):
+        # d^2/dx_a dx_b has symbol -(2 pi)^2 kappa_a kappa_b; with the 1/4 above, -pi^2.
+        _irfftn(vhat * (-np.pi**2 * symbol), v.shape, out=dest)
+
     for j in range(n):
         xj, yj = kappa[2 * j], kappa[2 * j + 1]
-        # d^2/dx_a dx_b has symbol -(2 pi)^2 kappa_a kappa_b; with the 1/4 above, -pi^2.
-        re[..., j, j] = _irfftn(vhat * (-np.pi**2 * (xj * xj + yj * yj)), v.shape)
+        entry(xj * xj + yj * yj, re[..., j, j])
         for k in range(j + 1, n):
             xk, yk = kappa[2 * k], kappa[2 * k + 1]
-            re[..., j, k] = _irfftn(vhat * (-np.pi**2 * (xj * xk + yj * yk)), v.shape)
-            im[..., j, k] = _irfftn(vhat * (-np.pi**2 * (xj * yk - yj * xk)), v.shape)
+            entry(xj * xk + yj * yk, re[..., j, k])
+            entry(xj * yk - yj * xk, im[..., j, k])
             re[..., k, j] = re[..., j, k]
-            im[..., k, j] = -im[..., j, k]
+            np.negative(im[..., j, k], out=im[..., k, j])
     return HermitianFormField._trusted(torus, out)
 
 

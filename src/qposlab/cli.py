@@ -4,9 +4,10 @@ Every subcommand reads one JSON config file plus a handful of override flags
 and prints a single JSON run report.  The report's ``verdict`` section is a
 pure function of the inputs (sorted keys, no timestamps, no timings), so two
 runs of the same config are byte-identical there; wall-clock data lives in
-the separate ``timings`` section, and an sha256 digest over the resolved
-inputs (including the content of referenced field files) ties the verdict to
-what produced it.
+the separate ``timings`` section, how the run got there (for a Monge-Ampere
+solve: the residual, CG iterations and line-search halvings of each Newton
+step) in ``trace``, and an sha256 digest over the resolved inputs (including
+the content of referenced field files) ties the verdict to what produced it.
 
 Override precedence, highest first: command-line flag, ``QPOSLAB_*``
 environment variable, config file entry, built-in default.
@@ -60,7 +61,7 @@ from .surface_cones import (
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _ENV_PREFIX = "QPOSLAB_"
 
 EXIT_CERTIFIED = 0
@@ -327,6 +328,19 @@ def _certificate_verdict(run) -> dict:
     }
 
 
+def _newton_trace(ma) -> dict:
+    """The Monge-Ampere solve step by step, from an ``MASolveResult``."""
+    steps = zip(ma.residual_history[1:], ma.cg_iterations, ma.line_search_halvings)
+    return {
+        "newton": {
+            "initial_residual": ma.residual_history[0],
+            "steps": [
+                {"residual": r, "cg_iterations": cg, "line_search_halvings": h} for r, cg, h in steps
+            ],
+        }
+    }
+
+
 def _cmd_intersect(config, settings, problems):
     classes = _require(config, "classes", problems)
     mats = []
@@ -341,7 +355,7 @@ def _cmd_intersect(config, settings, problems):
         "n": int(mats[0].shape[0]),
         "classes": len(mats),
     }
-    return EXIT_CERTIFIED, verdict, [], []
+    return EXIT_CERTIFIED, verdict, [], [], {}
 
 
 def _cmd_ma_solve(config, settings, problems):
@@ -372,16 +386,16 @@ def _cmd_ma_solve(config, settings, problems):
                 files.append(path)
                 _, density = read_field(path, torus)
     _ensure_valid(problems)
-    problem = compatibility_check(
-        MAProblem(
-            torus=torus,
-            background=ConstantHermitianClass(background),
-            target_density=np.asarray(density),
-            tol=settings["tol"],
-            max_iter=max_iter,
-        )
+    problem = MAProblem(
+        torus=torus,
+        background=ConstantHermitianClass(background),
+        target_density=np.asarray(density),
+        tol=settings["tol"],
+        max_iter=max_iter,
     )
-    result = solve_ma(problem)
+    wform = problem.background_form()
+    problem = compatibility_check(problem, wform)
+    result = solve_ma(problem, background_form=wform)
     verdict = {
         "n": torus.n,
         "grid": torus.grid_size,
@@ -396,7 +410,7 @@ def _cmd_ma_solve(config, settings, problems):
     ]
     if np.squeeze(result.phi.values).ndim <= 2:
         artifacts.append(("phi_heatmap.csv", lambda p: write_heatmap_csv(p, result.phi.values)))
-    return EXIT_CERTIFIED, verdict, artifacts, files
+    return EXIT_CERTIFIED, verdict, artifacts, files, _newton_trace(result)
 
 
 def _cmd_certify(config, settings, problems):
@@ -432,7 +446,7 @@ def _cmd_certify(config, settings, problems):
             ("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.certificate.margin_field))
         )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files
+    return code, verdict, artifacts, files, _newton_trace(run.ma_result)
 
 
 def _cmd_pseff(config, settings, problems):
@@ -457,7 +471,7 @@ def _cmd_pseff(config, settings, problems):
         margin=margin,
     )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, _certificate_verdict(run), [], []
+    return code, _certificate_verdict(run), [], [], _newton_trace(run.ma_result)
 
 
 def _lattice_from_config(spec, problems) -> SurfaceLattice | None:
@@ -562,10 +576,12 @@ def _cmd_ag_surface(config, settings, problems):
         "cone_semantics": report.cone_semantics,
         "notes": list(report.notes),
     }
+    trace = {}
     if report.analytic_run is not None:
         verdict["analytic"] = _certificate_verdict(report.analytic_run)
+        trace["analytic"] = _newton_trace(report.analytic_run.ma_result)
     code = EXIT_CERTIFIED if report.one_ample else EXIT_NOT_CERTIFIED
-    return code, verdict, [], []
+    return code, verdict, [], [], trace
 
 
 def _polymap_from_config(spec, problems, files) -> PolyMap | None:
@@ -683,7 +699,7 @@ def _cmd_degeneracy(config, settings, problems):
 
     artifacts = [("flagged_points.csv", _write_flagged)]
     code = EXIT_CERTIFIED if flagged.shape[0] == 0 else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files
+    return code, verdict, artifacts, files, {}
 
 
 def _singular_from_config(spec, torus, problems, files) -> SingularPotential | None:
@@ -787,7 +803,7 @@ def _cmd_glue(config, settings, problems):
     if np.squeeze(psi.values).ndim <= 2:
         artifacts.append(("psi_heatmap.csv", lambda p: write_heatmap_csv(p, psi.values)))
     code = EXIT_CERTIFIED if report.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files
+    return code, verdict, artifacts, files, {}
 
 
 _HANDLERS = {
@@ -808,7 +824,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config, args.command, problems)
         settings = _resolve_settings(args, config, problems)
-        code, verdict, artifacts, files = _HANDLERS[args.command](config, settings, problems)
+        code, verdict, artifacts, files, trace = _HANDLERS[args.command](config, settings, problems)
         digest = _inputs_digest(args.command, config, settings, files)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
@@ -838,6 +854,7 @@ def main(argv=None) -> int:
             "total_s": round(time.perf_counter() - t_start, 6),
             "workers": settings["workers"],
         },
+        "trace": _jsonable(trace),
         "artifacts": written,
     }
     if settings["out"] is not None:

@@ -26,10 +26,17 @@ fields its real part is the divergence form
 
 so every transform is a real FFT.  A constant-coefficient version of ``A``
 built from the grid-mean of ``adj(M)`` preconditions the solve diagonally in
-Fourier space.  Determinants, adjugates and the positivity test's smallest
-eigenvalue come from :mod:`qposlab.smallmat`.  Steps are halved until
-pointwise positivity of ``W + dd_bar(phi)`` is preserved and the sup residual
-does not increase.
+Fourier space.  Steps are halved until pointwise positivity of
+``W + dd_bar(phi)`` is preserved and the sup residual does not increase.
+Determinants, the adjugate's coefficient planes and the positivity test
+(Sylvester minors, which reuse the residual's determinant, with an
+eigenvalue fallback near zero) come from :mod:`qposlab.smallmat`; the
+smallest eigenvalue is computed once, on the returned form.
+
+One Newton step costs one Hessian per line-search trial and nothing more:
+``W`` can be built once and handed to both :func:`compatibility_check` and
+:func:`solve_ma` (as :func:`ma_for_dk` does), and a zero initial guess starts
+from ``M = W``.
 
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
@@ -100,25 +107,40 @@ class MAProblem:
 
 @dataclass(frozen=True)
 class MASolveResult:
+    """Solution and per-step record.
+
+    ``residual_history`` holds the residual of the initial guess and then the
+    residual after each Newton step; ``cg_iterations`` (operator
+    applications) and ``line_search_halvings`` hold one entry per step.  The
+    n = 1 solve is one exact spectral step, recorded with zero CG iterations
+    and halvings.
+    """
+
     phi: PotentialField
     residual: float
     iterations: int
     positivity_margin: float
     log_constant: float
     residual_history: tuple[float, ...] = field(default_factory=tuple)
+    cg_iterations: tuple[int, ...] = field(default_factory=tuple)
+    line_search_halvings: tuple[int, ...] = field(default_factory=tuple)
 
 
-def compatibility_check(problem: MAProblem) -> MAProblem:
+def compatibility_check(
+    problem: MAProblem, background_form: HermitianFormField | None = None
+) -> MAProblem:
     """Rescale the target density so its total mass matches the background form.
 
     The equation only constrains the density up to the free constant, and a
     solution requires equal masses; the applied factor is recorded on the
-    returned problem (``compat_factor``).
+    returned problem (``compat_factor``).  ``background_form`` is
+    ``problem.background_form()`` when the caller has built it already.
     """
     f = problem.target_density
     if np.min(f) <= 0:
         raise ModelError("target density must be strictly positive")
-    background_mass = float(np.mean(form_top_density(problem.background_form())))
+    wform = problem.background_form() if background_form is None else background_form
+    background_mass = float(np.mean(form_top_density(wform)))
     if background_mass <= 0:
         raise ModelError("background form has non-positive total volume")
     factor = background_mass / float(np.mean(f))
@@ -128,19 +150,18 @@ def compatibility_check(problem: MAProblem) -> MAProblem:
 class _NewtonOperator:
     """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  and its preconditioner.
 
-    Acts on real fields of the full stored ``shape`` through real FFTs; the
-    real and imaginary parts of ``adj`` are stored once, contiguously.
+    Built from the form ``M`` (full stored ``shape``, contiguous); acts on
+    real fields through real FFTs.  The real and imaginary parts of
+    ``adj(M)`` are stored once, as contiguous planes.
     """
 
-    def __init__(self, torus: TorusModel, adj: np.ndarray, shape: tuple[int, ...]):
+    def __init__(self, torus: TorusModel, form: np.ndarray, shape: tuple[int, ...]):
         n = torus.n
         self.n = n
         self.shape = shape
-        self.adj_re = np.ascontiguousarray(np.moveaxis(adj.real, (-2, -1), (0, 1)))
-        self.adj_im = np.ascontiguousarray(np.moveaxis(adj.imag, (-2, -1), (0, 1)))
+        self.adj_re, self.adj_im, mean_adj = smallmat.adjugate_planes(form)
         kappa = _half_spectrum_wavenumbers(torus, shape)
         self.deriv = [2j * np.pi * k for k in kappa]  # symbols of d/dx_1, d/dy_1, ...
-        mean_adj = np.mean(adj.reshape(-1, n, n), axis=0)
         dz = [np.pi * (kappa[2 * j + 1] + 1j * kappa[2 * j]) for j in range(n)]
         symbol = 0.0
         for j in range(n):
@@ -175,17 +196,19 @@ class _NewtonOperator:
         return _irfftn(_rfftn(r) * self.active, self.shape)
 
 
-def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> np.ndarray:
+def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for ``op(x) = b``; returns ``x`` and the number of operator applications."""
     b = op.project(b)
     bnorm = float(np.sqrt(np.sum(b * b)))
     x = np.zeros_like(b)
     if bnorm == 0:
-        return x
+        return x, 0
     r = b.copy()
     z = op.precondition(r)
     p = z.copy()
     rz = float(np.sum(r * z))
-    for _ in range(max_cg):
+    iterations = 0
+    for iterations in range(1, max_cg + 1):
         ap = op.apply(p)
         pap = float(np.sum(p * ap))
         if pap <= 0:
@@ -199,27 +222,44 @@ def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> 
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x
+    return x, iterations
 
 
-def _state(wvals: np.ndarray, phi: np.ndarray, torus: TorusModel, fvals: np.ndarray):
-    """Current form, determinant, compensating constant and sup residual."""
-    hess = complex_hessian(PotentialField(torus, phi)).values
-    m = wvals + hess
-    min_eig = float(np.min(smallmat.eigvalsh(m)[..., 0]))
-    if min_eig <= 0:
-        return m, None, None, None, min_eig
+def _evaluate(m: np.ndarray, fvals: np.ndarray):
+    """Form, determinant, compensated log residual, sup residual and constant ``c`` of a form ``m``.
+
+    ``None`` when ``m`` is not positive definite at every grid point.
+    """
     det = hermitian_det(m)
+    if not np.all(smallmat.positive_definite(m, det)):
+        return None
     rho = np.log(det) - np.log(fvals)
     c = float(np.sum(det * rho) / np.sum(det))
     rinf = float(np.max(np.abs(np.exp(rho - c) - 1.0)))
-    return m, det, rho - c, rinf, min_eig
+    return m, det, rho - c, rinf, c
 
 
-def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) -> MASolveResult:
+def _state(wvals: np.ndarray, phi: np.ndarray, torus: TorusModel, fvals: np.ndarray):
+    """:func:`_evaluate` at the form ``W + dd_bar(phi)``."""
+    m = complex_hessian(PotentialField(torus, phi)).values
+    m += wvals
+    return _evaluate(m, fvals)
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    return float(np.min(smallmat.eigvalsh(m)[..., 0]))
+
+
+def solve_ma(
+    problem: MAProblem,
+    initial_guess: PotentialField | None = None,
+    background_form: HermitianFormField | None = None,
+) -> MASolveResult:
     """Damped-Newton solve in the mean-zero gauge.
 
-    Requires :func:`compatibility_check` to have been applied.  The residual
+    Requires :func:`compatibility_check` to have been applied;
+    ``background_form`` is ``problem.background_form()`` when the caller has
+    built it already, for instance for that check.  The residual
     reported is ``sup | det(W + dd_bar phi) / (e^c F) - 1 |`` with the
     compensating constant ``c``; for compatible data ``|c|`` is at the
     spectral-truncation level and the plain ratio against ``F`` satisfies the
@@ -234,24 +274,28 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
     if np.min(f) <= 0:
         raise ModelError("target density must be strictly positive")
 
-    wform = problem.background_form()
-    if wform.min_eigenvalue() <= 0:
-        raise ModelError("background form is not positive definite at every grid point")
-    wvals = wform.values
-
+    if background_form is None:
+        background_form = problem.background_form()
+    wvals = background_form.values
     shape = np.broadcast_shapes(wvals.shape[:-2], f.shape)
     if initial_guess is not None:
         if initial_guess.torus != torus:
             raise ModelError("initial guess lives on a different torus")
         shape = np.broadcast_shapes(shape, initial_guess.values.shape)
     f = np.broadcast_to(f, shape)
+    # dd_bar(0) = 0: W's own evaluation checks its positivity and is the state at a zero guess.
+    state = _evaluate(np.ascontiguousarray(np.broadcast_to(wvals, shape + (n, n))), f)
+    if state is None:
+        raise ModelError("background form is not positive definite at every grid point")
 
     if n == 1:
         # det is linear in the Hessian: one exact spectral Poisson step.
         w = np.broadcast_to(wvals[..., 0, 0].real, shape)
         c = math.log(float(np.mean(w)) / float(np.mean(f)))
         phi = poisson_solve(torus, np.exp(c) * f - w)
-        _, _, _, rinf, min_eig = _state(wvals, phi, torus, f)
+        initial_residual = state[3]
+        state = _state(wvals, phi, torus, f)
+        rinf = None if state is None else state[3]
         if rinf is None or rinf > problem.tol:
             raise NonConvergence(
                 f"linear n=1 solve left residual {rinf}, above tol {problem.tol}", residual=rinf
@@ -260,64 +304,66 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
             phi=PotentialField(torus, phi, mean_zero=True),
             residual=rinf,
             iterations=1,
-            positivity_margin=min_eig,
+            positivity_margin=_min_eigenvalue(state[0]),
             log_constant=c,
-            residual_history=(rinf,),
+            residual_history=(initial_residual, rinf),
+            cg_iterations=(0,),
+            line_search_halvings=(0,),
         )
 
-    if initial_guess is not None:
-        phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
-    else:
+    if initial_guess is None:
         phi = np.zeros(shape)
+    else:
+        phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
+        state = _state(wvals, phi, torus, f)
+        if state is None:
+            raise ModelError("initial guess destroys pointwise positivity of the background form")
+    m, det, rho_c, rinf, c = state
+    state = None
+    history, cg_counts, halvings = [rinf], [], []
 
-    m, det, rho_c, rinf, min_eig = _state(wvals, phi, torus, f)
-    if min_eig <= 0:
-        raise ModelError("initial guess destroys pointwise positivity of the background form")
-    history = [rinf]
-
-    for iteration in range(1, problem.max_iter + 1):
-        if rinf <= problem.tol:
-            return MASolveResult(
-                phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
+    while rinf > problem.tol:
+        if len(history) > problem.max_iter:
+            raise NonConvergence(
+                f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
                 residual=rinf,
-                iterations=iteration - 1,
-                positivity_margin=min_eig,
-                log_constant=float(np.sum(det * (np.log(det) - np.log(f))) / np.sum(det)),
-                residual_history=tuple(history),
             )
-        op = _NewtonOperator(torus, smallmat.adjugate(m), shape)
+        op = _NewtonOperator(torus, m, shape)
         # A(delta) = -b with A negative semidefinite, i.e. op(delta) = b for op = -A.
         b = det * rho_c
-        delta = _pcg(op, b, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))
+        del m, det, rho_c  # the last references: freed before the CG solve and line search
+        delta, cg = _pcg(op, b, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))
+        del op, b
 
-        alpha = 1.0
-        accepted = False
-        while alpha >= 2.0**-30:
+        alpha, halved = 1.0, 0
+        while True:
             trial = phi + alpha * delta
-            m_t, det_t, rho_c_t, rinf_t, min_eig_t = _state(wvals, trial, torus, f)
-            if min_eig_t > 0 and rinf_t <= rinf * (1 + 1e-12) + 1e-15:
-                phi, m, det, rho_c, rinf, min_eig = trial, m_t, det_t, rho_c_t, rinf_t, min_eig_t
-                accepted = True
+            state = _state(wvals, trial, torus, f)
+            if state is not None and state[3] <= rinf * (1 + 1e-12) + 1e-15:
                 break
+            state = None  # a rejected trial is freed before the next one
             alpha *= 0.5
-        if not accepted:
-            raise StepFailure(
-                f"Newton step rejected down to 2^-30 damping at residual {rinf:.3e}"
-            )
+            halved += 1
+            if alpha < 2.0**-30:
+                raise StepFailure(
+                    f"Newton step rejected down to 2^-30 damping at residual {rinf:.3e}"
+                )
+        phi = trial
+        m, det, rho_c, rinf, c = state
+        state = None
         history.append(rinf)
+        cg_counts.append(cg)
+        halvings.append(halved)
 
-    if rinf <= problem.tol:
-        return MASolveResult(
-            phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
-            residual=rinf,
-            iterations=problem.max_iter,
-            positivity_margin=min_eig,
-            log_constant=float(np.sum(det * (np.log(det) - np.log(f))) / np.sum(det)),
-            residual_history=tuple(history),
-        )
-    raise NonConvergence(
-        f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
+    return MASolveResult(
+        phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
         residual=rinf,
+        iterations=len(history) - 1,
+        positivity_margin=_min_eigenvalue(m),
+        log_constant=c,
+        residual_history=tuple(history),
+        cg_iterations=tuple(cg_counts),
+        line_search_halvings=tuple(halvings),
     )
 
 
@@ -356,4 +402,5 @@ def ma_for_dk(
         tol=tol,
         max_iter=max_iter,
     )
-    return solve_ma(compatibility_check(problem))
+    wform = problem.background_form()
+    return solve_ma(compatibility_check(problem, wform), background_form=wform)

@@ -15,6 +15,14 @@ eigenvalue with ``|lambda| <= 64 eps (|h| + r)`` is therefore recomputed by
 ``np.linalg.eigvalsh``, so each sign decision near zero is the reference
 kernel's (J. Kopp, arXiv:physics/0610206, analyses this hybrid for 3 x 3).
 Size 3 goes to ``np.linalg.eigvalsh`` directly.
+
+Positive definiteness is decided by Sylvester's criterion on the leading
+principal minors, with the same kind of guard: with ``s`` the sum of the
+entries' absolute real and imaginary parts (a bound on every eigenvalue),
+the minors decide where each minor of order i lies outside ``64 eps s^i`` of
+zero, and :func:`eigvalsh` decides elsewhere.  Where the minors decide, the
+smallest eigenvalue is at least about ``64 eps s`` away from zero, so the test
+agrees pointwise with ``eigvalsh(m)[..., 0] > 0``.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import numpy as np
 
 from .errors import ModelError
 
-__all__ = ["det", "hermitian_det", "adjugate", "eigvalsh"]
+__all__ = ["det", "hermitian_det", "adjugate", "adjugate_planes", "eigvalsh", "positive_definite"]
 
-# Closed-form eigenvalues within this many ulps of |h| + r of zero are recomputed.
+# Closed-form eigenvalues within this many ulps of |h| + r of zero are recomputed;
+# Sylvester minors within it (times s^i) of zero defer to the eigenvalues.
 _GUARD = 64.0 * np.finfo(np.float64).eps
 
 
@@ -65,6 +74,27 @@ def hermitian_det(m: np.ndarray) -> np.ndarray:
     return np.real(det(m))
 
 
+def _adjugate_entries(m: np.ndarray):
+    """Yield ``(i, j, adj(m)[..., i, j])`` for sizes 1..3: the cofactor rule, stated once."""
+    k = m.shape[-1]
+    if k == 1:
+        yield 0, 0, np.ones(m.shape[:-2], dtype=m.dtype)
+    elif k == 2:
+        yield 0, 0, m[..., 1, 1]
+        yield 1, 1, m[..., 0, 0]
+        yield 0, 1, -m[..., 0, 1]
+        yield 1, 0, -m[..., 1, 0]
+    elif k == 3:
+        for i in range(3):
+            for j in range(3):
+                r = [a for a in range(3) if a != j]
+                c = [b for b in range(3) if b != i]
+                minor = m[..., r[0], c[0]] * m[..., r[1], c[1]] - m[..., r[0], c[1]] * m[..., r[1], c[0]]
+                yield i, j, (-1) ** (i + j) * minor
+    else:
+        raise ModelError(f"adjugates cover sizes 1..3, got {k}")
+
+
 def adjugate(m: np.ndarray) -> np.ndarray:
     """Batched adjugate, sizes 1..3: ``adj(M) M = det(M) I``.
 
@@ -72,25 +102,72 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     when the matrix is.
     """
     m = np.asarray(m)
+    out = np.empty_like(m)
+    for i, j, entry in _adjugate_entries(m):
+        out[..., i, j] = entry
+    return out
+
+
+def adjugate_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re and Im of the batched adjugate as contiguous ``(k, k, *batch)`` planes, and its batch mean.
+
+    Sizes 1..3.  The entries go straight into the planes, with no complex
+    adjugate field.  The mean is summed in batch order, the order in which
+    ``np.mean`` sums the outer axis of the ``(batch, k, k)`` field, so it is
+    bitwise ``np.mean(adjugate(m).reshape(-1, k, k), axis=0)``.
+    """
+    m = np.asarray(m)
+    k = m.shape[-1]
+    planes = (k, k) + m.shape[:-2]
+    re, im = np.empty(planes), np.empty(planes)
+    for i, j, entry in _adjugate_entries(m):
+        re[i, j] = entry.real
+        im[i, j] = entry.imag
+    total = np.empty((k, k), dtype=np.complex128)
+    for i in range(k):
+        for j in range(k):
+            # np.cumsum adds in order; its last element is the in-order sum
+            total[i, j] = complex(np.cumsum(re[i, j])[-1], np.cumsum(im[i, j])[-1])
+    return re, im, total / re[0, 0].size
+
+
+def positive_definite(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Pointwise positive definiteness of a batch of Hermitian matrices, sizes 1..3.
+
+    Sylvester's criterion with the guard described above; ``det`` is the
+    caller's :func:`hermitian_det` of ``m``, the last leading minor.  Agrees
+    pointwise with ``eigvalsh(m)[..., 0] > 0``.
+    """
+    m = np.asarray(m)
     k = m.shape[-1]
     if k == 1:
-        return np.ones_like(m)
-    out = np.empty_like(m)
-    if k == 2:
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 1, 1] = m[..., 0, 0]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        return out
+        return m[..., 0, 0].real > 0
+    if k > 3:
+        raise ModelError(f"positivity tests cover sizes 1..3, got {k}")
+    s = np.abs(m[..., 0, 0].real)
+    for i in range(1, k):
+        s += np.abs(m[..., i, i].real)
+        for j in range(i):
+            off = np.abs(m[..., i, j].real)
+            off += np.abs(m[..., i, j].imag)
+            off *= 2.0
+            s += off
+    minors = [m[..., 0, 0].real]
     if k == 3:
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [b for b in range(3) if b != i]
-                minor = m[..., r[0], c[0]] * m[..., r[1], c[1]] - m[..., r[0], c[1]] * m[..., r[1], c[0]]
-                out[..., i, j] = (-1) ** (i + j) * minor
-        return out
-    raise ModelError(f"adjugates cover sizes 1..3, got {k}")
+        minors.append(hermitian_det(m[..., :2, :2]))
+    minors.append(det)
+    positive = minors[0] > 0
+    near_zero = np.zeros(m.shape[:-2], dtype=bool)
+    bound = _GUARD * s
+    for order, minor in enumerate(minors, start=1):
+        if order > 1:
+            positive &= minor > 0
+            bound *= s
+        near_zero |= np.abs(minor) <= bound
+    if near_zero.any():
+        idx = np.nonzero(near_zero)
+        positive[idx] = eigvalsh(m[idx])[..., 0] > 0
+    return positive
 
 
 def eigvalsh(m: np.ndarray) -> np.ndarray:

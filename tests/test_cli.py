@@ -60,7 +60,8 @@ class TestIntersect:
         assert code == 0
         assert err == ""
         assert report["command"] == "intersect"
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert report["trace"] == {}
         assert report["verdict"] == {"intersection_number": 4.0, "n": 2, "classes": 2}
 
     def test_re_im_pair_entries(self, tmp_path, capsys):
@@ -110,6 +111,9 @@ class TestMASolve:
         assert code == 0
         assert report["verdict"]["iterations"] == 1
         assert report["verdict"]["residual"] == 0.0
+        assert report["trace"]["newton"]["steps"] == [
+            {"residual": 0.0, "cg_iterations": 0, "line_search_halvings": 0}
+        ]
         names = {os.path.basename(p) for p in report["artifacts"]}
         assert names == {"phi.qpf", "phi_heatmap.csv"}
         for p in report["artifacts"]:
@@ -190,6 +194,21 @@ class TestCertify:
         names = {os.path.basename(p) for p in report["artifacts"]}
         assert "margin_heatmap.csv" in names
         assert (out / "report.json").exists()
+
+    def test_trace_records_each_newton_step(self, tmp_path, capsys):
+        cfg = self.worked_config(
+            tmp_path, psi0={"type": "cosine", "amplitude": 0.1, "axis": 0}, tol=1e-12
+        )
+        code, report, _ = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 0
+        newton = report["trace"]["newton"]
+        steps = newton["steps"]
+        assert len(steps) == report["verdict"]["ma_iterations"] >= 1
+        assert newton["initial_residual"] > steps[0]["residual"]
+        assert steps[-1]["residual"] == report["verdict"]["ma_residual"]
+        for step in steps:
+            assert set(step) == {"residual", "cg_iterations", "line_search_halvings"}
+            assert step["cg_iterations"] >= 1 and step["line_search_halvings"] >= 0
 
     def test_q_zero_fails_with_exit_one(self, tmp_path, capsys):
         cfg = self.worked_config(tmp_path)

@@ -18,6 +18,7 @@ from qposlab import (
     solve_ma,
 )
 from qposlab.calculus import poisson_solve
+from qposlab.ma_solver import _NewtonOperator, _pcg
 
 H_EXAMPLE = np.diag([2.0, -1.0])
 
@@ -155,6 +156,31 @@ class TestNewtonPath:
         assert len(hist) >= 2
         for a, b in zip(hist, hist[1:]):
             assert b <= a * (1 + 1e-12) + 1e-15
+
+    def test_per_step_record(self):
+        t = TorusModel(2, 16)
+        p, _ = manufactured_problem(t, amplitude=0.05)
+        res = solve_ma(p)
+        assert res.iterations >= 2
+        assert len(res.residual_history) == res.iterations + 1
+        assert len(res.cg_iterations) == len(res.line_search_halvings) == res.iterations
+        assert all(cg >= 1 for cg in res.cg_iterations)
+        assert all(h >= 0 for h in res.line_search_halvings)
+
+    def test_pcg_counts_operator_applications(self, monkeypatch):
+        t = TorusModel(2, 8)
+        shape = (8,) * 4
+        form = np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), shape + (2, 2)).copy()
+        op = _NewtonOperator(t, form, shape)
+        applied = []
+        apply = op.apply
+        monkeypatch.setattr(op, "apply", lambda u: applied.append(1) or apply(u))
+        xs = t.real_coordinates()
+        b = np.broadcast_to(np.cos(2 * np.pi * xs[0]) + np.sin(2 * np.pi * (xs[1] + xs[2])), shape)
+        x, count = _pcg(op, b, rtol=1e-12)
+        assert count == len(applied) >= 1
+        assert np.max(np.abs(op.apply(x) - op.project(b))) < 1e-10
+        assert _pcg(op, np.zeros(shape), rtol=1e-12)[1] == 0
 
     def test_mean_zero_gauge(self):
         t = TorusModel(2, 32)

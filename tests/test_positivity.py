@@ -187,6 +187,33 @@ class TestOnePositivePipeline:
             one_positive_pipeline(H_EXAMPLE, G_EXAMPLE)
 
 
+class TestDifferentiationCount:
+    def test_full_grid_run_differentiates_each_field_once(self, monkeypatch):
+        # The background psi0, each line-search trial, and the final independent
+        # recompute of H + k omega + dd_bar(psi0 + phi) behind the product check.
+        from qposlab import calculus, ma_solver, positivity
+
+        shapes = []
+
+        def counting(phi):
+            shapes.append(phi.values.shape)
+            return calculus.complex_hessian(phi)
+
+        monkeypatch.setattr(ma_solver, "complex_hessian", counting)
+        monkeypatch.setattr(positivity, "complex_hessian", counting)
+        t = TorusModel(2, 8)
+        xs = t.real_coordinates()
+        values = 0.02 * sum(np.cos(2 * np.pi * x) for x in xs) + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[3]))
+        assert values.shape == t.shape
+        psi0 = PotentialField(t, values)
+        run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=psi0, tol=1e-12)
+        ma = run.ma_result
+        assert run.certificate.passed
+        assert ma.iterations >= 2
+        assert len(shapes) == 2 + ma.iterations + sum(ma.line_search_halvings)
+        assert set(shapes) == {t.shape}
+
+
 class TestPseffPipeline:
     def test_zero_class_rejected(self):
         with pytest.raises(ModelError):

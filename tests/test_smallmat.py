@@ -127,3 +127,101 @@ class TestDeterminantAndAdjugate:
             smallmat.det(np.eye(5))
         with pytest.raises(ModelError):
             smallmat.adjugate(np.eye(4))
+        with pytest.raises(ModelError):
+            smallmat.adjugate_planes(np.eye(4)[None])
+
+
+def hermitian_batch(rng, n, eigenvalues):
+    """Exactly Hermitian matrices U diag(eigenvalues) U* with random unitaries U."""
+    z = rng.normal(size=eigenvalues.shape + (n,)) + 1j * rng.normal(size=eigenvalues.shape + (n,))
+    u, _ = np.linalg.qr(z)
+    m = (u * eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def spectra(rng, kind, n, count):
+    """Eigenvalues in [1/2, 1] up to sign, with the smallest one set by ``kind``."""
+    lam = rng.uniform(0.5, 1.0, size=(count, n)) * rng.choice([-1.0, 1.0], size=(count, n))
+    if kind == "definite":
+        lam = np.abs(lam)
+    elif kind == "indefinite" and n > 1:
+        lam[:, 0] = -np.abs(lam[:, 0])
+        lam[:, 1] = np.abs(lam[:, 1])
+    elif kind == "near_singular":
+        lam = np.abs(lam)
+        lam[:, 0] = 1e-15 * rng.uniform(-1.0, 1.0, size=count)
+    return lam
+
+
+def assert_positivity_matches_reference(m):
+    got = smallmat.positive_definite(m, smallmat.hermitian_det(m))
+    assert got.dtype == bool and got.shape == m.shape[:-2]
+    assert np.array_equal(got, smallmat.eigvalsh(m)[..., 0] > 0)
+
+
+class TestPositiveDefinite:
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1), scale=scales,
+           kind=st.sampled_from(["definite", "indefinite", "near_singular", "mixed"]))
+    def test_agrees_with_smallest_eigenvalue(self, n, seed, scale, kind):
+        rng = np.random.default_rng(seed)
+        m = scale * hermitian_batch(rng, n, spectra(rng, kind, n, 64))
+        assert_positivity_matches_reference(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), scale=scales)
+    def test_exactly_singular(self, n, seed, scale):
+        # B B* with small integer B of rank n - 1: every product is exact, so det is exactly 0
+        rng = np.random.default_rng(seed)
+        b = rng.integers(-3, 4, size=(32, n, n - 1)) + 1j * rng.integers(-3, 4, size=(32, n, n - 1))
+        m = b @ b.conj().swapaxes(-1, -2)
+        assert np.all(smallmat.hermitian_det(m) == 0.0)
+        assert_positivity_matches_reference(m)
+        assert_positivity_matches_reference(scale * m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=finite, d=finite, b_re=finite, b_im=finite, scale=scales)
+    def test_generic_2x2(self, a, d, b_re, b_im, scale):
+        assert_positivity_matches_reference(scale * herm2(a, d, b_re, b_im)[None])
+
+    def test_small_batches_and_zero_matrix(self):
+        m = np.stack([herm2(2.0, 1.0, 0.5, 0.5), herm2(2.0, -1.0, 0.0, 0.0)])
+        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False])
+        zero = np.zeros((1, 3, 3), dtype=complex)
+        assert np.array_equal(smallmat.positive_definite(zero, smallmat.hermitian_det(zero)), [False])
+
+    def test_fallback_only_near_zero(self, monkeypatch):
+        seen = []
+        reference = smallmat.eigvalsh
+
+        def counting(x):
+            seen.append(x.shape)
+            return reference(x)
+
+        monkeypatch.setattr(smallmat, "eigvalsh", counting)
+        regular = herm2(2.0, 1.0, 0.3, 0.1)
+        singular = herm2(1.0, 1.0, 1.0, 0.0)  # det = 0: Sylvester cannot decide
+        m = np.stack([regular, -regular] * 3)
+        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False] * 3)
+        assert seen == []
+        m = np.stack([regular, singular, regular])
+        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False, True])
+        assert seen == [(1, 2, 2)]
+
+    def test_sizes_out_of_range(self):
+        with pytest.raises(ModelError):
+            smallmat.positive_definite(np.eye(4)[None], np.ones(1))
+
+
+class TestAdjugatePlanes:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_planes_and_mean_equal_the_adjugate_field(self, n):
+        rng = np.random.default_rng(n)
+        m = hermitian_batch(rng, n, spectra(rng, "definite", n, 4 * 5 * 6).reshape(4, 5, 6, n))
+        m[..., 0, 0] += 1e-17j  # the planes keep an imaginary diagonal
+        re, im, mean = smallmat.adjugate_planes(m)
+        adj = smallmat.adjugate(m)
+        assert re.shape == im.shape == (n, n, 4, 5, 6) and re.flags.c_contiguous
+        assert np.array_equal(re, np.moveaxis(adj.real, (-2, -1), (0, 1)))
+        assert np.array_equal(im, np.moveaxis(adj.imag, (-2, -1), (0, 1)))
+        assert np.array_equal(mean, np.mean(adj.reshape(-1, n, n), axis=0))
