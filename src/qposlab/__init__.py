@@ -3,7 +3,7 @@
 Desk-scale models: flat complex tori with constant classes plus potentials
 (spectral calculus, Monge-Ampere solver, eigenvalue certificates), exact
 rational surface Picard lattices (cone duality), polynomial maps (degeneracy
-loci, pullback potentials) and singular-potential gluing.
+loci, fibre dimensions) and singular-potential gluing.
 """
 
 from .errors import (
@@ -29,11 +29,9 @@ from .geometry import (
 from .calculus import (
     HermitianFormField,
     PotentialField,
-    c2_norm,
     complex_hessian,
     fd_complex_hessian,
     form_top_density,
-    weighted_series_combine,
 )
 from .ma_solver import MAProblem, MASolveResult, compatibility_check, ma_for_dk, solve_ma
 from .positivity import (
@@ -59,11 +57,8 @@ from .surface_cones import (
 )
 from .maps_degeneracy import (
     PolyMap,
-    combine_normal_potentials,
     degeneracy_locus_scan,
     fibre_dimension_estimate,
-    local_potential_build,
-    pullback_form,
     sigma_j_minors,
 )
 from .gluing import (

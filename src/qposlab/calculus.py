@@ -30,11 +30,10 @@ kernels (determinants, eigenvalues) live in :mod:`qposlab.smallmat`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import smallmat
 from .errors import ModelError, NumericsError
 from .geometry import TorusModel
 from .smallmat import hermitian_det
@@ -44,8 +43,6 @@ __all__ = [
     "HermitianFormField",
     "complex_hessian",
     "fd_complex_hessian",
-    "c2_norm",
-    "weighted_series_combine",
     "hermitian_det",
     "form_top_density",
 ]
@@ -97,9 +94,6 @@ class PotentialField:
         # Constant (length-one) axes carry uniform weight, so the plain mean
         # of the stored values equals the mean over the full grid.
         return float(np.mean(self.values))
-
-    def normalized(self) -> "PotentialField":
-        return PotentialField(self.torus, self.values - self.mean(), mean_zero=True)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -169,9 +163,6 @@ class HermitianFormField:
             _require_same_torus(self, other)
             return HermitianFormField._trusted(self.torus, self.values + other.values)
         raise TypeError("can only add HermitianFormField to HermitianFormField")
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(smallmat.eigvalsh(self.values)[..., 0]))
 
     def det(self) -> np.ndarray:
         return hermitian_det(self.values)
@@ -303,32 +294,6 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
             out[..., j, k] = entry
             out[..., k, j] = np.conj(entry)
     return HermitianFormField._trusted(torus, out)
-
-
-def c2_norm(phi: PotentialField) -> float:
-    """Sup over the grid of the absolute-entry sum of the complex Hessian."""
-    hess = complex_hessian(phi)
-    return float(np.max(np.sum(np.abs(hess.values), axis=(-2, -1))))
-
-
-def weighted_series_combine(phis: list[PotentialField], terms: int) -> PotentialField:
-    """Truncated weighted series  sum_{i=1..terms} phi_i / (2^i A_i),
-
-    with ``A_i = max(c2_norm(phi_i), 1e-12)``.  The weights make the summands'
-    Hessian contributions geometrically dominated, so partial sums converge
-    in C^2 as ``terms`` grows.
-    """
-    if not phis:
-        raise ModelError("weighted_series_combine needs at least one potential")
-    if not 1 <= terms <= len(phis):
-        raise ModelError(f"terms must be in 1..{len(phis)}, got {terms}")
-    torus = phis[0].torus
-    acc = np.zeros((1,) * torus.ndim_real)
-    for i, phi in enumerate(phis[:terms], start=1):
-        _require_same_torus(phis[0], phi)
-        weight = (2.0**i) * max(c2_norm(phi), 1e-12)
-        acc = acc + phi.values / weight
-    return PotentialField(torus, acc)
 
 
 def poisson_solve(torus: TorusModel, rhs: np.ndarray) -> np.ndarray:

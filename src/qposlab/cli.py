@@ -19,11 +19,8 @@ referenced by file path (binary ``.qpf`` or ``.csv``).
 
 Exit codes: 0 when the run certifies (or the computed predicate is true),
 1 when a well-posed run does not certify, 2 when numerics fail, and 3 for
-invalid models or configuration.  Configuration checking reports every
-problem at once, with nearest-key suggestions for typos.
-
-``--workers`` is accepted for interface stability and recorded with the
-timings; the numerical kernels are vectorised and run single-process.
+invalid models, configuration or command lines.  Configuration checking
+reports every problem at once, with nearest-key suggestions for typos.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +59,7 @@ from .surface_cones import (
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _ENV_PREFIX = "QPOSLAB_"
 
 EXIT_CERTIFIED = 0
@@ -69,8 +67,8 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_NUMERICS = 2
 EXIT_MODEL = 3
 
-_COMMON_KEYS = ("grid", "q", "k_max", "tol", "out", "workers")
-_DEFAULTS = {"grid": 64, "q": None, "k_max": 64, "tol": 1e-9, "out": None, "workers": 1}
+_COMMON_KEYS = ("grid", "q", "k_max", "tol", "out")
+_DEFAULTS = {"grid": 64, "q": None, "k_max": 64, "tol": 1e-9, "out": None}
 
 _COMMAND_KEYS = {
     "intersect": {"classes"},
@@ -113,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k-max", dest="k_max", type=int, help="largest shift scanned")
         sp.add_argument("--tol", type=float, help="solver tolerance")
         sp.add_argument("--out", type=str, help="directory for report and artifacts")
-        sp.add_argument("--workers", type=int, help="recorded only; kernels are vectorised")
     return parser
 
 
@@ -143,7 +140,7 @@ def _load_config(path: str | None, command: str, problems: list) -> dict:
 
 def _coerce_setting(key: str, raw, source: str, problems: list):
     try:
-        if key in ("grid", "k_max", "workers", "q"):
+        if key in ("grid", "k_max", "q"):
             if isinstance(raw, bool) or (isinstance(raw, float) and not float(raw).is_integer()):
                 raise ValueError
             return int(raw)
@@ -170,8 +167,6 @@ def _resolve_settings(args, config: dict, problems: list) -> dict:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             settings[key] = cli_value
-    if settings["workers"] < 1:
-        problems.append(f"workers must be at least 1, got {settings['workers']}")
     return settings
 
 
@@ -231,6 +226,29 @@ def _parse_rational_vector(obj, where: str, problems: list) -> tuple:
         problems.append(f"{where}: expected a non-empty list of rationals")
         return (Fraction(0),)
     return tuple(_parse_rational(x, f"{where}[{i}]", problems) for i, x in enumerate(obj))
+
+
+def _max_iter(config: dict, problems: list):
+    max_iter = config.get("max_iter", 50)
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+        problems.append(f"max_iter must be a positive integer, got {max_iter!r}")
+    return max_iter
+
+
+def _margin(config: dict, default: float, problems: list):
+    margin = config.get("margin", default)
+    if not isinstance(margin, (int, float)) or isinstance(margin, bool) or not 0 <= margin < math.inf:
+        problems.append(f"margin must be a finite nonnegative number, got {margin!r}")
+    return margin
+
+
+def _field_file(path, torus: TorusModel, where: str, problems: list, files: list) -> np.ndarray | None:
+    """Values of the field stored at ``path``, which joins the digest's files."""
+    if not isinstance(path, str) or not Path(path).exists():
+        problems.append(f"{where}: field file not found: {path!r}")
+        return None
+    files.append(path)
+    return read_field(path, torus)[1]
 
 
 def _ensure_valid(problems: list):
@@ -296,16 +314,8 @@ def _psi0_from_config(spec, torus: TorusModel, where: str, problems: list, files
         coord = torus.real_coordinates()[axis]
         return PotentialField(torus, float(amplitude) * np.cos(2.0 * np.pi * coord))
     if kind == "file":
-        path = spec.get("path")
-        if not isinstance(path, str):
-            problems.append(f"{where}: file spec needs a 'path' string")
-            return None
-        if not Path(path).exists():
-            problems.append(f"{where}: field file not found: {path}")
-            return None
-        files.append(path)
-        _, values = read_field(path, torus)
-        return PotentialField(torus, values)
+        values = _field_file(spec.get("path"), torus, where, problems, files)
+        return None if values is None else PotentialField(torus, values)
     problems.append(f"{where}: unknown potential type {kind!r} (use 'cosine' or 'file')")
     return None
 
@@ -365,9 +375,7 @@ def _cmd_ma_solve(config, settings, problems):
     has_file = "density_file" in config
     if has_const == has_file:
         problems.append("provide exactly one of 'density_constant' or 'density_file'")
-    max_iter = config.get("max_iter", 50)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        problems.append(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = _max_iter(config, problems)
     density = None
     torus = None
     if background is not None:
@@ -379,12 +387,7 @@ def _cmd_ma_solve(config, settings, problems):
             else:
                 density = float(dc)
         elif has_file and not has_const:
-            path = config["density_file"]
-            if not isinstance(path, str) or not Path(path).exists():
-                problems.append(f"density_file not found: {path!r}")
-            else:
-                files.append(path)
-                _, density = read_field(path, torus)
+            density = _field_file(config["density_file"], torus, "density_file", problems, files)
     _ensure_valid(problems)
     problem = MAProblem(
         torus=torus,
@@ -413,20 +416,27 @@ def _cmd_ma_solve(config, settings, problems):
     return EXIT_CERTIFIED, verdict, artifacts, files, _newton_trace(result)
 
 
-def _cmd_certify(config, settings, problems):
-    files = []
+def _certificate_inputs(config, settings, problems):
+    """What ``certify`` and ``pseff`` share: the line and Kahler classes, the
+    torus their common size fixes (None when they differ), ``max_iter`` and
+    ``margin``."""
     line = _parse_matrix(_require(config, "line_class", problems), "line_class", problems)
     kahler = _parse_matrix(_require(config, "kahler", problems), "kahler", problems)
-    max_iter = config.get("max_iter", 50)
-    margin = config.get("margin", 1e-8)
     torus = None
-    psi0 = None
     if line is not None and kahler is not None:
         if line.shape != kahler.shape:
             problems.append(f"line_class is {line.shape} but kahler is {kahler.shape}")
         else:
             torus = TorusModel(n=int(line.shape[0]), grid_size=settings["grid"])
-            psi0 = _psi0_from_config(config.get("psi0"), torus, "psi0", problems, files)
+    return line, kahler, torus, _max_iter(config, problems), _margin(config, 1e-8, problems)
+
+
+def _cmd_certify(config, settings, problems):
+    files = []
+    line, kahler, torus, max_iter, margin = _certificate_inputs(config, settings, problems)
+    psi0 = None
+    if torus is not None:
+        psi0 = _psi0_from_config(config.get("psi0"), torus, "psi0", problems, files)
     _ensure_valid(problems)
     run = one_positive_pipeline(
         ConstantHermitianClass(line),
@@ -450,16 +460,7 @@ def _cmd_certify(config, settings, problems):
 
 
 def _cmd_pseff(config, settings, problems):
-    line = _parse_matrix(_require(config, "line_class", problems), "line_class", problems)
-    kahler = _parse_matrix(_require(config, "kahler", problems), "kahler", problems)
-    max_iter = config.get("max_iter", 50)
-    margin = config.get("margin", 1e-8)
-    torus = None
-    if line is not None and kahler is not None:
-        if line.shape != kahler.shape:
-            problems.append(f"line_class is {line.shape} but kahler is {kahler.shape}")
-        else:
-            torus = TorusModel(n=int(line.shape[0]), grid_size=settings["grid"])
+    line, kahler, torus, max_iter, margin = _certificate_inputs(config, settings, problems)
     _ensure_valid(problems)
     run = pseff_pipeline(
         line,
@@ -733,13 +734,8 @@ def _singular_from_config(spec, torus, problems, files) -> SingularPotential | N
             values = (float(weight) / 2.0) * np.log(qsum)
         return SingularPotential(torus, values, lower_bound=float(lower))
     if spec["type"] == "file":
-        path = spec.get("path")
-        if not isinstance(path, str) or not Path(path).exists():
-            problems.append(f"singular: field file not found: {path!r}")
-            return None
-        files.append(path)
-        _, values = read_field(path, torus)
-        return SingularPotential(torus, values, lower_bound=float(lower))
+        values = _field_file(spec.get("path"), torus, "singular", problems, files)
+        return None if values is None else SingularPotential(torus, values, lower_bound=float(lower))
     problems.append(f"singular: unknown type {spec['type']!r} (use 'log_trig_pole' or 'file')")
     return None
 
@@ -753,24 +749,18 @@ def _cmd_glue(config, settings, problems):
     eps_min = config.get("eps_min", 2.0**-20)
     if not isinstance(eps_min, (int, float)) or isinstance(eps_min, bool) or not 0 < eps_min <= 1:
         problems.append(f"eps_min must be in (0, 1], got {eps_min!r}")
-    margin = config.get("margin", 0.0)
-    if not isinstance(margin, (int, float)) or isinstance(margin, bool) or margin < 0:
-        problems.append(f"margin must be nonnegative, got {margin!r}")
+    margin = _margin(config, 0.0, problems)
     torus = None
     singular = None
     phi_b = None
     if background is not None:
         torus = TorusModel(n=int(background.shape[0]), grid_size=settings["grid"])
         singular = _singular_from_config(_require(config, "singular", problems), torus, problems, files)
-        buffer_path = config.get("buffer_file")
-        if buffer_path is None:
+        if config.get("buffer_file") is None:
             phi_b = PotentialField.zero(torus)
-        elif not isinstance(buffer_path, str) or not Path(buffer_path).exists():
-            problems.append(f"buffer_file not found: {buffer_path!r}")
         else:
-            files.append(buffer_path)
-            _, values = read_field(buffer_path, torus)
-            phi_b = PotentialField(torus, values)
+            values = _field_file(config["buffer_file"], torus, "buffer_file", problems, files)
+            phi_b = None if values is None else PotentialField(torus, values)
     _ensure_valid(problems)
     report = zariski_fujita_pipeline(
         ConstantHermitianClass(background),
@@ -818,7 +808,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help and --version
+            raise
+        return EXIT_MODEL  # argparse's usage error
     t_start = time.perf_counter()
     problems: list = []
     try:
@@ -852,7 +847,6 @@ def main(argv=None) -> int:
         "verdict": _jsonable(verdict),
         "timings": {
             "total_s": round(time.perf_counter() - t_start, 6),
-            "workers": settings["workers"],
         },
         "trace": _jsonable(trace),
         "artifacts": written,

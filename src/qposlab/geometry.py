@@ -86,18 +86,6 @@ class TorusModel:
             out.append(x.reshape(shape))
         return tuple(out)
 
-    def complex_coordinates(self, centered: bool = False) -> tuple[np.ndarray, ...]:
-        """Open-grid complex coordinates ``z_j = x_j + i y_j``.
-
-        With ``centered=True`` the same grid points are labelled by their
-        representatives in [-1/2, 1/2), which keeps chart-style (non-periodic)
-        expressions like ``|z|**2`` smooth across the middle of the grid.
-        """
-        xs = self.real_coordinates()
-        if centered:
-            xs = tuple(((x + 0.5) % 1.0) - 0.5 for x in xs)
-        return tuple(xs[2 * j] + 1j * xs[2 * j + 1] for j in range(self.n))
-
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Integer wavenumbers per real axis (open-grid shaped), Nyquist zeroed.
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, complex_hessian, fd_complex_hessian
+from .calculus import HermitianFormField, PotentialField, _check_grid_values, complex_hessian, fd_complex_hessian
 from .errors import ModelError, PipelineFailure
 from .geometry import ConstantHermitianClass, TorusModel
 
@@ -83,17 +83,7 @@ class SingularPotential:
     lower_bound: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != self.torus.ndim_real:
-            raise ModelError(
-                f"singular potential must have one axis per real coordinate "
-                f"({self.torus.ndim_real}), got shape {v.shape}"
-            )
-        for a, size in enumerate(v.shape):
-            if size not in (1, self.torus.grid_size):
-                raise ModelError(
-                    f"singular potential axis {a} has length {size}; must be 1 or {self.torus.grid_size}"
-                )
+        v = _check_grid_values(self.torus, np.asarray(self.values, dtype=np.float64), "singular potential")
         nonfinite = ~np.isfinite(v)
         if np.any(nonfinite & ~(v == -np.inf)):
             raise ModelError("singular potential may contain -inf poles only; found nan or +inf")

@@ -1,4 +1,4 @@
-"""Polynomial holomorphic maps: pullback forms, degeneracy loci, fibre probes.
+"""Polynomial holomorphic maps: degeneracy loci and fibre probes.
 
 A map is stored exactly as exponent-to-coefficient tables, so Jacobians are
 formal derivatives, not finite differences.  Rank decisions go through the
@@ -11,30 +11,20 @@ which equals the j-th elementary symmetric polynomial of the eigenvalues of
 Minor determinants of size <= 4 are expanded in closed form: pivoting
 determinants introduce rounding on exact-integer inputs, cofactor expansion
 does not.
-
-Chart potentials for stratified centres are assembled on the torus with
-centred coordinate representatives in [-1/2, 1/2); bump weights must form a
-partition of unity, and the inductive step that merges a stratum potential
-into an ambient one retreats along a dyadic ladder of weights until the
-required eigenvalue count certifies at every checkpoint.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, fd_complex_hessian
-from .errors import ModelError, PipelineFailure
-from .geometry import TorusModel
+from .errors import ModelError
 
 __all__ = [
     "PolyMap",
-    "pullback_form",
     "sigma_j_minors",
     "sigma_profile",
     "numeric_rank",
@@ -42,10 +32,6 @@ __all__ = [
     "DegeneracyScan",
     "degeneracy_locus_scan",
     "fibre_dimension_estimate",
-    "ChartData",
-    "local_potential_build",
-    "CombineResult",
-    "combine_normal_potentials",
 ]
 
 _SIGMA_RTOL = 1e-10
@@ -154,12 +140,6 @@ class PolyMap:
                             term = term * z[..., w] ** e
                     out[..., i, v] += term
         return out
-
-
-def pullback_form(pmap: PolyMap, points) -> np.ndarray:
-    """Pointwise pullback metric ``J^H J`` at ``points``; shape (..., n, n)."""
-    jac = pmap.jacobian(points)
-    return jac.conj().swapaxes(-1, -2) @ jac
 
 
 def _submatrix(mats: np.ndarray, rows, cols) -> np.ndarray:
@@ -309,119 +289,3 @@ def fibre_dimension_estimate(
     if best_rank is None:
         return -1
     return pmap.n - best_rank
-
-
-@dataclass(frozen=True)
-class ChartData:
-    """One chart's contribution to a glued stratum potential.
-
-    ``weight`` is the bump value on the grid (real, nonnegative) and
-    ``components`` the chart map values, shape ``(*grid_broadcast, m)``.
-    """
-
-    weight: np.ndarray
-    components: np.ndarray
-
-
-def local_potential_build(torus: TorusModel, charts, partition_tol: float = 1e-10) -> PotentialField:
-    """Glue chart potentials ``sum_i |f_i|^2`` with bump weights.
-
-    The weights must form a partition of unity on the grid within
-    ``partition_tol``; charts are expected to present their maps in centred
-    torus coordinates so each summand is smooth on the bump's support.
-    """
-    if not charts:
-        raise ModelError("local_potential_build needs at least one chart")
-    total_weight = np.zeros((1,) * torus.ndim_real)
-    acc = np.zeros((1,) * torus.ndim_real)
-    for idx, chart in enumerate(charts):
-        w = np.asarray(chart.weight, dtype=np.float64)
-        comp = np.asarray(chart.components, dtype=np.complex128)
-        if w.ndim != torus.ndim_real:
-            raise ModelError(f"chart {idx}: weight must have {torus.ndim_real} axes, got shape {w.shape}")
-        if comp.ndim != torus.ndim_real + 1:
-            raise ModelError(
-                f"chart {idx}: components must have {torus.ndim_real + 1} axes (grid + map), got shape {comp.shape}"
-            )
-        if np.min(w) < -partition_tol:
-            raise ModelError(f"chart {idx}: bump weight dips to {np.min(w)}; must be nonnegative")
-        total_weight = total_weight + w
-        acc = acc + w * np.sum((comp * comp.conj()).real, axis=-1)
-    defect = float(np.max(np.abs(total_weight - 1.0)))
-    if defect > partition_tol:
-        raise ModelError(f"bump weights miss a partition of unity by {defect:.3e} (> {partition_tol:.1e})")
-    return PotentialField(torus, acc)
-
-
-@dataclass(frozen=True)
-class CombineResult:
-    """Outcome of one inductive stratum-combination step."""
-
-    potential: PotentialField
-    epsilon: float
-    min_margin: float
-    worst_point: tuple
-    halvings: int
-
-
-def _eigen_counts_at(form: HermitianFormField, points, need: int):
-    vals = form.values
-    grid_shape = vals.shape[:-2]
-    worst = None
-    worst_margin = math.inf
-    for p in points:
-        idx = tuple(int(i) % s for i, s in zip(p, grid_shape))
-        if len(idx) != len(grid_shape):
-            raise ModelError(f"checkpoint {p} must index {len(grid_shape)} grid axes")
-        eigs = np.linalg.eigvalsh(vals[idx])
-        margin = float(eigs[-need]) if need > 0 else math.inf
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = tuple(idx)
-    return worst_margin, worst
-
-
-def combine_normal_potentials(
-    base: HermitianFormField,
-    phi: PotentialField,
-    previous: PotentialField,
-    check_points,
-    q: int,
-    margin: float = 0.0,
-    max_halvings: int = 40,
-    fd_order: int = 4,
-) -> CombineResult:
-    """Merge ``previous`` into ``phi`` at the largest dyadic weight that keeps
-    ``base + Hess(phi + eps * previous)`` q-positive at every checkpoint.
-
-    The certificate is finite-difference on purpose: it is independent of the
-    spectral machinery used to construct the inputs.  Exhausting the ladder
-    raises with the last worst checkpoint attached.
-    """
-    n = base.torus.n
-    if not 0 <= q < n:
-        raise ModelError(f"q must be in 0..{n - 1}, got {q}")
-    if not check_points:
-        raise ModelError("combine_normal_potentials needs at least one checkpoint")
-    need = n - q
-    last_margin, last_worst = -math.inf, None
-    for halvings in range(max_halvings + 1):
-        eps = 2.0**-halvings
-        candidate = phi + eps * previous
-        evolved = base + fd_complex_hessian(candidate, order=fd_order)
-        worst_margin, worst = _eigen_counts_at(evolved, check_points, need)
-        if worst_margin > margin:
-            return CombineResult(
-                potential=candidate,
-                epsilon=eps,
-                min_margin=worst_margin,
-                worst_point=worst,
-                halvings=halvings,
-            )
-        last_margin, last_worst = worst_margin, worst
-    raise PipelineFailure(
-        f"no dyadic weight down to 2^-{max_halvings} certifies {need} positive eigenvalues "
-        f"(last margin {last_margin:.3e} at {last_worst})",
-        region="stratum-combination",
-        worst_point=last_worst,
-    )

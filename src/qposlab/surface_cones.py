@@ -4,8 +4,11 @@ A surface model is a lattice of rank <= 4 with a symmetric intersection
 pairing of signature (1, rho-1) and finitely generated nef and effective
 cones.  Every decision here is exact over the rationals:
 
-* cone membership by Fourier-Motzkin elimination on the nonnegative
-  combination system (no floating-point LP),
+* cone membership by conic Caratheodory: a class lies in cone(G) exactly
+  when it is a nonnegative combination of some basis of span(G) drawn from
+  G, so each of the at most C(|G|, rank) bases is solved by Gauss-Jordan
+  elimination over the rationals and the signs checked (no floating-point
+  LP, polynomial for rank <= 4),
 * the signature by Descartes' rule on the characteristic polynomial, which
   counts exactly because symmetric matrices have real spectra,
 * witness search by maximising the pairing over cone generators (the linear
@@ -20,6 +23,7 @@ explicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,9 +88,6 @@ class DivisorClass:
     def scaled(self, t) -> "DivisorClass":
         t = _frac(t)
         return DivisorClass(tuple(t * c for c in self.coefficients))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
 
 def _char_poly(mat: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]:
@@ -174,51 +175,47 @@ class SurfaceLattice:
         )
 
 
+def _gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
+    """Reduce ``rows`` in place to reduced row-echelon form (exact); return the pivot columns."""
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [a / rows[r][col] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def _cone_contains(generators: tuple[DivisorClass, ...], point: DivisorClass) -> bool:
-    """Exact feasibility of point = sum c_i g_i with c_i >= 0 (Fourier-Motzkin).
+    """Exact feasibility of point = sum c_i g_i with c_i >= 0 (conic Caratheodory).
 
-    Constraints are kept as (coeff-vector over the c_i, bound) rows meaning
-    ``a . c <= b``; eliminating every variable leaves constant rows whose
-    consistency decides feasibility.
+    A member of the cone is a nonnegative combination of linearly independent
+    generators, and those extend to a basis of span(G) drawn from G, so it
+    suffices to solve point = B c on each such basis B and check the signs.
+    A basis that cannot express the point shows it lies outside span(G).
     """
-    m = len(generators)
-    dim = len(point.coefficients)
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(m):  # c_i >= 0
-        a = [Fraction(0)] * m
-        a[i] = Fraction(-1)
-        rows.append((a, Fraction(0)))
-    for r in range(dim):  # equality as two inequalities
-        a = [generators[i].coefficients[r] for i in range(m)]
-        rows.append((list(a), point.coefficients[r]))
-        rows.append(([-x for x in a], -point.coefficients[r]))
-
-    for var in range(m):
-        pos, neg, keep = [], [], []
-        for a, b in rows:
-            if a[var] > 0:
-                pos.append((a, b))
-            elif a[var] < 0:
-                neg.append((a, b))
-            else:
-                keep.append((a, b))
-        new_rows = keep
-        for ap, bp in pos:
-            for an, bn in neg:
-                # scale to cancel var: ap/ap[var] + an/(-an[var])
-                sp, sn = ap[var], -an[var]
-                a = [x / sp + y / sn for x, y in zip(ap, an)]
-                b = bp / sp + bn / sn
-                new_rows.append((a, b))
-        # prune duplicate rows to keep the system small
-        seen = set()
-        rows = []
-        for a, b in new_rows:
-            key = (tuple(a), b)
-            if key not in seen:
-                seen.add(key)
-                rows.append((list(a), b))
-    return all(b >= 0 for _, b in rows)
+    x = point.coefficients
+    if all(c == 0 for c in x):
+        return True
+    rank = len(_gauss_jordan([list(g.coefficients) for g in generators]))
+    for basis in itertools.combinations(generators, rank):
+        # augmented system [B | x], one row per coordinate
+        rows = [[g.coefficients[i] for g in basis] + [x[i]] for i in range(len(x))]
+        pivots = _gauss_jordan(rows)
+        if pivots[:rank] != list(range(rank)):
+            continue  # dependent subset, not a basis
+        if len(pivots) > rank:
+            return False
+        if all(rows[i][rank] >= 0 for i in range(rank)):
+            return True
+    return False
 
 
 def is_pseudoeffective(divisor: DivisorClass, lattice: SurfaceLattice) -> bool:

@@ -3,7 +3,8 @@
 Each test calls ``main(argv)`` in-process and inspects the printed JSON
 report, the exit code, and any artifacts written to a temporary out
 directory.  Exit-code contract: 0 certified / predicate true, 1 well-posed
-but not certified, 2 numerics failure, 3 invalid model or configuration.
+but not certified, 2 numerics failure, 3 invalid model, configuration or
+command line.
 """
 
 import json
@@ -16,6 +17,8 @@ import pytest
 from qposlab.cli import main
 from qposlab.fields_io import write_field
 from qposlab.geometry import TorusModel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIAG_2_M1 = [[2, 0], [0, -1]]
 IDENTITY_2 = [[1, 0], [0, 1]]
@@ -60,7 +63,7 @@ class TestIntersect:
         assert code == 0
         assert err == ""
         assert report["command"] == "intersect"
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["trace"] == {}
         assert report["verdict"] == {"intersection_number": 4.0, "n": 2, "classes": 2}
 
@@ -448,7 +451,7 @@ class TestGlue:
     def test_empty_region_is_not_certified(self, capsys):
         # At grid 256 the buffer branch wins at no grid point outside the
         # switching band, so V_C holds nothing and cannot pass.
-        cfg = str(Path(__file__).resolve().parent.parent / "configs" / "glue.json")
+        cfg = str(CONFIGS / "glue.json")
         code, report, _ = run_cli(["glue", "--config", cfg, "--grid", "256"], capsys)
         assert code == 1
         regions = {r["name"]: r for r in report["verdict"]["regions"]}
@@ -496,14 +499,41 @@ class TestSettingsAndReport:
         assert code == 3
         assert "environment QPOSLAB_TOL: cannot read tol='abc'" in err
 
-    def test_workers_recorded_and_validated(self, tmp_path, capsys):
-        cfg = self.masolve_config(tmp_path)
-        code, report, _ = run_cli(["ma-solve", "--config", cfg, "--workers", "3"], capsys)
-        assert code == 0
-        assert report["timings"]["workers"] == 3
-        code, _, err = run_cli(["ma-solve", "--config", cfg, "--workers", "0"], capsys)
+    def test_workers_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = self.masolve_config(tmp_path, workers=2)
+        code, report, err = run_cli(["ma-solve", "--config", cfg], capsys)
         assert code == 3
-        assert "workers must be at least 1" in err
+        assert report is None
+        assert "unknown config key 'workers'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--grid", "abc"], ["certify", "--bogus"], [], ["ma-solve", "--workers", "2"]],
+        ids=["bad-grid", "unknown-flag", "no-subcommand", "workers-flag"],
+    )
+    def test_usage_errors_exit_three(self, capsys, argv):
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "pseff"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"margin": "abc"}, "margin must be a finite nonnegative number, got 'abc'"),
+            ({"margin": -1}, "margin must be a finite nonnegative number, got -1"),
+            ({"margin": float("nan")}, "margin must be a finite nonnegative number, got nan"),
+            ({"max_iter": "x"}, "max_iter must be a positive integer, got 'x'"),
+            ({"max_iter": 2.5}, "max_iter must be a positive integer, got 2.5"),
+        ],
+        ids=["margin-text", "margin-negative", "margin-nan", "max_iter-text", "max_iter-fraction"],
+    )
+    def test_bad_max_iter_or_margin_is_config_error(self, tmp_path, capsys, command, extra, message):
+        data = {"line_class": [[1, 0.5], [0.5, 0.25]], "kahler": IDENTITY_2, "grid": 8, **extra}
+        code, report, err = run_cli([command, "--config", write_config(tmp_path, data)], capsys)
+        assert code == 3
+        assert report is None
+        assert err.startswith("invalid configuration:")
+        assert message in err
 
     def test_verdict_deterministic_and_digest_stable(self, tmp_path, capsys):
         cfg = write_config(
@@ -515,15 +545,13 @@ class TestSettingsAndReport:
         assert dump(first) == dump(second)
         assert first["inputs_digest"] == second["inputs_digest"]
 
-    def test_digest_ignores_out_and_workers(self, tmp_path, capsys):
+    def test_digest_ignores_out(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8}
         )
         _, plain, _ = run_cli(["certify", "--config", cfg], capsys)
         out = tmp_path / "out"
-        _, decorated, _ = run_cli(
-            ["certify", "--config", cfg, "--out", str(out), "--workers", "4"], capsys
-        )
+        _, decorated, _ = run_cli(["certify", "--config", cfg, "--out", str(out)], capsys)
         assert plain["inputs_digest"] == decorated["inputs_digest"]
         assert plain["verdict"] == decorated["verdict"]
 
@@ -564,3 +592,27 @@ class TestSettingsAndReport:
             main(["--version"])
         assert exc_info.value.code == 0
         assert "qposlab" in capsys.readouterr().out
+
+
+SHIPPED = {
+    "ag_surface.json": ("ag-surface", 0),
+    "ag_surface_analytic.json": ("ag-surface", 0),
+    "certify.json": ("certify", 0),
+    "degeneracy.json": ("degeneracy", 1),  # the scan finds the rank-drop locus
+    "glue.json": ("glue", 0),
+    "intersect.json": ("intersect", 0),
+    "masolve.json": ("ma-solve", 0),
+    "pseff.json": ("pseff", 0),
+}
+
+
+def test_every_shipped_config_is_listed():
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(SHIPPED)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_exit_code(name, capsys):
+    command, expected = SHIPPED[name]
+    code, report, err = run_cli([command, "--config", str(CONFIGS / name)], capsys)
+    assert code == expected, err
+    assert report["command"] == command

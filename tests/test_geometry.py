@@ -58,14 +58,6 @@ class TestTorusModel:
         assert x.shape == (8, 1) and y.shape == (1, 8)
         assert x.min() == 0.0 and x.max() == 7.0 / 8.0  # right endpoint open
 
-    def test_centered_coordinates_halfopen(self):
-        t = TorusModel(1, 8)
-        (z,) = t.complex_coordinates(centered=True)
-        assert np.min(z.real) == -0.5
-        assert np.max(z.real) == 0.375
-        zs = t.complex_coordinates()
-        assert np.min(zs[0].real) == 0.0
-
     def test_wavenumbers_nyquist_zeroed(self):
         t = TorusModel(1, 16)
         kx, ky = t.wavenumbers()

@@ -125,6 +125,14 @@ class TestSingularPotential:
         with pytest.raises(ModelError):
             SingularPotential(t, vals, pole_mask=np.ones((8, 8), dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(16,), (16, 8), (16, 16, 1)])
+    def test_value_shape_checked(self, shape):
+        t = TorusModel(1, 16)
+        vals = np.zeros(shape)
+        vals.flat[0] = -np.inf
+        with pytest.raises(ModelError, match="singular potential"):
+            SingularPotential(t, vals)
+
     def test_empty_mask_rejected(self):
         t = TorusModel(1, 16)
         with pytest.raises(ModelError):

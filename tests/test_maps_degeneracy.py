@@ -1,4 +1,4 @@
-"""Polynomial maps, Cauchy-Binet rank profiles, fibre probes, chart potentials."""
+"""Polynomial maps, Cauchy-Binet rank profiles, fibre probes."""
 
 import itertools
 import math
@@ -9,21 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qposlab import (
-    HermitianFormField,
     ModelError,
-    PipelineFailure,
-    PotentialField,
-    TorusModel,
-    combine_normal_potentials,
     degeneracy_locus_scan,
-    fd_complex_hessian,
     fibre_dimension_estimate,
-    local_potential_build,
-    pullback_form,
     sigma_j_minors,
 )
 from qposlab.maps_degeneracy import (
-    ChartData,
     PolyMap,
     numeric_rank,
     sample_box,
@@ -100,12 +91,6 @@ class TestSigmaProfile:
         assert sigma_j_minors(jac, 1) == 14.0
         assert sigma_j_minors(jac, 2) == 4.0
         assert list(sigma_profile(jac)) == [14.0, 4.0]
-
-    def test_pullback_form_is_gram_matrix(self):
-        pm = example_map()
-        g = pullback_form(pm, np.array([1.0, 3.0]))
-        expect = np.array([[10.0, 3.0], [3.0, 1.0]])
-        assert np.max(np.abs(g - expect)) == 0.0
 
     def test_cauchy_binet_against_eigenvalues(self):
         rng = np.random.default_rng(17)
@@ -201,100 +186,3 @@ class TestFibreDimension:
     def test_target_shape_checked(self):
         with pytest.raises(ModelError):
             fibre_dimension_estimate(example_map(), (0.0,))
-
-
-class TestLocalPotential:
-    def test_partition_of_unity_enforced(self):
-        t = TorusModel(1, 16)
-        chart = ChartData(weight=np.full((1, 1), 0.5), components=np.zeros((1, 1, 1)))
-        with pytest.raises(ModelError, match="partition"):
-            local_potential_build(t, [chart])
-
-    def test_negative_weight_rejected(self):
-        t = TorusModel(1, 16)
-        chart = ChartData(weight=np.full((1, 1), -0.2), components=np.zeros((1, 1, 1)))
-        with pytest.raises(ModelError):
-            local_potential_build(t, [chart])
-
-    def test_single_chart_absolute_square(self):
-        t = TorusModel(1, 64)
-        (z,) = t.complex_coordinates(centered=True)
-        chart = ChartData(weight=np.ones((1, 1)), components=z[..., None])
-        phi = local_potential_build(t, [chart])
-        assert np.max(np.abs(phi.values - (z.real**2 + z.imag**2))) == 0.0
-
-    def test_chart_hessian_near_centre(self):
-        # |z|^2 in centred coordinates: curvature 1 at the centre.  Only local
-        # stencils apply: the coordinate's gradient jump at the wrap seam is a
-        # delta in the distributional Hessian, which truncated Fourier modes
-        # smear over the whole grid; finite differences away from the seam
-        # never touch it.
-        t = TorusModel(1, 64)
-        (z,) = t.complex_coordinates(centered=True)
-        chart = ChartData(weight=np.ones((1, 1)), components=z[..., None])
-        phi = local_potential_build(t, [chart])
-        fd4 = fd_complex_hessian(phi, order=4).values[0, 0, 0, 0]
-        assert fd4.real == pytest.approx(1.0, abs=1e-4)
-        fd2 = fd_complex_hessian(phi, order=2).values[0, 0, 0, 0]
-        assert fd2.real == pytest.approx(1.0, abs=1e-2)
-
-    def test_two_charts_complementary_bumps(self):
-        t = TorusModel(1, 32)
-        x = t.real_coordinates()[0]
-        w1 = 0.5 * (1.0 + np.cos(2 * np.pi * x)) * np.ones((1, 32))
-        charts = [
-            ChartData(weight=w1, components=np.ones((32, 32, 1))),
-            ChartData(weight=1.0 - w1, components=2.0 * np.ones((32, 32, 1))),
-        ]
-        phi = local_potential_build(t, charts)
-        expect = w1 * 1.0 + (1.0 - w1) * 4.0
-        assert np.max(np.abs(phi.values - expect)) < 1e-14
-
-
-class TestCombineLadder:
-    @staticmethod
-    def spike_setup():
-        # positive spike of height 1/64 at the origin: its fourth-order
-        # Hessian at the origin is exactly -5 (all-dyadic stencil arithmetic)
-        t = TorusModel(1, 16)
-        base = HermitianFormField.from_constant(t, np.eye(1))
-        vals = np.zeros((16, 16))
-        vals[0, 0] = 1.0 / 64.0
-        previous = PotentialField(t, vals)
-        phi = PotentialField(t, np.zeros((1, 1)))
-        return t, base, phi, previous
-
-    def test_spike_hessian_value(self):
-        t, base, phi, previous = self.spike_setup()
-        h = fd_complex_hessian(previous, order=4).values[0, 0, 0, 0]
-        assert h.real == -5.0
-
-    def test_ladder_stops_at_first_certifying_weight(self):
-        t, base, phi, previous = self.spike_setup()
-        res = combine_normal_potentials(base, phi, previous, [(0, 0)], q=0)
-        assert res.epsilon == 0.125  # margin 1 - 5 eps first positive here
-        assert res.halvings == 3
-        assert res.min_margin == pytest.approx(0.375, abs=1e-14)
-        assert res.worst_point == (0, 0)
-        assert np.max(np.abs(res.potential.values - 0.125 * previous.values)) == 0.0
-
-    def test_exhaustion_raises_with_location(self):
-        t, base, phi, previous = self.spike_setup()
-        with pytest.raises(PipelineFailure) as exc:
-            combine_normal_potentials(
-                base, phi, previous, [(0, 0)], q=0, margin=2.0, max_halvings=5
-            )
-        assert exc.value.region == "stratum-combination"
-        assert exc.value.worst_point == (0, 0)
-
-    def test_checkpoint_wraparound(self):
-        t, base, phi, previous = self.spike_setup()
-        res = combine_normal_potentials(base, phi, previous, [(16, 16)], q=0)
-        assert res.epsilon == 0.125  # indices reduce mod the grid shape
-
-    def test_validation(self):
-        t, base, phi, previous = self.spike_setup()
-        with pytest.raises(ModelError):
-            combine_normal_potentials(base, phi, previous, [], q=0)
-        with pytest.raises(ModelError):
-            combine_normal_potentials(base, phi, previous, [(0, 0)], q=1)
