@@ -20,6 +20,15 @@ passes run in place in the caller's temporary spectrum before the real pass
 on the last axis writes the result, for a Hessian straight into its entry of
 the form field.
 
+A pass of at least 2 MiB runs as one contiguous slab per worker thread, cut
+along the longest other axis.  Every line along the transformed axis stays
+whole, so each slab runs the same 1-d transforms as the serial pass and the
+result stays bitwise numpy's.  The slabs share one thread pool, started by
+the first pass that splits, with one worker per CPU in the process's
+affinity mask (:func:`fft_workers`); a process pinned to one CPU (``taskset
+-c 0``) runs every pass serially and starts no thread.  Smaller passes run
+serially on the calling thread.
+
 Fields store numpy arrays broadcastable to the full grid shape; an axis of
 length one means "constant along that coordinate" and spectral derivatives
 along such axes vanish identically, which both is exact and keeps storage
@@ -30,6 +39,9 @@ kernels (determinants, eigenvalues) live in :mod:`qposlab.smallmat`.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,7 @@ __all__ = [
     "fd_complex_hessian",
     "hermitian_det",
     "form_top_density",
+    "fft_workers",
 ]
 
 _MEAN_ZERO_TOL = 1e-12
@@ -197,10 +210,77 @@ def _half_spectrum_wavenumbers(torus: TorusModel, shape: tuple[int, ...]) -> lis
     return kappa
 
 
+# A pass that writes fewer bytes than this runs serially (a real array and the
+# half spectrum of it are about the same size).  One rfftn and one irfftn on
+# two cores, serial against two slabs, medians of alternating runs: 65,536
+# points (0.5 MB) 2.37 vs 3.29 ms, 160,000 points (1.3 MB) 4.94 vs 5.75 ms,
+# 331,776 points (2.7 MB) 10.3 vs 9.2 ms, 1,048,576 points (8.4 MB) 27.6 vs
+# 20.3 ms; at n = 1, 262,144 points (2.1 MB) 4.64 vs 3.62 ms.
+_SLAB_MIN_BYTES = 2 << 20
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def fft_workers() -> int:
+    """Threads an FFT pass is split over: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slab_pool() -> ThreadPoolExecutor:
+    """The process's FFT slab pool, started by the first pass that splits."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(fft_workers(), thread_name_prefix="qposlab-fft")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _axis_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, **kwargs) -> np.ndarray:
+    """``transform(src, axis=axis, out=out)``, one contiguous slab per worker.
+
+    The slabs cut the longest other axis, so every line along ``axis`` stays
+    whole and each slab is a batch of the same 1-d transforms numpy runs: the
+    result is bitwise the serial one.  A slab task submits no further work.
+    """
+    split = max((a for a in range(out.ndim) if a != axis), key=out.shape.__getitem__, default=None)
+    slabs = 1 if split is None or out.nbytes < _SLAB_MIN_BYTES else min(fft_workers(), out.shape[split])
+    if slabs < 2:
+        return transform(src, axis=axis, out=out, **kwargs)
+    pool = _slab_pool()
+    cuts = [out.shape[split] * i // slabs for i in range(slabs + 1)]
+    parts = [(slice(None),) * split + (slice(lo, hi),) for lo, hi in zip(cuts, cuts[1:])]
+    futures = [pool.submit(transform, src[p], axis=axis, out=out[p], **kwargs) for p in parts]
+    wait(futures)
+    for f in futures:
+        f.result()
+    return out
+
+
 def _rfftn(v: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn`` over every axis, each axis pass writing into one buffer."""
-    half = v.shape[:-1] + (v.shape[-1] // 2 + 1,)
-    return np.fft.rfftn(v, axes=tuple(range(v.ndim)), out=np.empty(half, dtype=np.complex128))
+    """``np.fft.rfftn`` over every axis, bitwise equal to it, in one output buffer.
+
+    numpy's passes in numpy's order: the real pass on the last axis writes the
+    half spectrum, then the complex passes run in place from the last axis but
+    one down to axis 0.
+    """
+    out = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
+    _axis_pass(np.fft.rfft, v, out, v.ndim - 1)
+    for axis in range(v.ndim - 2, -1, -1):
+        _axis_pass(np.fft.fft, out, out, axis)
+    return out
 
 
 def _irfftn(vhat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
@@ -211,8 +291,10 @@ def _irfftn(vhat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = N
     axis, which writes into ``out`` when given (any strides).
     """
     for axis in range(len(shape) - 1):
-        np.fft.ifft(vhat, axis=axis, out=vhat)
-    return np.fft.irfft(vhat, n=shape[-1], axis=-1, out=out)
+        _axis_pass(np.fft.ifft, vhat, vhat, axis)
+    if out is None:
+        out = np.empty(shape)
+    return _axis_pass(np.fft.irfft, vhat, out, len(shape) - 1, n=shape[-1])
 
 
 def complex_hessian(phi: PotentialField) -> HermitianFormField:

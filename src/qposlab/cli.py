@@ -6,8 +6,10 @@ pure function of the inputs (sorted keys, no timestamps, no timings), so two
 runs of the same config are byte-identical there; wall-clock data lives in
 the separate ``timings`` section, how the run got there (for a Monge-Ampere
 solve: the residual, CG iterations and line-search halvings of each Newton
-step) in ``trace``, and an sha256 digest over the resolved inputs (including
-the content of referenced field files) ties the verdict to what produced it.
+step; for every run that transforms fields: ``fft_workers``, the threads an
+FFT pass is split over) in ``trace``, and an sha256 digest over the resolved
+inputs (including the content of referenced field files) ties the verdict to
+what produced it.
 
 Override precedence, highest first: command-line flag, ``QPOSLAB_*``
 environment variable, config file entry, built-in default.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import json
 import math
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import PotentialField
+from .calculus import PotentialField, fft_workers
 from .errors import ConfigError, ModelError, NumericsError
 from .fields_io import read_field, write_field, write_heatmap_csv
 from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, intersection_number
@@ -87,7 +90,9 @@ _LATTICE_MODELS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qposlab",
         description="numerical certification of q-positivity on flat torus models",
@@ -145,7 +150,13 @@ def _coerce_setting(key: str, raw, source: str, problems: list):
                 raise ValueError
             return int(raw)
         if key == "tol":
-            return float(raw)
+            if isinstance(raw, bool):
+                raise ValueError
+            tol = float(raw)
+            if not 0 < tol < math.inf:
+                problems.append(f"{source}: tol must be a finite positive number, got {raw!r}")
+                return _DEFAULTS[key]
+            return tol
         if key == "out":
             return str(raw)
     except (TypeError, ValueError):
@@ -166,7 +177,7 @@ def _resolve_settings(args, config: dict, problems: list) -> dict:
     for key in _COMMON_KEYS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            settings[key] = cli_value
+            settings[key] = _coerce_setting(key, cli_value, f"--{key.replace('_', '-')}", problems)
     return settings
 
 
@@ -351,6 +362,11 @@ def _newton_trace(ma) -> dict:
     }
 
 
+def _spectral_trace(trace: dict) -> dict:
+    """``trace`` of a run that ran FFTs, with the number of threads an FFT pass is split over."""
+    return {**trace, "fft_workers": fft_workers()}
+
+
 def _cmd_intersect(config, settings, problems):
     classes = _require(config, "classes", problems)
     mats = []
@@ -382,8 +398,8 @@ def _cmd_ma_solve(config, settings, problems):
         torus = TorusModel(n=int(background.shape[0]), grid_size=settings["grid"])
         if has_const and not has_file:
             dc = config["density_constant"]
-            if not isinstance(dc, (int, float)) or isinstance(dc, bool) or dc <= 0:
-                problems.append(f"density_constant must be a positive number, got {dc!r}")
+            if not isinstance(dc, (int, float)) or isinstance(dc, bool) or not 0 < dc < math.inf:
+                problems.append(f"density_constant must be a finite positive number, got {dc!r}")
             else:
                 density = float(dc)
         elif has_file and not has_const:
@@ -413,7 +429,7 @@ def _cmd_ma_solve(config, settings, problems):
     ]
     if np.squeeze(result.phi.values).ndim <= 2:
         artifacts.append(("phi_heatmap.csv", lambda p: write_heatmap_csv(p, result.phi.values)))
-    return EXIT_CERTIFIED, verdict, artifacts, files, _newton_trace(result)
+    return EXIT_CERTIFIED, verdict, artifacts, files, _spectral_trace(_newton_trace(result))
 
 
 def _certificate_inputs(config, settings, problems):
@@ -456,7 +472,7 @@ def _cmd_certify(config, settings, problems):
             ("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.certificate.margin_field))
         )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files, _newton_trace(run.ma_result)
+    return code, verdict, artifacts, files, _spectral_trace(_newton_trace(run.ma_result))
 
 
 def _cmd_pseff(config, settings, problems):
@@ -472,7 +488,7 @@ def _cmd_pseff(config, settings, problems):
         margin=margin,
     )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, _certificate_verdict(run), [], [], _newton_trace(run.ma_result)
+    return code, _certificate_verdict(run), [], [], _spectral_trace(_newton_trace(run.ma_result))
 
 
 def _lattice_from_config(spec, problems) -> SurfaceLattice | None:
@@ -580,7 +596,7 @@ def _cmd_ag_surface(config, settings, problems):
     trace = {}
     if report.analytic_run is not None:
         verdict["analytic"] = _certificate_verdict(report.analytic_run)
-        trace["analytic"] = _newton_trace(report.analytic_run.ma_result)
+        trace = _spectral_trace({"analytic": _newton_trace(report.analytic_run.ma_result)})
     code = EXIT_CERTIFIED if report.one_ample else EXIT_NOT_CERTIFIED
     return code, verdict, [], [], trace
 
@@ -793,7 +809,7 @@ def _cmd_glue(config, settings, problems):
     if np.squeeze(psi.values).ndim <= 2:
         artifacts.append(("psi_heatmap.csv", lambda p: write_heatmap_csv(p, psi.values)))
     code = EXIT_CERTIFIED if report.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files, {}
+    return code, verdict, artifacts, files, _spectral_trace({})
 
 
 _HANDLERS = {
@@ -809,7 +825,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code != 2:  # --help and --version
             raise

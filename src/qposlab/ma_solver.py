@@ -92,11 +92,13 @@ class MAProblem:
             f = f.reshape((1,) * self.torus.ndim_real)
         if f.ndim != self.torus.ndim_real:
             raise ModelError("target density must have one axis per real coordinate")
+        if not np.all(np.isfinite(f)):
+            raise ModelError("target density must be finite")
         object.__setattr__(self, "target_density", f)
         if self.background_potential is not None and self.background_potential.torus != self.torus:
             raise ModelError("background potential lives on a different torus")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ModelError("tol must be positive and max_iter >= 1")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise ModelError("tol must be finite and positive and max_iter >= 1")
 
     def background_form(self) -> HermitianFormField:
         base = HermitianFormField.from_constant(self.torus, self.background.matrix)

@@ -7,6 +7,7 @@ but not certified, 2 numerics failure, 3 invalid model, configuration or
 command line.
 """
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qposlab import calculus
 from qposlab.cli import main
 from qposlab.fields_io import write_field
 from qposlab.geometry import TorusModel
@@ -299,6 +301,7 @@ class TestAgSurface:
         assert verdict["witness"]["vector"] == ["1", "2"]
         assert verdict["witness"]["pairing"] == "12"
         assert "analytic" not in verdict
+        assert report["trace"] == {}
 
     def test_not_ample_exits_one(self, tmp_path, capsys):
         cfg = write_config(
@@ -365,6 +368,8 @@ class TestAgSurface:
         assert analytic["passed"] is True
         assert analytic["k"] == 3
         assert analytic["min_margin"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert report["trace"]["fft_workers"] == calculus.fft_workers()
+        assert "newton" in report["trace"]["analytic"]
 
 
 class TestDegeneracy:
@@ -498,6 +503,81 @@ class TestSettingsAndReport:
         code, _, err = run_cli(["ma-solve", "--config", cfg], capsys)
         assert code == 3
         assert "environment QPOSLAB_TOL: cannot read tol='abc'" in err
+
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), -float("inf"), 0.0], ids=["nan", "inf", "-inf", "zero"]
+    )
+    def test_non_finite_config_tol_rejected(self, tmp_path, capsys, tol):
+        # NaN used to skip the Newton loop and certify an unsolved problem.
+        data = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8, "tol": tol}
+        code, report, err = run_cli(["certify", "--config", write_config(tmp_path, data)], capsys)
+        assert code == 3
+        assert report is None
+        assert f"config: tol must be a finite positive number, got {tol!r}" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1e-9"])
+    def test_non_finite_env_tol_rejected(self, tmp_path, capsys, monkeypatch, text):
+        cfg = write_config(tmp_path, {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8})
+        monkeypatch.setenv("QPOSLAB_TOL", text)
+        code, report, err = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 3
+        assert report is None
+        assert f"environment QPOSLAB_TOL: tol must be a finite positive number, got {text!r}" in err
+
+    def test_non_finite_flag_tol_rejected(self, tmp_path, capsys):
+        cfg = self.masolve_config(tmp_path)
+        code, report, err = run_cli(["ma-solve", "--config", cfg, "--tol", "nan"], capsys)
+        assert code == 3
+        assert report is None
+        assert "--tol: tol must be a finite positive number, got nan" in err
+
+    @pytest.mark.parametrize("dc", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_density_constant_rejected(self, tmp_path, capsys, dc):
+        cfg = self.masolve_config(tmp_path, density_constant=dc)
+        code, report, err = run_cli(["ma-solve", "--config", cfg], capsys)
+        assert code == 3
+        assert report is None
+        assert f"density_constant must be a finite positive number, got {dc!r}" in err
+
+    def test_main_reuses_one_parser_and_parses_each_call_afresh(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            namespace = parse_args(parser, *args, **kwargs)
+            seen.append((parser, namespace))
+            return namespace
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        cfg = self.masolve_config(tmp_path)
+        _, first, _ = run_cli(["ma-solve", "--config", cfg, "--grid", "16"], capsys)
+        _, second, _ = run_cli(["ma-solve", "--config", cfg], capsys)
+        (parser_a, ns_a), (parser_b, ns_b) = seen
+        assert parser_a is parser_b
+        assert ns_a is not ns_b
+        assert (ns_a.grid, ns_b.grid) == (16, None)
+        assert (first["verdict"]["grid"], second["verdict"]["grid"]) == (16, 8)
+
+    @pytest.mark.parametrize(
+        "command, config, spectral",
+        [
+            ("certify", {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8}, True),
+            ("pseff", {"line_class": [[1, 0], [0, 0]], "kahler": IDENTITY_2, "grid": 8}, True),
+            ("ma-solve", {"background": [[1]], "density_constant": 2.0, "grid": 8}, True),
+            ("glue", {**GLUE_CONFIG, "grid": 16}, True),
+            ("intersect", {"classes": [IDENTITY_2, IDENTITY_2]}, False),
+            ("degeneracy", {"map": MAP_F, "per_axis": 3}, False),
+        ],
+    )
+    def test_trace_names_fft_workers_where_fields_are_transformed(
+        self, tmp_path, capsys, command, config, spectral
+    ):
+        _, report, _ = run_cli([command, "--config", write_config(tmp_path, config)], capsys)
+        if spectral:
+            assert report["trace"]["fft_workers"] == calculus.fft_workers() >= 1
+            assert "fft_workers" not in report["verdict"]
+        else:
+            assert "fft_workers" not in report["trace"]
 
     def test_workers_is_an_unknown_key(self, tmp_path, capsys):
         cfg = self.masolve_config(tmp_path, workers=2)

@@ -54,6 +54,16 @@ class TestProblemValidation:
         with pytest.raises(ModelError):
             MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(2.0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_tolerance_finite(self, tol):
+        with pytest.raises(ModelError, match="tol must be finite and positive"):
+            MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(2.0), tol=tol)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_density_finite(self, value):
+        with pytest.raises(ModelError, match="target density must be finite"):
+            MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(value))
+
     def test_compat_required_before_solve(self):
         p = MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(2.0))
         with pytest.raises(ModelError):
