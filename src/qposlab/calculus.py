@@ -29,6 +29,12 @@ affinity mask (:func:`fft_workers`); a process pinned to one CPU (``taskset
 -c 0``) runs every pass serially and starts no thread.  Smaller passes run
 serially on the calling thread.
 
+The finite-difference Hessian runs slab by slab along axis 0
+(:func:`_fd_slab_hessian`): each slab of about 65,536 points reads its rows
+with a periodic halo, so every axis-0 stencil is a slice, and each entry is
+bitwise what whole-grid periodic stencils give.  The glue certificates run
+such slabs as leaf tasks on the same pool (:func:`_run_slabs`).
+
 Fields store numpy arrays broadcastable to the full grid shape; an axis of
 length one means "constant along that coordinate" and spectral derivatives
 along such axes vanish identically, which both is exact and keeps storage
@@ -223,18 +229,18 @@ _pool_lock = threading.Lock()
 
 
 def fft_workers() -> int:
-    """Threads an FFT pass is split over: one per CPU this process may run on."""
+    """Threads an FFT pass or a set of stencil slabs is split over: one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _slab_pool() -> ThreadPoolExecutor:
-    """The process's FFT slab pool, started by the first pass that splits."""
+    """The process's slab pool, started by the first FFT pass or stencil slab set that splits."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(fft_workers(), thread_name_prefix="qposlab-fft")
+            _pool = ThreadPoolExecutor(fft_workers(), thread_name_prefix="qposlab-slab")
         return _pool
 
 
@@ -248,24 +254,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _run_slabs(task, parts: list) -> list:
+    """``[task(p) for p in parts]``, the tasks spread over the slab pool.
+
+    Serial on the calling thread when there is one part or one CPU (no pool
+    is started then).  Every task has finished when this returns; the first
+    failing part, in order, raises.  A task must not submit work to the pool.
+    """
+    if len(parts) < 2 or fft_workers() < 2:
+        return [task(p) for p in parts]
+    futures = [_slab_pool().submit(task, p) for p in parts]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 def _axis_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, **kwargs) -> np.ndarray:
     """``transform(src, axis=axis, out=out)``, one contiguous slab per worker.
 
     The slabs cut the longest other axis, so every line along ``axis`` stays
     whole and each slab is a batch of the same 1-d transforms numpy runs: the
-    result is bitwise the serial one.  A slab task submits no further work.
+    result is bitwise the serial one.
     """
     split = max((a for a in range(out.ndim) if a != axis), key=out.shape.__getitem__, default=None)
     slabs = 1 if split is None or out.nbytes < _SLAB_MIN_BYTES else min(fft_workers(), out.shape[split])
     if slabs < 2:
         return transform(src, axis=axis, out=out, **kwargs)
-    pool = _slab_pool()
     cuts = [out.shape[split] * i // slabs for i in range(slabs + 1)]
     parts = [(slice(None),) * split + (slice(lo, hi),) for lo, hi in zip(cuts, cuts[1:])]
-    futures = [pool.submit(transform, src[p], axis=axis, out=out[p], **kwargs) for p in parts]
-    wait(futures)
-    for f in futures:
-        f.result()
+    _run_slabs(lambda p: transform(src[p], axis=axis, out=out[p], **kwargs), parts)
     return out
 
 
@@ -325,24 +341,95 @@ def complex_hessian(phi: PotentialField) -> HermitianFormField:
     return HermitianFormField._trusted(torus, out)
 
 
-def _fd_first(v: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    if v.shape[axis] == 1:
-        return np.zeros_like(v)
-    up1, dn1 = np.roll(v, -1, axis), np.roll(v, 1, axis)
+# A stencil slab holds about this many grid points (at least one row, since its
+# halo rows are recomputed).  One glue smoothing step of a glue-n2-g32
+# benchmark input (1,048,576 points, 2 CPUs), medians of 24 steps in two
+# alternating passes, in ms: serial, slabs of 32,768 points 176 / 150, 65,536
+# 170 / 136, 131,072 165 / 167, 262,144 219 / 174, the whole grid 206 / 209;
+# on two threads 104 / 101, 88 / 74, 78 / 87, 91 / 107.
+_STENCIL_SLAB_POINTS = 1 << 16
+
+
+def _slab_bounds(rows: int, row_points: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of ``rows`` rows along axis 0, about
+    ``_STENCIL_SLAB_POINTS`` points each at ``row_points`` points per row."""
+    step = max(1, _STENCIL_SLAB_POINTS // max(1, row_points))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _periodic_rows(values: np.ndarray, lo: int, hi: int, halo: int) -> tuple[np.ndarray, int]:
+    """``(block, halo)``: rows ``lo - halo .. hi + halo`` of a periodic field
+    along axis 0, or the whole field and halo 0 when axis 0 has stored length
+    one (constant along it, so there is nothing to pad)."""
+    if values.shape[0] == 1:
+        return values, 0
+    return np.take(values, np.arange(lo - halo, hi + halo), axis=0, mode="wrap"), halo
+
+
+def _fd_first(take, h: float, order: int) -> np.ndarray:
+    up1, dn1 = take(1), take(-1)
     if order == 2:
         return (up1 - dn1) / (2.0 * h)
-    up2, dn2 = np.roll(v, -2, axis), np.roll(v, 2, axis)
+    up2, dn2 = take(2), take(-2)
     return (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
 
 
-def _fd_second(v: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    if v.shape[axis] == 1:
-        return np.zeros_like(v)
-    up1, dn1 = np.roll(v, -1, axis), np.roll(v, 1, axis)
+def _fd_second(take, h: float, order: int) -> np.ndarray:
+    up1, dn1 = take(1), take(-1)
     if order == 2:
-        return (up1 - 2.0 * v + dn1) / h**2
-    up2, dn2 = np.roll(v, -2, axis), np.roll(v, 2, axis)
-    return (-up2 + 16.0 * up1 - 30.0 * v + 16.0 * dn1 - dn2) / (12.0 * h**2)
+        return (up1 - 2.0 * take(0) + dn1) / h**2
+    up2, dn2 = take(2), take(-2)
+    return (-up2 + 16.0 * up1 - 30.0 * take(0) + 16.0 * dn1 - dn2) / (12.0 * h**2)
+
+
+def _fd_slab_hessian(block: np.ndarray, halo: int, h: float, order: int, n: int):
+    """Finite-difference complex Hessian on the rows of ``block`` inside its halo.
+
+    ``block`` is a :func:`_periodic_rows` block: rows ``lo - halo .. hi +
+    halo`` of the field, or the whole field with ``halo = 0`` when axis 0 has
+    stored length one.  Axis-0 stencils read the halo rows by slicing; the
+    other axes are whole in the block and roll periodically.  Each first
+    derivative a mixed entry starts from is taken once.  Returns ``(diag,
+    upper)``: the real diagonal entries ``diag[j]`` and the complex entries
+    ``upper[j, k]``, ``j < k``, with the lower entries their conjugates.
+    Along an axis of stored length one every derivative is exactly zero.
+    """
+    rows = block.shape[0] - 2 * halo
+    inner = block[halo : halo + rows]
+
+    def derivative(stencil, axis, v=None):
+        # along ``axis`` of the plane ``v``, or of the field itself when v is None
+        if v is None:
+            if axis == 0 and halo:
+                return stencil(lambda s: block[halo + s : halo + s + rows], h, order)
+            v = inner
+        if v.shape[axis] == 1:
+            return np.zeros_like(v)
+        return stencil(lambda s: np.roll(v, -s, axis) if s else v, h, order)
+
+    diag = [0.25 * (derivative(_fd_second, 2 * j) + derivative(_fd_second, 2 * j + 1)) for j in range(n)]
+    first = [derivative(_fd_first, a) for a in range(2 * n - 2)]
+    upper = {}
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        for k in range(j + 1, n):
+            xk, yk = 2 * k, 2 * k + 1
+            dxx = derivative(_fd_first, xk, first[xj])
+            dyy = derivative(_fd_first, yk, first[yj])
+            dxy = derivative(_fd_first, yk, first[xj])
+            dyx = derivative(_fd_first, xk, first[yj])
+            upper[j, k] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
+    return diag, upper
+
+
+def _assemble_hermitian(diag, upper, out: np.ndarray) -> np.ndarray:
+    """Write ``(diag, upper)`` Hessian entries into the ``(..., n, n)`` complex ``out``."""
+    for j, d in enumerate(diag):
+        out[..., j, j] = d
+    for (j, k), entry in upper.items():
+        out[..., j, k] = entry
+        out[..., k, j] = np.conj(entry)
+    return out
 
 
 def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormField:
@@ -352,7 +439,9 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
     first-derivative stencils (which commute exactly, so Hermitian symmetry is
     structural), diagonal entries use the dedicated second-derivative stencil.
     A stencil touches at most two cells per axis, which callers use to keep
-    evaluations away from masked regions.
+    evaluations away from masked regions.  The field is differentiated block by
+    block along axis 0 (:func:`_fd_slab_hessian`); each entry is bitwise what
+    whole-grid stencils give.
     """
     if order not in (2, 4):
         raise ModelError(f"finite-difference order must be 2 or 4, got {order}")
@@ -362,19 +451,11 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
     torus = phi.torus
     n = torus.n
     h = 1.0 / torus.grid_size
+    halo = order // 2
     out = np.zeros(v.shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        out[..., j, j] = 0.25 * (_fd_second(v, xj, h, order) + _fd_second(v, yj, h, order))
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            dxx = _fd_first(_fd_first(v, xj, h, order), xk, h, order)
-            dyy = _fd_first(_fd_first(v, yj, h, order), yk, h, order)
-            dxy = _fd_first(_fd_first(v, xj, h, order), yk, h, order)
-            dyx = _fd_first(_fd_first(v, yj, h, order), xk, h, order)
-            entry = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
+    for lo, hi in _slab_bounds(v.shape[0], v[0].size):
+        block, pad = _periodic_rows(v, lo, hi, halo)
+        _assemble_hermitian(*_fd_slab_hessian(block, pad, h, order, n), out[lo:hi])
     return HermitianFormField._trusted(torus, out)
 
 

@@ -6,8 +6,10 @@ pure function of the inputs (sorted keys, no timestamps, no timings), so two
 runs of the same config are byte-identical there; wall-clock data lives in
 the separate ``timings`` section, how the run got there (for a Monge-Ampere
 solve: the residual, CG iterations and line-search halvings of each Newton
-step; for every run that transforms fields: ``fft_workers``, the threads an
-FFT pass is split over) in ``trace``, and an sha256 digest over the resolved
+step; for a glue run: each smoothing scale tried with its region margins,
+and the size of the excluded switching band; for every run that transforms
+fields: ``fft_workers``, the threads an FFT pass and a stencil slab run
+on) in ``trace``, and an sha256 digest over the resolved
 inputs (including the content of referenced field files) ties the verdict to
 what produced it.
 
@@ -363,7 +365,7 @@ def _newton_trace(ma) -> dict:
 
 
 def _spectral_trace(trace: dict) -> dict:
-    """``trace`` of a run that ran FFTs, with the number of threads an FFT pass is split over."""
+    """``trace`` of a run that ran FFTs or stencil slabs, with the number of threads they are split over."""
     return {**trace, "fft_workers": fft_workers()}
 
 
@@ -809,7 +811,14 @@ def _cmd_glue(config, settings, problems):
     if np.squeeze(psi.values).ndim <= 2:
         artifacts.append(("psi_heatmap.csv", lambda p: write_heatmap_csv(p, psi.values)))
     code = EXIT_CERTIFIED if report.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files, _spectral_trace({})
+    trace = {
+        "smoothing": [
+            {"eps": eps, "regions": [{"name": c.name, "min_margin": c.min_margin, "passed": c.passed} for c in certs]}
+            for eps, certs in report.smoothing
+        ],
+        "switching_band_points": report.switching_band_points,
+    }
+    return code, verdict, artifacts, files, _spectral_trace(trace)
 
 
 _HANDLERS = {

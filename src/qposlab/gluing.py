@@ -19,6 +19,18 @@ failing region and grid point attached.  A region without grid points never
 passes: the report then carries it as failed, because nothing was checked
 there.
 
+Every certificate runs slab by slab along axis 0.  A slab of about 65,536
+grid points (at least one row) reads its rows plus a periodic halo (one row
+for the second-order stencils, two for the fourth-order ones), evaluates the
+smoothed potential, the stencils, the background and the one eigenvalue a
+region needs there, and reduces each region to its point count, minimum and
+first argmin.  The slabs run on the thread pool of the spectral transforms,
+one worker per CPU in the affinity mask and serially on one CPU.
+Temporaries stay the size of a slab, only the accepted smoothed potential is
+stored whole (the buffer's spectral Hessian is still taken on the whole
+grid), and every count, margin and worst point is bitwise what a whole-grid
+evaluation gives.
+
 All masks live in Chebyshev geometry: dilation by radius ``r`` is the
 separable per-axis sweep, periodic across the torus seam.
 """
@@ -31,8 +43,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, _check_grid_values, complex_hessian, fd_complex_hessian
-from .errors import ModelError, PipelineFailure
+from .calculus import (
+    HermitianFormField,
+    PotentialField,
+    _check_grid_values,
+    _assemble_hermitian,
+    complex_hessian,
+    _fd_slab_hessian,
+    _periodic_rows,
+    _run_slabs,
+    _slab_bounds,
+)
+from .errors import ModelError, NumericsError, PipelineFailure
 from .geometry import ConstantHermitianClass, TorusModel
 
 __all__ = [
@@ -51,20 +73,32 @@ __all__ = [
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev (box) dilation of a boolean grid mask, periodic per axis.
 
-    Box dilation is separable, so each axis is swept independently; axes of
+    Box dilation is separable, so each axis is swept independently: a point
+    is set when its window of ``w = 2 radius + 1`` cells along the axis holds
+    a set cell.  The axis is padded periodically once, and the window is the
+    OR of two overlapping runs of the largest power-of-two length ``<= w``,
+    built by doubling: about ``log2 w`` ORs of slices per axis.  Axes of
     stored length one are constant and stay constant.
     """
     if not isinstance(radius, int) or radius < 0:
         raise ModelError(f"dilation radius must be a nonnegative integer, got {radius!r}")
     out = np.asarray(mask, dtype=bool).copy()
+    window = 2 * radius + 1
     for axis in range(out.ndim):
-        if out.shape[axis] == 1:
+        size = out.shape[axis]
+        if size == 1 or radius == 0:
             continue
-        acc = out.copy()
-        for r in range(1, radius + 1):
-            acc |= np.roll(out, r, axis)
-            acc |= np.roll(out, -r, axis)
-        out = acc
+
+        def cells(lo, hi):
+            return (slice(None),) * axis + (slice(lo, hi),)
+
+        # run[i] is the OR of cells i - radius .. i - radius + span - 1
+        run = np.take(out, np.arange(-radius, size + radius) % size, axis=axis)
+        span = 1
+        while 2 * span <= window:
+            run = run[cells(0, -span)] | run[cells(span, None)]
+            span *= 2
+        out = run[cells(0, size)] | run[cells(window - span, window - span + size)]
     return out
 
 
@@ -110,6 +144,10 @@ class SingularPotential:
         return np.where(self.pole_mask, fill, self.values)
 
 
+def _softmax(u, v, eps: float) -> np.ndarray:
+    return eps * np.logaddexp(np.asarray(u) / eps, np.asarray(v) / eps)
+
+
 def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """Softmax smoothing of the pointwise maximum at scale ``eps``.
 
@@ -118,7 +156,7 @@ def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """
     if eps <= 0:
         raise ModelError(f"smoothing scale must be positive, got {eps}")
-    return eps * np.logaddexp(np.asarray(u) / eps, np.asarray(v) / eps)
+    return _softmax(u, v, eps)
 
 
 def select_threshold(
@@ -212,38 +250,119 @@ class RegionCertificate:
 
 @dataclass(frozen=True)
 class GlueReport:
-    """Successful glue run: declarations, threshold, smoothing, region margins."""
+    """Successful glue run: declarations, threshold, smoothing, region margins.
+
+    ``smoothing`` holds one ``(eps, certificates)`` pair per smoothing scale
+    tried, the accepted one last; ``switching_band_points`` counts the grid
+    points of the excluded band where the active branch switches.
+    """
 
     result: GlueResult
     declarations: dict
     certificates: tuple[RegionCertificate, ...]
     q: int
+    smoothing: tuple = ()
+    switching_band_points: int = 0
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.certificates)
 
 
-def _masked_certificate(name: str, margin_field: np.ndarray, mask: np.ndarray, margin: float) -> RegionCertificate:
-    vals, msk = np.broadcast_arrays(margin_field, mask)
-    n_points = int(np.count_nonzero(msk))
-    if n_points == 0:
-        return RegionCertificate(name=name, n_points=0, min_margin=math.inf, passed=False, worst_point=None)
-    masked = np.where(msk, vals, np.inf)
-    flat = int(np.argmin(masked))
-    worst = tuple(int(i) for i in np.unravel_index(flat, masked.shape))
-    min_margin = float(masked.reshape(-1)[flat])
-    return RegionCertificate(
-        name=name,
-        n_points=n_points,
-        min_margin=min_margin,
-        passed=bool(min_margin > margin),
-        worst_point=worst,
-    )
+def _slab_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return a if a.shape[0] == 1 else a[lo:hi]
 
 
-def _ascending_margins(form: HermitianFormField, index: int) -> np.ndarray:
-    return smallmat.eigvalsh(form.values)[..., index]
+def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
+    """Hessian source for :func:`_certify_regions`: finite differences of a
+    field whose padded rows ``block_of(lo, hi, halo)`` yields as ``(block, halo)``."""
+    h = 1.0 / torus.grid_size
+
+    def rows(lo, hi):
+        block, halo = block_of(lo, hi, order // 2)
+        if not np.all(np.isfinite(block)):
+            raise NumericsError("potential has non-finite values; cannot differentiate")
+        return _fd_slab_hessian(block, halo, h, order, torus.n)
+
+    return rows
+
+
+def _form_hessian_rows(form: HermitianFormField):
+    """Hessian source for :func:`_certify_regions`: the entries of a stored form
+    field whose lower entries are the conjugates of its upper ones, bit for bit,
+    as :func:`complex_hessian` writes them."""
+    n = form.torus.n
+
+    def rows(lo, hi):
+        f = _slab_rows(form.values, lo, hi)
+        return [f[..., j, j].real for j in range(n)], {(j, k): f[..., j, k] for j in range(n) for k in range(j + 1, n)}
+
+    return rows
+
+
+def _certify_regions(
+    hessian_rows, field_shape, background: HermitianFormField, regions, shift: float = 0.0
+) -> tuple[RegionCertificate, ...]:
+    """Certificates of the margins ``eigvalsh(background + H)[..., index] - shift``.
+
+    ``regions`` holds ``(name, mask, index, margin)``.  The grid is cut into
+    slabs of rows along axis 0 (one slab when every array is constant along
+    it); ``hessian_rows(lo, hi)`` gives the Hessian ``(diag, upper)`` entries
+    on rows ``lo:hi`` of ``field_shape``.  Each slab adds the background
+    entries, takes the eigenvalues it needs (the diagonal at n = 1,
+    :func:`smallmat.eigvalsh_planes` at n = 2, LAPACK on assembled matrices at
+    n = 3) and reduces each region to its point count, minimum and first
+    argmin.  Slabs are contiguous in C order, so combining them in order with
+    the first slab winning ties gives ``np.argmin``'s first flat index over
+    the whole grid, and every margin, count and worst point is bitwise the
+    whole-grid one.  The slabs run on the slab pool.
+    """
+    n = background.torus.n
+    bg = background.values
+    shape = np.broadcast_shapes(field_shape, bg.shape[:-2], *(mask.shape for _, mask, _, _ in regions))
+
+    def slab(bounds):
+        lo, hi = bounds
+        diag, upper = hessian_rows(lo, hi)
+        b = _slab_rows(bg, lo, hi)
+        if n == 1:
+            lam = (b[..., 0, 0].real + diag[0],)
+        elif n == 2:
+            lam = smallmat.eigvalsh_planes(
+                b[..., 0, 0].real + diag[0], b[..., 1, 1].real + diag[1], b[..., 1, 0] + np.conj(upper[0, 1])
+            )
+        else:
+            h = _assemble_hermitian(diag, upper, np.zeros(diag[0].shape + (n, n), dtype=np.complex128))
+            lam = np.moveaxis(smallmat.eigvalsh(b + h), -1, 0)
+        reductions = []
+        for _, mask, index, _ in regions:
+            margins = lam[index] - shift if shift else lam[index]
+            vals, msk = np.broadcast_arrays(margins, _slab_rows(mask, lo, hi))
+            count = int(np.count_nonzero(msk))
+            flat, low = 0, math.inf
+            if count:
+                masked = np.where(msk, vals, np.inf)
+                flat = int(np.argmin(masked))
+                low = float(masked.reshape(-1)[flat])
+            first, *rest = np.unravel_index(flat, msk.shape)
+            reductions.append((count, low, (int(first) + lo, *(int(i) for i in rest))))
+        return reductions
+
+    per_slab = _run_slabs(slab, _slab_bounds(shape[0], math.prod(shape[1:])))
+    certs = []
+    for r, (name, _, _, margin) in enumerate(regions):
+        n_points, low, worst = 0, None, None
+        for reductions in per_slab:
+            count, slab_low, slab_worst = reductions[r]
+            n_points += count
+            # np.argmin's rule: the first minimum wins, and a nan is smaller than every number
+            if low is None or slab_low < low or (math.isnan(slab_low) and not math.isnan(low)):
+                low, worst = slab_low, slab_worst
+        if n_points == 0:
+            worst = None
+        passed = n_points > 0 and bool(low > margin)
+        certs.append(RegionCertificate(name=name, n_points=n_points, min_margin=low, passed=passed, worst_point=worst))
+    return tuple(certs)
 
 
 def zariski_fujita_pipeline(
@@ -267,9 +386,14 @@ def zariski_fujita_pipeline(
     2.  Declaration (b): the buffer metric ``H + Hess(phi_b)`` keeps
         ``n - q`` positive eigenvalues on a one-cell enlargement of ``U_C``.
     3.  Threshold selection and the raw maximum glue.
-    4.  Dyadic smoothing sweep: the first ``eps`` whose smoothed glue
-        certifies on every region that holds grid points (band excluded)
-        wins.
+    4.  Dyadic smoothing sweep from ``eps_start`` down to ``eps_min``: the
+        first ``eps`` whose smoothed glue certifies on every region that
+        holds grid points (band excluded) wins.
+
+    Every stage certifies slab by slab (:func:`_certify_regions`): the
+    finite-difference stencils, the softmax and the eigenvalues run on slabs
+    of rows, and only the accepted smoothed potential is stored whole.  The
+    spectral Hessian of declaration (b) is taken whole, before its slabs.
 
     Any failed stage raises :class:`PipelineFailure` naming the region and
     the worst grid point.  A returned report is a success end to end exactly
@@ -279,6 +403,10 @@ def zariski_fujita_pipeline(
     n = torus.n
     if not 0 <= q < n:
         raise ModelError(f"q must be in 0..{n - 1}, got {q}")
+    if not (math.isfinite(eps_min) and math.isfinite(eps_start) and 0 < eps_min <= eps_start):
+        raise ModelError(
+            f"smoothing needs finite 0 < eps_min <= eps_start, got eps_min={eps_min}, eps_start={eps_start}"
+        )
     if not isinstance(background, HermitianFormField):
         mat = background.matrix if isinstance(background, ConstantHermitianClass) else background
         background = HermitianFormField.from_constant(torus, mat)
@@ -291,10 +419,14 @@ def zariski_fujita_pipeline(
         raise ModelError("region_u covers the whole grid; nothing to glue against")
 
     # declaration (a): singular branch beats the lower bound away from poles
-    phi_s_finite = PotentialField(torus, singular.finite_values())
-    a_form = background + fd_complex_hessian(phi_s_finite, order=4)
-    a_margins = _ascending_margins(a_form, 0) - singular.lower_bound
-    cert_a = _masked_certificate("outside U_C (declaration)", a_margins, ~u_c, -tol)
+    phi_s = singular.finite_values()
+    (cert_a,) = _certify_regions(
+        _fd_hessian_rows(torus, 4, lambda lo, hi, halo: _periodic_rows(phi_s, lo, hi, halo)),
+        phi_s.shape,
+        background,
+        [("outside U_C (declaration)", ~u_c, 0, -tol)],
+        shift=singular.lower_bound,
+    )
     if not cert_a.passed:
         raise PipelineFailure(
             f"singular potential misses its declared lower bound by {-cert_a.min_margin:.3e} "
@@ -304,9 +436,12 @@ def zariski_fujita_pipeline(
         )
 
     # declaration (b): buffer metric is q-positive where it may take over
-    b_form = background + complex_hessian(phi_b)
-    b_margins = _ascending_margins(b_form, q)
-    cert_b = _masked_certificate("buffer (declaration)", b_margins, dilate(pole, pole_band + 1), margin)
+    (cert_b,) = _certify_regions(
+        _form_hessian_rows(complex_hessian(phi_b)),
+        phi_b.values.shape,
+        background,
+        [("buffer (declaration)", dilate(pole, pole_band + 1), q, margin)],
+    )
     if not cert_b.passed:
         raise PipelineFailure(
             f"buffer metric is not q-positive near the poles "
@@ -320,24 +455,29 @@ def zariski_fujita_pipeline(
     u_c_b, v_b = np.broadcast_arrays(u_c, raw.region_v)
     band = dilate(v_b, 1) & dilate(~v_b, 1)
     region_defs = (
-        ("outside U_C", ~u_c_b & ~band, 0),
-        ("V_C", v_b & ~band, q),
-        ("U_C minus V_C", u_c_b & ~v_b & ~band, q),
+        ("outside U_C", ~u_c_b & ~band, 0, margin),
+        ("V_C", v_b & ~band, q, margin),
+        ("U_C minus V_C", u_c_b & ~v_b & ~band, q, margin),
     )
 
+    shifted = phi_b.values - threshold
+    psi_shape = np.broadcast_shapes(shifted.shape, singular.values.shape)
+
+    def smoothed_rows(eps):
+        def block_of(lo, hi, halo):
+            u, halo_u = _periodic_rows(shifted, lo, hi, halo)
+            v, halo_v = _periodic_rows(singular.values, lo, hi, halo)
+            return _softmax(u, v, eps), max(halo_u, halo_v)
+
+        return _fd_hessian_rows(torus, 2, block_of)
+
     eps = float(eps_start)
-    last_certs = None
+    ladder = []
     while eps >= eps_min * (1.0 - 1e-12):
-        psi_eps = PotentialField(
-            torus, regularized_max(phi_b.values - threshold, singular.values, eps)
-        )
-        evolved = background + fd_complex_hessian(psi_eps, order=2)
-        ascending = smallmat.eigvalsh(evolved.values)
-        certs = tuple(
-            _masked_certificate(name, ascending[..., idx], mask, margin)
-            for name, mask, idx in region_defs
-        )
+        certs = _certify_regions(smoothed_rows(eps), psi_shape, background, region_defs)
+        ladder.append((eps, certs))
         if all(c.passed or c.n_points == 0 for c in certs):
+            psi_eps = PotentialField(torus, regularized_max(shifted, singular.values, eps))
             return GlueReport(
                 result=replace(raw, psi=psi_eps, smoothing_eps=eps),
                 declarations={
@@ -347,10 +487,11 @@ def zariski_fujita_pipeline(
                 },
                 certificates=certs,
                 q=q,
+                smoothing=tuple(ladder),
+                switching_band_points=int(np.count_nonzero(band)),
             )
-        last_certs = certs
         eps *= 0.5
-    failing = next(c for c in last_certs if not c.passed and c.n_points > 0)
+    failing = next(c for c in ladder[-1][1] if not c.passed and c.n_points > 0)
     raise PipelineFailure(
         f"smoothing sweep exhausted at eps >= {eps_min:.3e}; region '{failing.name}' "
         f"stuck at margin {failing.min_margin:.3e}",

@@ -14,7 +14,9 @@ backward-stable solver's; only relative accuracy near zero is lost.  Every
 eigenvalue with ``|lambda| <= 64 eps (|h| + r)`` is therefore recomputed by
 ``np.linalg.eigvalsh``, so each sign decision near zero is the reference
 kernel's (J. Kopp, arXiv:physics/0610206, analyses this hybrid for 3 x 3).
-Size 3 goes to ``np.linalg.eigvalsh`` directly.
+The closed form reads its matrices as planes (:func:`eigvalsh_planes`), so a
+caller that holds the entries as separate arrays builds no ``(..., 2, 2)``
+field.  Size 3 goes to ``np.linalg.eigvalsh`` directly.
 
 Positive definiteness is decided by Sylvester's criterion on the leading
 principal minors, with the same kind of guard: with ``s`` the sum of the
@@ -31,7 +33,15 @@ import numpy as np
 
 from .errors import ModelError
 
-__all__ = ["det", "hermitian_det", "adjugate", "adjugate_planes", "eigvalsh", "positive_definite"]
+__all__ = [
+    "det",
+    "hermitian_det",
+    "adjugate",
+    "adjugate_planes",
+    "eigvalsh",
+    "eigvalsh_planes",
+    "positive_definite",
+]
 
 # Closed-form eigenvalues within this many ulps of |h| + r of zero are recomputed;
 # Sylvester minors within it (times s^i) of zero defer to the eigenvalues.
@@ -170,11 +180,37 @@ def positive_definite(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     return positive
 
 
+def eigvalsh_planes(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``(low, high)`` of batched 2 x 2 Hermitian matrices given as planes.
+
+    The matrices are ``[[a, conj(b)], [b, d]]``: ``a`` and ``d`` are the real
+    diagonals and ``b`` the complex lower off-diagonal, broadcast together.
+    Closed form with the near-zero guard described above: where either
+    eigenvalue lies within ``64 eps (|h| + r)`` of zero, both come from
+    ``np.linalg.eigvalsh``, which reads only the real diagonal and the lower
+    triangle, so the result is bitwise that of :func:`eigvalsh` on the matrices.
+    """
+    h = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(b))
+    low, high = h - r, h + r
+    bound = _GUARD * (np.abs(h) + r)
+    idx = np.nonzero((np.abs(low) <= bound) | (np.abs(high) <= bound))
+    if idx[0].size:
+        m = np.empty((idx[0].size, 2, 2), dtype=np.complex128)
+        m[:, 0, 0] = np.broadcast_to(a, low.shape)[idx]
+        m[:, 1, 1] = np.broadcast_to(d, low.shape)[idx]
+        m[:, 1, 0] = np.broadcast_to(b, low.shape)[idx]
+        m[:, 0, 1] = np.conj(m[:, 1, 0])
+        lam = np.linalg.eigvalsh(m)
+        low[idx], high[idx] = lam[:, 0], lam[:, 1]
+    return low, high
+
+
 def eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of batched Hermitian matrices, ascending along the last axis.
 
-    Sizes 1 and 2 are closed form with the near-zero guard described above;
-    size 3 is ``np.linalg.eigvalsh``.
+    Size 1 is the diagonal, size 2 :func:`eigvalsh_planes` on the matrices'
+    planes, size 3 ``np.linalg.eigvalsh``.
     """
     m = np.asarray(m)
     k = m.shape[-1]
@@ -184,13 +220,4 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     if m.ndim == 2:
         return eigvalsh(m[None])[0]
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    h = 0.5 * (a + d)
-    r = np.hypot(0.5 * (a - d), np.abs(m[..., 1, 0]))
-    lam = np.stack((h - r, h + r), axis=-1)
-    near_zero = np.abs(lam) <= (_GUARD * (np.abs(h) + r))[..., None]
-    idx = np.nonzero(np.any(near_zero, axis=-1))
-    if idx[0].size:
-        lam[idx] = np.linalg.eigvalsh(m[idx])
-    return lam
+    return np.stack(eigvalsh_planes(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]), axis=-1)

@@ -474,6 +474,26 @@ class TestGlue:
         assert report is None
         assert err.startswith("numerics error:")
 
+    def test_trace_holds_the_ladder_outside_the_verdict(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GLUE_CONFIG)
+        _, report, _ = run_cli(["glue", "--config", cfg], capsys)
+        trace = report["trace"]
+        assert trace["switching_band_points"] == 24
+        assert [step["eps"] for step in trace["smoothing"]] == [1.0]
+        assert trace["smoothing"][0]["regions"] == [
+            {"name": r["name"], "min_margin": r["min_margin"], "passed": r["passed"]}
+            for r in report["verdict"]["regions"]
+        ]
+        assert "smoothing" not in report["verdict"]
+
+    @pytest.mark.parametrize("eps_min", [float("nan"), float("inf"), 0.0, -1.0, 2.0, True])
+    def test_bad_eps_min_exits_three(self, tmp_path, capsys, eps_min):
+        cfg = write_config(tmp_path, {**GLUE_CONFIG, "eps_min": eps_min})
+        code, report, err = run_cli(["glue", "--config", cfg], capsys)
+        assert code == 3
+        assert report is None
+        assert "eps_min" in err
+
     def test_q_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GLUE_CONFIG)
         code, _, err = run_cli(["glue", "--config", cfg, "--q", "1"], capsys)

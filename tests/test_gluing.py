@@ -32,6 +32,20 @@ def worked_example(weight=0.05, lower_bound=0.5):
     return t, sing
 
 
+def roll_dilate(mask, radius):
+    """Reference box dilation: 2 * radius periodic rolls per axis."""
+    out = np.asarray(mask, dtype=bool).copy()
+    for axis in range(out.ndim):
+        if out.shape[axis] == 1:
+            continue
+        acc = out.copy()
+        for r in range(1, radius + 1):
+            acc |= np.roll(out, r, axis)
+            acc |= np.roll(out, -r, axis)
+        out = acc
+    return out
+
+
 class TestDilate:
     def test_counts(self):
         mask = np.zeros((16, 16), dtype=bool)
@@ -63,6 +77,19 @@ class TestDilate:
             dilate(np.zeros((4, 4), dtype=bool), -1)
         with pytest.raises(ModelError):
             dilate(np.zeros((4, 4), dtype=bool), 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(st.sampled_from([1, 2, 3, 5, 8]), min_size=1, max_size=4),
+        radius=st.integers(0, 9),
+        density=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_roll_sweep(self, shape, radius, density, seed):
+        mask = np.random.default_rng(seed).random(shape) < density
+        out = dilate(mask, radius)
+        assert out.dtype == bool and out.shape == mask.shape
+        assert np.array_equal(out, roll_dilate(mask, radius))
 
 
 class TestRegularizedMax:
@@ -257,6 +284,43 @@ class TestPipeline:
             zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.95, eps_min=2.0**-4)
         assert exc.value.region == "outside U_C"
         assert exc.value.worst_point is not None
+
+    def test_trace_records_the_ladder_and_the_band(self):
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        # U_C minus V_C reaches margin 0.75 only once eps is down to 1
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=4.0, margin=0.75)
+        assert [eps for eps, _ in report.smoothing] == [4.0, 2.0, 1.0]
+        assert report.result.smoothing_eps == 1.0
+        assert report.smoothing[-1][1] == report.certificates
+        for _, certs in report.smoothing[:-1]:
+            assert [c.passed for c in certs] == [True, True, False]
+        # the band is the ring around the single V_C cell, a 5 x 5 box less its centre
+        assert report.switching_band_points == 24
+
+    @pytest.mark.parametrize(
+        "eps_start, eps_min",
+        [
+            (2.0**-21, 2.0**-20),  # start below the floor: no scale to try
+            (float("nan"), 2.0**-20),
+            (1.0, float("nan")),
+            (float("inf"), 2.0**-20),
+            (1.0, float("inf")),
+            (1.0, 0.0),
+            (-1.0, -2.0),
+        ],
+    )
+    def test_bad_smoothing_scales_rejected(self, eps_start, eps_min):
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        with pytest.raises(ModelError, match="eps_min <= eps_start"):
+            zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=eps_start, eps_min=eps_min)
+
+    def test_single_scale_ladder(self):
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=0.5, eps_min=0.5)
+        assert [eps for eps, _ in report.smoothing] == [0.5]
 
     def test_q_validated(self):
         t, sing = worked_example()

@@ -86,6 +86,59 @@ class TestEigvalsh:
         smallmat.eigvalsh(np.stack([herm2(2.0, -1.0, 0.3, 0.1)] * 4))
 
 
+def stacked_closed_form(m):
+    """The 2 x 2 closed form on a (..., 2, 2) field: both eigenvalues stacked,
+    the guard tested on the stack, the fallback fed the original matrices."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    h = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(m[..., 1, 0]))
+    lam = np.stack((h - r, h + r), axis=-1)
+    near_zero = np.abs(lam) <= (64 * EPS * (np.abs(h) + r))[..., None]
+    idx = np.nonzero(np.any(near_zero, axis=-1))
+    if idx[0].size:
+        lam[idx] = np.linalg.eigvalsh(m[idx])
+    return lam
+
+
+class TestEigvalshPlanes:
+    def field(self, seed, shape=(64, 33)):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+        m = z + z.conj().swapaxes(-1, -2)
+        m[::7, ::5] = herm2(1.0, 1.0, 1.0, 0.0)  # singular: the guard fires here
+        m[3, 4] = herm2(1e-300, -1e-300, 0.0, 1e-300)
+        return m
+
+    def test_bitwise_the_stacked_closed_form(self):
+        m = self.field(11)
+        low, high = smallmat.eigvalsh_planes(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0])
+        ref = stacked_closed_form(m)
+        assert low.tobytes() == np.ascontiguousarray(ref[..., 0]).tobytes()
+        assert high.tobytes() == np.ascontiguousarray(ref[..., 1]).tobytes()
+        assert smallmat.eigvalsh(m).tobytes() == ref.tobytes()
+
+    def test_fallback_ignores_the_upper_triangle_and_imaginary_diagonal(self):
+        # LAPACK reads the real diagonal and the lower triangle, so planes built
+        # from those alone reproduce the fallback on the stored matrices
+        m = self.field(12)
+        noisy = m.copy()
+        noisy[..., 0, 1] += 0.5
+        noisy[..., 1, 1] += 0.25j
+        assert smallmat.eigvalsh(noisy).tobytes() == stacked_closed_form(noisy).tobytes()
+
+    def test_broadcast_planes(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(8, 1))
+        d = np.float64(0.0)
+        b = rng.normal(size=(1, 6)) + 1j * rng.normal(size=(1, 6))
+        a[0, 0] = b[0, 0] = 0.0  # row 0, column 0 is the zero matrix: the guard reads broadcast planes
+        low, high = smallmat.eigvalsh_planes(a, d, b)
+        m = np.zeros((8, 6, 2, 2), dtype=np.complex128)
+        m[..., 0, 0], m[..., 1, 0] = a, b
+        m[..., 0, 1] = np.conj(m[..., 1, 0])
+        assert np.array_equal(np.stack((low, high), axis=-1), stacked_closed_form(m))
+
+
 class TestDeterminantAndAdjugate:
     def test_adjugate_identity(self):
         rng = np.random.default_rng(1)
