@@ -13,18 +13,23 @@ on) in ``trace``, and an sha256 digest over the resolved
 inputs (including the content of referenced field files) ties the verdict to
 what produced it.
 
-Override precedence, highest first: command-line flag, ``QPOSLAB_*``
-environment variable, config file entry, built-in default.
-
-Config conventions: complex matrices are lists of rows whose entries are
-numbers or ``[re, im]`` pairs; exact rationals are integers or ``"p/q"``
-strings (floats are rejected where exactness matters); grid fields are
-referenced by file path (binary ``.qpf`` or ``.csv``).
+Each subcommand has one key table: it gives every config key the command
+accepts a kind and a default (none when the key is required), and holds the
+common settings ``grid``, ``q``, ``k_max``, ``tol`` and ``out`` only where
+the command reads them; those settings alone are its flags.  Precedence for
+a setting, highest first: flag, ``QPOSLAB_*`` environment variable, config
+entry, default.  One reader per kind applies its rule: numbers are finite,
+never booleans, and in their key's range; integers have a minimum; complex
+matrices are square lists of rows of numbers or ``[re, im]`` pairs; exact
+rationals are integers or ``"p/q"`` strings (floats are rejected where
+exactness matters); grid fields (``.qpf`` or ``.csv``) and map text are
+paths of existing files.  Nested objects have tables of their own, optional
+keys set to ``null`` take their default, and handlers get typed values.
 
 Exit codes: 0 when the run certifies (or the computed predicate is true),
 1 when a well-posed run does not certify, 2 when numerics fail, and 3 for
-invalid models, configuration or command lines.  Configuration checking
-reports every problem at once, with nearest-key suggestions for typos.
+invalid models, configuration or command lines.  The key tables report
+every problem they find at once, with nearest-key suggestions for typos.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -72,19 +79,6 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_NUMERICS = 2
 EXIT_MODEL = 3
 
-_COMMON_KEYS = ("grid", "q", "k_max", "tol", "out")
-_DEFAULTS = {"grid": 64, "q": None, "k_max": 64, "tol": 1e-9, "out": None}
-
-_COMMAND_KEYS = {
-    "intersect": {"classes"},
-    "ma-solve": {"background", "density_constant", "density_file", "max_iter"},
-    "certify": {"line_class", "kahler", "psi0", "max_iter", "margin"},
-    "pseff": {"line_class", "kahler", "max_iter", "margin"},
-    "ag-surface": {"lattice", "divisor", "analytic"},
-    "degeneracy": {"map", "box", "per_axis", "rtol", "fibre_targets"},
-    "glue": {"background", "buffer_file", "singular", "pole_band", "eps_min", "margin"},
-}
-
 _LATTICE_MODELS = {
     "p1xp1": p1xp1_lattice,
     "hirzebruch_f1": hirzebruch_f1_lattice,
@@ -92,181 +86,259 @@ _LATTICE_MODELS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="qposlab",
-        description="numerical certification of q-positivity on flat torus models",
-    )
-    parser.add_argument("--version", action="version", version=f"qposlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "intersect": "intersection number of constant (1,1)-classes",
-        "ma-solve": "solve a Monge-Ampere equation on the torus grid",
-        "certify": "one-positive-pairing certificate for a constant class",
-        "pseff": "certificate for a pseudoeffective (PSD, non-zero) class",
-        "ag-surface": "exact cone duality on a surface lattice, optional analytic run",
-        "degeneracy": "rank-drop scan and fibre dimensions of a polynomial map",
-        "glue": "glue a singular potential to a buffer and certify regions",
-    }
-    for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", type=str, help="JSON config file")
-        sp.add_argument("--grid", type=int, help="grid points per real coordinate")
-        sp.add_argument("--q", type=int, help="positivity defect level")
-        sp.add_argument("--k-max", dest="k_max", type=int, help="largest shift scanned")
-        sp.add_argument("--tol", type=float, help="solver tolerance")
-        sp.add_argument("--out", type=str, help="directory for report and artifacts")
-    return parser
+class _Kind:
+    """How one config value is read.  ``convert`` returns the typed value, or
+    None when ``raw`` breaks the rule that ``what`` states; kinds made of
+    parts override ``read`` to name the part at fault."""
+
+    what = ""
+    from_text: Callable | None = None  # parses a flag or QPOSLAB_* value, for kinds a setting has
+
+    def problem(self, where: str, raw) -> str:
+        return f"{where} must be {self.what}, got {raw!r}"
+
+    def read(self, raw, where: str, problems: list, shown=None):
+        """The typed value, or None after a problem that quotes ``shown`` (else ``raw``)."""
+        value = self.convert(raw)
+        if value is None:
+            problems.append(self.problem(where, raw if shown is None else shown))
+        return value
 
 
-def _load_config(path: str | None, command: str, problems: list) -> dict:
+def _real(raw) -> float | None:
+    """``raw`` as a float when it is a finite JSON number and not a bool."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    # false for nan, the infinities and integers beyond float range
+    return float(raw) if -sys.float_info.max <= raw <= sys.float_info.max else None
+
+
+class _Number(_Kind):
+    """A finite number at least ``lo`` (above it when ``lo_open``) and at most ``hi``, read as a float."""
+
+    from_text = float
+
+    def __init__(self, lo: float = -math.inf, hi: float = math.inf, lo_open: bool = False):
+        self.lo, self.hi, self.lo_open = lo, hi, lo_open
+        if hi < math.inf:
+            self.what = f"a finite number in {'(' if lo_open else '['}{lo:g}, {hi:g}]"
+        elif lo == 0:
+            self.what = "a finite positive number" if lo_open else "a finite nonnegative number"
+        else:
+            self.what = "a finite number"
+
+    def convert(self, raw):
+        x = _real(raw)
+        inside = x is not None and (self.lo < x if self.lo_open else self.lo <= x) and x <= self.hi
+        return x if inside else None
+
+
+class _Integer(_Kind):
+    """A JSON integer, not a bool, at least ``lo``."""
+
+    from_text = int
+
+    def __init__(self, lo: int):
+        self.lo = lo
+        self.what = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+
+    def convert(self, raw):
+        ok = isinstance(raw, int) and not isinstance(raw, bool) and raw >= self.lo
+        return raw if ok else None
+
+
+class _Text(_Kind):
+    what = "a string"
+    from_text = str
+
+    def convert(self, raw):
+        return raw if isinstance(raw, str) else None
+
+
+class _File(_Kind):
+    what = "the path of an existing file"
+
+    def convert(self, raw):
+        return raw if isinstance(raw, str) and Path(raw).is_file() else None
+
+
+class _Complex(_Kind):
+    what = "a finite number or an [re, im] pair of finite numbers"
+
+    def convert(self, raw):
+        re, im = (_real(x) for x in (raw if isinstance(raw, list) and len(raw) == 2 else (raw, 0)))
+        return None if re is None or im is None else complex(re, im)
+
+
+class _Rational(_Kind):
+    what = "an exact rational (exact rationals are integers or 'p/q' strings)"
+
+    def convert(self, raw):
+        try:
+            return Fraction(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else None
+        except (ValueError, ZeroDivisionError):
+            return None
+
+
+class _List(_Kind):
+    """A JSON list, non-empty unless ``empty``, of ``length`` entries when given,
+    whose entries ``item`` reads (or are passed on as they are, when None)."""
+
+    def __init__(self, item: _Kind | None, length: int | None = None, empty: bool = False):
+        self.item, self.length, self.empty = item, length, empty
+        self.what = f"a list of {length} entries" if length else "a list" if empty else "a non-empty list"
+
+    def read(self, raw, where, problems):
+        if not isinstance(raw, list) or not (raw or self.empty) or len(raw) != (self.length or len(raw)):
+            problems.append(self.problem(where, raw))
+            return None
+        if self.item is None:
+            return raw
+        values = [self.item.read(x, f"{where}[{i}]", problems) for i, x in enumerate(raw)]
+        return None if any(v is None for v in values) else values
+
+
+class _Matrix(_List):
+    """A square complex matrix as a list of rows, read as a complex array."""
+
+    def __init__(self):
+        super().__init__(_List(_Complex()))
+
+    def read(self, raw, where, problems):
+        rows = super().read(raw, where, problems)
+        if rows is not None and any(len(row) != len(rows) for row in rows):
+            problems.append(f"{where}: matrix must be square, got row lengths {[len(row) for row in rows]}")
+            return None
+        return None if rows is None else np.array(rows)
+
+
+class _Object(_Kind):
+    """A JSON object read by a key table of its own.  With a ``tag``, the
+    tag's value names the table among ``variants``, and ``table`` (if any)
+    reads the objects that leave the tag out."""
+
+    what = "an object"
+
+    def __init__(self, table: dict | None = None, tag: str | None = None, **variants: dict):
+        tag_key = {tag: _Key(_Text(), None)} if tag else {}
+        self.tag = tag
+        self.tables = {name: {**tag_key, **t} for name, t in variants.items()}
+        if table is not None:
+            self.tables[None] = {**tag_key, **table}
+
+    def read(self, raw, where, problems):
+        if not isinstance(raw, dict):
+            problems.append(self.problem(where, raw))
+            return None
+        choice = raw.get(self.tag) if self.tag else None
+        table = self.tables.get(choice) if choice is None or isinstance(choice, str) else None
+        if table is not None:
+            return _read_table(table, raw, problems, f"{where}.")
+        if choice is None:
+            problems.append(f"missing required config key '{where}.{self.tag}'")
+        else:
+            problems.append(f"{where}: {_unknown(self.tag, choice, [name for name in self.tables if name])}")
+        return None
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One row of a key table: the key's kind and default (``_REQUIRED`` when
+    the key must be given).  ``flag`` is the help text of a common setting,
+    which a flag and a ``QPOSLAB_*`` variable may also set; of the keys that
+    share a ``one_of`` group, exactly one must be given."""
+
+    kind: _Kind
+    default: object = _REQUIRED
+    flag: str | None = None
+    one_of: str | None = None
+
+
+_SETTINGS = {
+    "grid": _Key(_Integer(8), 64, flag="grid points per real coordinate"),
+    "q": _Key(_Integer(0), None, flag="positivity defect level"),
+    "k_max": _Key(_Integer(1), 64, flag="largest shift scanned"),
+    "tol": _Key(_Number(0, lo_open=True), 1e-9, flag="solver tolerance"),
+    "out": _Key(_Text(), None, flag="directory for report and artifacts"),
+}
+
+
+def _settings(*names: str) -> dict:
+    return {name: _SETTINGS[name] for name in names}
+
+
+def _unknown(what: str, word, options) -> str:
+    close = difflib.get_close_matches(str(word), sorted(options), n=1)
+    return f"unknown {what} {word!r}" + (f" (did you mean '{close[0]}'?)" if close else "")
+
+
+def _read_table(table: dict, data: dict, problems: list, prefix: str = "") -> dict:
+    """Typed value of every key in ``table``, read from the JSON object ``data``
+    (a nested one when ``prefix`` is its dotted path); absent and null
+    optional keys take their default."""
+    for key in data:
+        if key not in table:
+            problems.append(_unknown("config key", prefix + key, [prefix + k for k in table]))
+    values = {}
+    for key, spec in table.items():
+        raw = data.get(key)
+        if raw is not None:
+            where = f"config: {key}" if spec.flag else prefix + key
+            values[key] = spec.kind.read(raw, where, problems)
+        elif spec.default is _REQUIRED:
+            problems.append(f"missing required config key '{prefix}{key}'")
+        else:
+            values[key] = spec.default
+    for group in {spec.one_of for spec in table.values()} - {None}:
+        keys = [key for key, spec in table.items() if spec.one_of == group]
+        if sum(data.get(key) is not None for key in keys) != 1:
+            names = [f"'{key}'" for key in keys]
+            where = f"{prefix[:-1]}: " if prefix else ""
+            problems.append(f"{where}provide exactly one of {', '.join(names[:-1])} or {names[-1]}")
+    return values
+
+
+def _override_settings(table: dict, args, values: dict, problems: list) -> None:
+    """Set each setting of ``table`` from its ``QPOSLAB_*`` variable, then its flag."""
+    for key, spec in table.items():
+        if spec.flag is None:
+            continue
+        env = _ENV_PREFIX + key.upper()
+        if env in os.environ:
+            text = os.environ[env]
+            try:
+                raw = spec.kind.from_text(text)
+            except ValueError:
+                problems.append(f"environment {env}: cannot read {key}={text!r}")
+            else:
+                values[key] = spec.kind.read(raw, f"environment {env}: {key}", problems, shown=text)
+        if getattr(args, key) is not None:
+            values[key] = spec.kind.read(getattr(args, key), f"--{key.replace('_', '-')}: {key}", problems)
+
+
+def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        problems.append(f"config file not found: {path}")
-        return {}
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        problems.append(f"config file is not valid JSON: {exc}")
-        return {}
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"]) from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError([f"cannot read config file {path}: {exc}"]) from None
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
     if not isinstance(data, dict):
-        problems.append("config root must be a JSON object")
-        return {}
-    allowed = set(_COMMON_KEYS) | _COMMAND_KEYS[command]
-    for key in data:
-        if key not in allowed:
-            close = difflib.get_close_matches(key, sorted(allowed), n=1)
-            hint = f" (did you mean '{close[0]}'?)" if close else ""
-            problems.append(f"unknown config key '{key}'{hint}")
+        raise ConfigError(["config root must be a JSON object"])
     return data
 
 
-def _coerce_setting(key: str, raw, source: str, problems: list):
-    try:
-        if key in ("grid", "k_max", "q"):
-            if isinstance(raw, bool) or (isinstance(raw, float) and not float(raw).is_integer()):
-                raise ValueError
-            return int(raw)
-        if key == "tol":
-            if isinstance(raw, bool):
-                raise ValueError
-            tol = float(raw)
-            if not 0 < tol < math.inf:
-                problems.append(f"{source}: tol must be a finite positive number, got {raw!r}")
-                return _DEFAULTS[key]
-            return tol
-        if key == "out":
-            return str(raw)
-    except (TypeError, ValueError):
-        pass
-    problems.append(f"{source}: cannot read {key}={raw!r}")
-    return _DEFAULTS[key]
-
-
-def _resolve_settings(args, config: dict, problems: list) -> dict:
-    settings = dict(_DEFAULTS)
-    for key in _COMMON_KEYS:
-        if key in config:
-            settings[key] = _coerce_setting(key, config[key], "config", problems)
-    for key in _COMMON_KEYS:
-        env_name = _ENV_PREFIX + key.upper()
-        if env_name in os.environ:
-            settings[key] = _coerce_setting(key, os.environ[env_name], f"environment {env_name}", problems)
-    for key in _COMMON_KEYS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            settings[key] = _coerce_setting(key, cli_value, f"--{key.replace('_', '-')}", problems)
-    return settings
-
-
-def _require(config: dict, key: str, problems: list):
-    if key not in config:
-        problems.append(f"missing required config key '{key}'")
-        return None
-    return config[key]
-
-
-def _parse_complex_entry(entry, where: str, problems: list) -> complex:
-    if isinstance(entry, bool):
-        problems.append(f"{where}: matrix entries are numbers or [re, im] pairs, got {entry!r}")
-        return 0j
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        return complex(entry[0], entry[1])
-    problems.append(f"{where}: matrix entries are numbers or [re, im] pairs, got {entry!r}")
-    return 0j
-
-
-def _parse_matrix(obj, where: str, problems: list) -> np.ndarray | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        problems.append(f"{where}: expected a matrix as a list of rows")
-        return None
-    k = len(obj)
-    if any(len(r) != k for r in obj):
-        problems.append(f"{where}: matrix must be square, got row lengths {[len(r) for r in obj]}")
-        return None
-    return np.array([[_parse_complex_entry(e, where, problems) for e in row] for row in obj])
-
-
-def _parse_rational(obj, where: str, problems: list) -> Fraction:
-    if isinstance(obj, bool):
-        problems.append(f"{where}: exact rationals are integers or 'p/q' strings, got {obj!r}")
-        return Fraction(0)
-    try:
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            return Fraction(obj)
-    except (ValueError, ZeroDivisionError):
-        pass
-    problems.append(f"{where}: exact rationals are integers or 'p/q' strings, got {obj!r}")
-    return Fraction(0)
-
-
-def _parse_rational_vector(obj, where: str, problems: list) -> tuple:
-    if not isinstance(obj, list) or not obj:
-        problems.append(f"{where}: expected a non-empty list of rationals")
-        return (Fraction(0),)
-    return tuple(_parse_rational(x, f"{where}[{i}]", problems) for i, x in enumerate(obj))
-
-
-def _max_iter(config: dict, problems: list):
-    max_iter = config.get("max_iter", 50)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        problems.append(f"max_iter must be a positive integer, got {max_iter!r}")
-    return max_iter
-
-
-def _margin(config: dict, default: float, problems: list):
-    margin = config.get("margin", default)
-    if not isinstance(margin, (int, float)) or isinstance(margin, bool) or not 0 <= margin < math.inf:
-        problems.append(f"margin must be a finite nonnegative number, got {margin!r}")
-    return margin
-
-
-def _field_file(path, torus: TorusModel, where: str, problems: list, files: list) -> np.ndarray | None:
+def _field(path: str, torus: TorusModel, files: list) -> np.ndarray:
     """Values of the field stored at ``path``, which joins the digest's files."""
-    if not isinstance(path, str) or not Path(path).exists():
-        problems.append(f"{where}: field file not found: {path!r}")
-        return None
     files.append(path)
     return read_field(path, torus)[1]
-
-
-def _ensure_valid(problems: list):
-    if problems:
-        raise ConfigError(problems)
 
 
 def _jsonable(obj):
@@ -291,46 +363,20 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _inputs_digest(command: str, config: dict, settings: dict, file_paths) -> str:
+def _inputs_digest(command: str, config: dict, values: dict, file_paths) -> str:
+    # The payload holds all four settings; one the command does not read
+    # enters at its default.
+    settings = {k: values.get(k, _SETTINGS[k].default) for k in ("grid", "q", "k_max", "tol")}
     payload = {
         "command": command,
         "config": _jsonable(config),
-        "settings": {k: _jsonable(settings[k]) for k in ("grid", "q", "k_max", "tol")},
+        "settings": _jsonable(settings),
         "file_digests": {},
     }
     for fp in sorted(str(p) for p in file_paths):
         payload["file_digests"][fp] = hashlib.sha256(Path(fp).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _active_q(settings: dict, fallback: int) -> int:
-    return fallback if settings["q"] is None else settings["q"]
-
-
-def _psi0_from_config(spec, torus: TorusModel, where: str, problems: list, files: list):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "type" not in spec:
-        problems.append(f"{where}: expected an object with a 'type' field")
-        return None
-    kind = spec["type"]
-    if kind == "cosine":
-        amplitude = spec.get("amplitude", 0.1)
-        axis = spec.get("axis", 0)
-        if not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool):
-            problems.append(f"{where}: amplitude must be a number")
-            return None
-        if not isinstance(axis, int) or isinstance(axis, bool) or not 0 <= axis < torus.ndim_real:
-            problems.append(f"{where}: axis must be an integer in 0..{torus.ndim_real - 1}")
-            return None
-        coord = torus.real_coordinates()[axis]
-        return PotentialField(torus, float(amplitude) * np.cos(2.0 * np.pi * coord))
-    if kind == "file":
-        values = _field_file(spec.get("path"), torus, where, problems, files)
-        return None if values is None else PotentialField(torus, values)
-    problems.append(f"{where}: unknown potential type {kind!r} (use 'cosine' or 'file')")
-    return None
 
 
 def _certificate_verdict(run) -> dict:
@@ -369,50 +415,48 @@ def _spectral_trace(trace: dict) -> dict:
     return {**trace, "fft_workers": fft_workers()}
 
 
-def _cmd_intersect(config, settings, problems):
-    classes = _require(config, "classes", problems)
-    mats = []
-    if isinstance(classes, list) and classes:
-        mats = [_parse_matrix(c, f"classes[{i}]", problems) for i, c in enumerate(classes)]
-    elif classes is not None:
-        problems.append("classes: expected a non-empty list of matrices")
-    _ensure_valid(problems)
-    value = intersection_number(mats)
+
+_MATRIX = _Matrix()
+_FINITE = _Number()
+_POSITIVE = _Number(0, lo_open=True)
+_NONNEGATIVE = _Number(0)
+_RATIONALS = _List(_Rational())
+_MAX_ITER = _Key(_Integer(1), 50)
+
+_INTERSECT = {"classes": _Key(_List(_MATRIX)), **_settings("out")}
+
+
+def _cmd_intersect(v):
+    mats = v["classes"]
     verdict = {
-        "intersection_number": value,
+        "intersection_number": intersection_number(mats),
         "n": int(mats[0].shape[0]),
         "classes": len(mats),
     }
     return EXIT_CERTIFIED, verdict, [], [], {}
 
 
-def _cmd_ma_solve(config, settings, problems):
+_MA_SOLVE = {
+    "background": _Key(_MATRIX),
+    "density_constant": _Key(_POSITIVE, None, one_of="density"),
+    "density_file": _Key(_File(), None, one_of="density"),
+    "max_iter": _MAX_ITER,
+    **_settings("grid", "tol", "out"),
+}
+
+
+def _cmd_ma_solve(v):
     files = []
-    background = _parse_matrix(_require(config, "background", problems), "background", problems)
-    has_const = "density_constant" in config
-    has_file = "density_file" in config
-    if has_const == has_file:
-        problems.append("provide exactly one of 'density_constant' or 'density_file'")
-    max_iter = _max_iter(config, problems)
-    density = None
-    torus = None
-    if background is not None:
-        torus = TorusModel(n=int(background.shape[0]), grid_size=settings["grid"])
-        if has_const and not has_file:
-            dc = config["density_constant"]
-            if not isinstance(dc, (int, float)) or isinstance(dc, bool) or not 0 < dc < math.inf:
-                problems.append(f"density_constant must be a finite positive number, got {dc!r}")
-            else:
-                density = float(dc)
-        elif has_file and not has_const:
-            density = _field_file(config["density_file"], torus, "density_file", problems, files)
-    _ensure_valid(problems)
+    torus = TorusModel(n=int(v["background"].shape[0]), grid_size=v["grid"])
+    density = v["density_constant"]
+    if density is None:
+        density = _field(v["density_file"], torus, files)
     problem = MAProblem(
         torus=torus,
-        background=ConstantHermitianClass(background),
+        background=ConstantHermitianClass(v["background"]),
         target_density=np.asarray(density),
-        tol=settings["tol"],
-        max_iter=max_iter,
+        tol=v["tol"],
+        max_iter=v["max_iter"],
     )
     wform = problem.background_form()
     problem = compatibility_check(problem, wform)
@@ -434,38 +478,52 @@ def _cmd_ma_solve(config, settings, problems):
     return EXIT_CERTIFIED, verdict, artifacts, files, _spectral_trace(_newton_trace(result))
 
 
-def _certificate_inputs(config, settings, problems):
-    """What ``certify`` and ``pseff`` share: the line and Kahler classes, the
-    torus their common size fixes (None when they differ), ``max_iter`` and
-    ``margin``."""
-    line = _parse_matrix(_require(config, "line_class", problems), "line_class", problems)
-    kahler = _parse_matrix(_require(config, "kahler", problems), "kahler", problems)
-    torus = None
-    if line is not None and kahler is not None:
-        if line.shape != kahler.shape:
-            problems.append(f"line_class is {line.shape} but kahler is {kahler.shape}")
-        else:
-            torus = TorusModel(n=int(line.shape[0]), grid_size=settings["grid"])
-    return line, kahler, torus, _max_iter(config, problems), _margin(config, 1e-8, problems)
+_CERTIFICATE = {
+    "line_class": _Key(_MATRIX),
+    "kahler": _Key(_MATRIX),
+    "max_iter": _MAX_ITER,
+    "margin": _Key(_NONNEGATIVE, 1e-8),
+}
+_PSI0 = _Object(
+    tag="type",
+    cosine={"amplitude": _Key(_FINITE, 0.1), "axis": _Key(_Integer(0), 0)},
+    file={"path": _Key(_File())},
+)
+_CERTIFY = {**_CERTIFICATE, "psi0": _Key(_PSI0, None), **_settings("grid", "q", "k_max", "tol", "out")}
+_PSEFF = {**_CERTIFICATE, **_settings("grid", "k_max", "tol", "out")}
 
 
-def _cmd_certify(config, settings, problems):
+def _certificate_torus(v) -> TorusModel:
+    """The torus of the line and Kahler classes, which must be of one size."""
+    line, kahler = v["line_class"], v["kahler"]
+    if line.shape != kahler.shape:
+        raise ConfigError([f"line_class is {line.shape} but kahler is {kahler.shape}"])
+    return TorusModel(n=int(line.shape[0]), grid_size=v["grid"])
+
+
+def _psi0(spec: dict, torus: TorusModel, files: list) -> PotentialField:
+    if spec["type"] == "file":
+        return PotentialField(torus, _field(spec["path"], torus, files))
+    if spec["axis"] >= torus.ndim_real:
+        raise ConfigError([f"psi0.axis must be below {torus.ndim_real}, got {spec['axis']}"])
+    coord = torus.real_coordinates()[spec["axis"]]
+    return PotentialField(torus, spec["amplitude"] * np.cos(2.0 * np.pi * coord))
+
+
+def _cmd_certify(v):
     files = []
-    line, kahler, torus, max_iter, margin = _certificate_inputs(config, settings, problems)
-    psi0 = None
-    if torus is not None:
-        psi0 = _psi0_from_config(config.get("psi0"), torus, "psi0", problems, files)
-    _ensure_valid(problems)
+    torus = _certificate_torus(v)
+    psi0 = None if v["psi0"] is None else _psi0(v["psi0"], torus, files)
     run = one_positive_pipeline(
-        ConstantHermitianClass(line),
-        KahlerClass(kahler),
+        ConstantHermitianClass(v["line_class"]),
+        KahlerClass(v["kahler"]),
         psi0=psi0,
         torus=torus,
-        k_max=settings["k_max"],
-        tol=settings["tol"],
-        max_iter=max_iter,
-        margin=margin,
-        q=settings["q"],
+        k_max=v["k_max"],
+        tol=v["tol"],
+        max_iter=v["max_iter"],
+        margin=v["margin"],
+        q=v["q"],
     )
     verdict = _certificate_verdict(run)
     artifacts = []
@@ -477,109 +535,64 @@ def _cmd_certify(config, settings, problems):
     return code, verdict, artifacts, files, _spectral_trace(_newton_trace(run.ma_result))
 
 
-def _cmd_pseff(config, settings, problems):
-    line, kahler, torus, max_iter, margin = _certificate_inputs(config, settings, problems)
-    _ensure_valid(problems)
+def _cmd_pseff(v):
     run = pseff_pipeline(
-        line,
-        kahler,
-        torus=torus,
-        k_max=settings["k_max"],
-        tol=settings["tol"],
-        max_iter=max_iter,
-        margin=margin,
+        v["line_class"],
+        v["kahler"],
+        torus=_certificate_torus(v),
+        k_max=v["k_max"],
+        tol=v["tol"],
+        max_iter=v["max_iter"],
+        margin=v["margin"],
     )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
     return code, _certificate_verdict(run), [], [], _spectral_trace(_newton_trace(run.ma_result))
 
 
-def _lattice_from_config(spec, problems) -> SurfaceLattice | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        problems.append("lattice: expected an object")
-        return None
-    if "model" in spec:
-        name = spec["model"]
-        if name not in _LATTICE_MODELS:
-            close = difflib.get_close_matches(str(name), sorted(_LATTICE_MODELS), n=1)
-            hint = f" (did you mean '{close[0]}'?)" if close else ""
-            problems.append(f"lattice: unknown model {name!r}{hint}")
-            return None
-        extra = set(spec) - {"model"}
-        if extra:
-            problems.append(f"lattice: model shorthand takes no other keys, got {sorted(extra)}")
-            return None
-        return _LATTICE_MODELS[name]()
-    required = {"rank", "pairing", "nef_generators", "effective_generators"}
-    missing = required - set(spec)
-    if missing:
-        problems.append(f"lattice: missing keys {sorted(missing)}")
-        return None
-    rank = spec["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        problems.append(f"lattice: rank must be an integer, got {rank!r}")
-        return None
-    pairing_rows = spec["pairing"]
-    if not isinstance(pairing_rows, list) or len(pairing_rows) != rank:
-        problems.append("lattice: pairing must be a rank x rank matrix of rationals")
-        return None
-    pairing = tuple(
-        _parse_rational_vector(row, f"lattice.pairing[{i}]", problems) for i, row in enumerate(pairing_rows)
-    )
-    gens = {}
-    for key in ("nef_generators", "effective_generators"):
-        rows = spec[key]
-        if not isinstance(rows, list) or not rows:
-            problems.append(f"lattice: {key} must be a non-empty list of vectors")
-            return None
-        gens[key] = tuple(
-            DivisorClass(_parse_rational_vector(row, f"lattice.{key}[{i}]", problems))
-            for i, row in enumerate(rows)
-        )
-    if problems:
-        return None
+_LATTICE = _Object(
+    {
+        "rank": _Key(_Integer(1)),
+        "pairing": _Key(_List(_RATIONALS)),
+        "nef_generators": _Key(_List(_RATIONALS)),
+        "effective_generators": _Key(_List(_RATIONALS)),
+        "name": _Key(_Text(), "custom"),
+    },
+    tag="model",
+    **{name: {} for name in _LATTICE_MODELS},
+)
+_ANALYTIC = _Object({"line_class": _Key(_MATRIX), "kahler": _Key(_MATRIX), "omega_class": _Key(_RATIONALS)})
+_AG_SURFACE = {
+    "lattice": _Key(_LATTICE),
+    "divisor": _Key(_RATIONALS),
+    "analytic": _Key(_ANALYTIC, None),
+    **_settings("grid", "k_max", "out"),
+}
+
+
+def _lattice(spec: dict) -> SurfaceLattice:
+    if spec["model"] is not None:
+        return _LATTICE_MODELS[spec["model"]]()
     return SurfaceLattice(
-        rank=rank,
-        pairing=pairing,
-        nef_generators=gens["nef_generators"],
-        effective_generators=gens["effective_generators"],
-        name=str(spec.get("name", "custom")),
+        rank=spec["rank"],
+        pairing=spec["pairing"],
+        nef_generators=tuple(DivisorClass(g) for g in spec["nef_generators"]),
+        effective_generators=tuple(DivisorClass(g) for g in spec["effective_generators"]),
+        name=spec["name"],
     )
 
 
-def _cmd_ag_surface(config, settings, problems):
-    lattice = _lattice_from_config(_require(config, "lattice", problems), problems)
-    divisor_spec = _require(config, "divisor", problems)
-    divisor = None
-    if divisor_spec is not None:
-        divisor = DivisorClass(_parse_rational_vector(divisor_spec, "divisor", problems))
+def _cmd_ag_surface(v):
     analytic = None
-    spec = config.get("analytic")
-    if spec is not None:
-        if not isinstance(spec, dict):
-            problems.append("analytic: expected an object")
-        else:
-            line = _parse_matrix(spec.get("line_class"), "analytic.line_class", problems)
-            kahler = _parse_matrix(spec.get("kahler"), "analytic.kahler", problems)
-            omega = spec.get("omega_class")
-            omega_class = (
-                DivisorClass(_parse_rational_vector(omega, "analytic.omega_class", problems))
-                if omega is not None
-                else None
-            )
-            if omega_class is None:
-                problems.append("analytic: missing 'omega_class'")
-            if line is not None and kahler is not None and omega_class is not None and not problems:
-                analytic = AnalyticSurfaceModel(
-                    line_class=ConstantHermitianClass(line),
-                    kahler=KahlerClass(kahler),
-                    omega_lattice_class=omega_class,
-                    torus=TorusModel(n=int(line.shape[0]), grid_size=settings["grid"]),
-                    k_max=settings["k_max"],
-                )
-    _ensure_valid(problems)
-    report = converse_ag_surface(divisor, lattice, analytic_model=analytic)
+    if v["analytic"] is not None:
+        spec = v["analytic"]
+        analytic = AnalyticSurfaceModel(
+            line_class=ConstantHermitianClass(spec["line_class"]),
+            kahler=KahlerClass(spec["kahler"]),
+            omega_lattice_class=DivisorClass(spec["omega_class"]),
+            torus=TorusModel(n=int(spec["line_class"].shape[0]), grid_size=v["grid"]),
+            k_max=v["k_max"],
+        )
+    report = converse_ag_surface(DivisorClass(v["divisor"]), _lattice(v["lattice"]), analytic_model=analytic)
     witness = None
     if report.witness is not None:
         witness = {
@@ -603,111 +616,59 @@ def _cmd_ag_surface(config, settings, problems):
     return code, verdict, [], [], trace
 
 
-def _polymap_from_config(spec, problems, files) -> PolyMap | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        problems.append("map: expected an object with n, m and monomials/text/file")
-        return None
-    n, m = spec.get("n"), spec.get("m")
-    for label, v in (("n", n), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            problems.append(f"map: {label} must be a positive integer, got {v!r}")
-            return None
-    sources = [k for k in ("monomials", "text", "file") if k in spec]
-    if len(sources) != 1:
-        problems.append("map: provide exactly one of 'monomials', 'text', 'file'")
-        return None
-    if sources[0] == "file":
-        path = spec["file"]
-        if not isinstance(path, str) or not Path(path).exists():
-            problems.append(f"map: file not found: {path!r}")
-            return None
-        files.append(path)
-        return PolyMap.from_text(Path(path).read_text(), n=n, m=m)
-    if sources[0] == "text":
-        if not isinstance(spec["text"], str):
-            problems.append("map: text must be a string of monomial lines")
-            return None
-        return PolyMap.from_text(spec["text"], n=n, m=m)
-    rows = spec["monomials"]
-    if not isinstance(rows, list) or not rows:
-        problems.append("map: monomials must be a non-empty list of rows")
-        return None
-    tables = [dict() for _ in range(m)]
-    for i, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != n + 3
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        ):
-            problems.append(
-                f"map.monomials[{i}]: expected [component, {n} exponents, re, im], got {row!r}"
-            )
-            continue
-        comp = int(row[0])
-        if not 0 <= comp < m:
-            problems.append(f"map.monomials[{i}]: component {comp} outside 0..{m - 1}")
-            continue
-        key = tuple(int(e) for e in row[1 : n + 1])
-        if any(e < 0 for e in key):
-            problems.append(f"map.monomials[{i}]: exponents must be nonnegative")
-            continue
-        tables[comp][key] = tables[comp].get(key, 0.0) + complex(row[n + 1], row[n + 2])
-    if problems:
-        return None
-    return PolyMap(n=n, m=m, components=tuple(tables))
+_MAP = _Object(
+    {
+        "n": _Key(_Integer(1)),
+        "m": _Key(_Integer(1)),
+        # rows are read by PolyMap.from_rows, which knows n and m
+        "monomials": _Key(_List(None), None, one_of="source"),
+        "text": _Key(_Text(), None, one_of="source"),
+        "file": _Key(_File(), None, one_of="source"),
+    }
+)
+_DEGENERACY = {
+    "map": _Key(_MAP),
+    "box": _Key(_List(_List(_FINITE, length=2)), None),
+    "per_axis": _Key(_Integer(2), 9),
+    "rtol": _Key(_POSITIVE, 1e-10),
+    "fibre_targets": _Key(_List(_List(_Complex()), empty=True), None),
+    **_settings("q", "out"),
+}
 
 
-def _cmd_degeneracy(config, settings, problems):
+def _polymap(spec: dict, files: list) -> PolyMap:
+    n, m = spec["n"], spec["m"]
+    if spec["monomials"] is not None:
+        return PolyMap.from_rows(((f"map.monomials[{i}]", row) for i, row in enumerate(spec["monomials"])), n, m)
+    if spec["file"] is not None:
+        files.append(spec["file"])
+        return PolyMap.from_text(Path(spec["file"]).read_text(), n=n, m=m)
+    return PolyMap.from_text(spec["text"], n=n, m=m)
+
+
+def _cmd_degeneracy(v):
     files = []
-    pmap = _polymap_from_config(_require(config, "map", problems), problems, files)
-    per_axis = config.get("per_axis", 9)
-    if not isinstance(per_axis, int) or isinstance(per_axis, bool) or per_axis < 2:
-        problems.append(f"per_axis must be an integer >= 2, got {per_axis!r}")
-    rtol = config.get("rtol", 1e-10)
-    if not isinstance(rtol, (int, float)) or isinstance(rtol, bool) or rtol <= 0:
-        problems.append(f"rtol must be a positive number, got {rtol!r}")
-    box = config.get("box")
-    intervals = None
-    if pmap is not None:
-        if box is None:
-            intervals = [(-1.0, 1.0)] * (2 * pmap.n)
-        elif (
-            isinstance(box, list)
-            and len(box) == 2 * pmap.n
-            and all(isinstance(iv, list) and len(iv) == 2 for iv in box)
-        ):
-            intervals = [(float(iv[0]), float(iv[1])) for iv in box]
-        else:
-            problems.append(f"box must be a list of {2 * pmap.n if pmap else '2n'} [lo, hi] pairs")
-    targets = config.get("fibre_targets")
-    target_vectors = []
-    if targets is not None:
-        if not isinstance(targets, list):
-            problems.append("fibre_targets must be a list of target vectors")
-        else:
-            for i, tv in enumerate(targets):
-                if not isinstance(tv, list) or (pmap is not None and len(tv) != pmap.m):
-                    problems.append(f"fibre_targets[{i}]: expected a vector of {pmap.m} entries")
-                    continue
-                target_vectors.append(
-                    [_parse_complex_entry(e, f"fibre_targets[{i}]", problems) for e in tv]
-                )
-    _ensure_valid(problems)
-    q = _active_q(settings, 0)
-    scan = degeneracy_locus_scan(pmap, q, sample_box(intervals, per_axis), rtol=float(rtol))
-    fibre_dims = [fibre_dimension_estimate(pmap, np.array(tv)) for tv in target_vectors]
+    pmap = _polymap(v["map"], files)
+    intervals = v["box"] or [(-1.0, 1.0)] * (2 * pmap.n)
+    targets = v["fibre_targets"] or []
+    if len(intervals) != 2 * pmap.n:
+        raise ConfigError([f"box must be a list of {2 * pmap.n} [lo, hi] pairs, got {len(intervals)}"])
+    for i, tv in enumerate(targets):
+        if len(tv) != pmap.m:
+            raise ConfigError([f"fibre_targets[{i}]: expected a vector of {pmap.m} entries, got {len(tv)}"])
+    q = v["q"] or 0
+    scan = degeneracy_locus_scan(pmap, q, sample_box(intervals, v["per_axis"]), rtol=v["rtol"])
+    fibre_dims = [fibre_dimension_estimate(pmap, np.array(tv)) for tv in targets]
     flagged = scan.flagged_points()
     verdict = {
         "n": pmap.n,
         "m": pmap.m,
         "q": q,
-        "rtol": float(rtol),
-        "per_axis": per_axis,
+        "rtol": v["rtol"],
+        "per_axis": v["per_axis"],
         "total_points": int(scan.points.shape[0]),
         "flagged_count": int(flagged.shape[0]),
-        "fibre_dimensions": fibre_dims if target_vectors else None,
+        "fibre_dimensions": fibre_dims if targets else None,
     }
 
     def _write_flagged(path):
@@ -721,74 +682,54 @@ def _cmd_degeneracy(config, settings, problems):
     return code, verdict, artifacts, files, {}
 
 
-def _singular_from_config(spec, torus, problems, files) -> SingularPotential | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "type" not in spec:
-        problems.append("singular: expected an object with a 'type' field")
-        return None
-    lower = spec.get("lower_bound", 0.0)
-    if not isinstance(lower, (int, float)) or isinstance(lower, bool) or lower < 0:
-        problems.append(f"singular: lower_bound must be a nonnegative number, got {lower!r}")
-        return None
-    if spec["type"] == "log_trig_pole":
-        center = spec.get("center", [0.5] * torus.ndim_real)
-        weight = spec.get("weight", 0.05)
-        if (
-            not isinstance(center, list)
-            or len(center) != torus.ndim_real
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center)
-        ):
-            problems.append(f"singular: center must be {torus.ndim_real} numbers in [0, 1)")
-            return None
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight <= 0:
-            problems.append(f"singular: weight must be a positive number, got {weight!r}")
-            return None
-        coords = torus.real_coordinates()
-        qsum = np.zeros((1,) * torus.ndim_real)
-        for c, x in zip(center, coords):
-            qsum = qsum + np.sin(np.pi * (x - float(c))) ** 2
-        with np.errstate(divide="ignore"):
-            values = (float(weight) / 2.0) * np.log(qsum)
-        return SingularPotential(torus, values, lower_bound=float(lower))
+_LOWER_BOUND = _Key(_NONNEGATIVE, 0.0)
+_SINGULAR = _Object(
+    tag="type",
+    log_trig_pole={"center": _Key(_List(_FINITE), None), "weight": _Key(_POSITIVE, 0.05), "lower_bound": _LOWER_BOUND},
+    file={"path": _Key(_File()), "lower_bound": _LOWER_BOUND},
+)
+_GLUE = {
+    "background": _Key(_MATRIX),
+    "buffer_file": _Key(_File(), None),
+    "singular": _Key(_SINGULAR),
+    "pole_band": _Key(_Integer(3), 4),
+    "eps_min": _Key(_Number(0, 1, lo_open=True), 2.0**-20),
+    "margin": _Key(_NONNEGATIVE, 0.0),
+    **_settings("grid", "q", "tol", "out"),
+}
+
+
+def _singular(spec: dict, torus: TorusModel, files: list) -> SingularPotential:
     if spec["type"] == "file":
-        values = _field_file(spec.get("path"), torus, "singular", problems, files)
-        return None if values is None else SingularPotential(torus, values, lower_bound=float(lower))
-    problems.append(f"singular: unknown type {spec['type']!r} (use 'log_trig_pole' or 'file')")
-    return None
+        return SingularPotential(torus, _field(spec["path"], torus, files), lower_bound=spec["lower_bound"])
+    center = spec["center"] or [0.5] * torus.ndim_real
+    if len(center) != torus.ndim_real:
+        raise ConfigError([f"singular.center must hold {torus.ndim_real} numbers, got {len(center)}"])
+    qsum = np.zeros((1,) * torus.ndim_real)
+    for c, x in zip(center, torus.real_coordinates()):
+        qsum = qsum + np.sin(np.pi * (x - c)) ** 2
+    with np.errstate(divide="ignore"):
+        values = (spec["weight"] / 2.0) * np.log(qsum)
+    return SingularPotential(torus, values, lower_bound=spec["lower_bound"])
 
 
-def _cmd_glue(config, settings, problems):
+def _cmd_glue(v):
     files = []
-    background = _parse_matrix(_require(config, "background", problems), "background", problems)
-    pole_band = config.get("pole_band", 4)
-    if not isinstance(pole_band, int) or isinstance(pole_band, bool) or pole_band < 3:
-        problems.append(f"pole_band must be an integer >= 3, got {pole_band!r}")
-    eps_min = config.get("eps_min", 2.0**-20)
-    if not isinstance(eps_min, (int, float)) or isinstance(eps_min, bool) or not 0 < eps_min <= 1:
-        problems.append(f"eps_min must be in (0, 1], got {eps_min!r}")
-    margin = _margin(config, 0.0, problems)
-    torus = None
-    singular = None
-    phi_b = None
-    if background is not None:
-        torus = TorusModel(n=int(background.shape[0]), grid_size=settings["grid"])
-        singular = _singular_from_config(_require(config, "singular", problems), torus, problems, files)
-        if config.get("buffer_file") is None:
-            phi_b = PotentialField.zero(torus)
-        else:
-            values = _field_file(config["buffer_file"], torus, "buffer_file", problems, files)
-            phi_b = None if values is None else PotentialField(torus, values)
-    _ensure_valid(problems)
+    torus = TorusModel(n=int(v["background"].shape[0]), grid_size=v["grid"])
+    singular = _singular(v["singular"], torus, files)
+    if v["buffer_file"] is None:
+        phi_b = PotentialField.zero(torus)
+    else:
+        phi_b = PotentialField(torus, _field(v["buffer_file"], torus, files))
     report = zariski_fujita_pipeline(
-        ConstantHermitianClass(background),
+        ConstantHermitianClass(v["background"]),
         phi_b,
         singular,
-        q=_active_q(settings, 0),
-        pole_band=pole_band,
-        eps_min=float(eps_min),
-        tol=settings["tol"],
-        margin=float(margin),
+        q=v["q"] or 0,
+        pole_band=v["pole_band"],
+        eps_min=v["eps_min"],
+        tol=v["tol"],
+        margin=v["margin"],
     )
     verdict = {
         "q": report.q,
@@ -821,15 +762,35 @@ def _cmd_glue(config, settings, problems):
     return code, verdict, artifacts, files, _spectral_trace(trace)
 
 
-_HANDLERS = {
-    "intersect": _cmd_intersect,
-    "ma-solve": _cmd_ma_solve,
-    "certify": _cmd_certify,
-    "pseff": _cmd_pseff,
-    "ag-surface": _cmd_ag_surface,
-    "degeneracy": _cmd_degeneracy,
-    "glue": _cmd_glue,
+# name: (help, key table, handler)
+_COMMANDS = {
+    "intersect": ("intersection number of constant (1,1)-classes", _INTERSECT, _cmd_intersect),
+    "ma-solve": ("solve a Monge-Ampere equation on the torus grid", _MA_SOLVE, _cmd_ma_solve),
+    "certify": ("one-positive-pairing certificate for a constant class", _CERTIFY, _cmd_certify),
+    "pseff": ("certificate for a pseudoeffective (PSD, non-zero) class", _PSEFF, _cmd_pseff),
+    "ag-surface": ("exact cone duality on a surface lattice, optional analytic run", _AG_SURFACE, _cmd_ag_surface),
+    "degeneracy": ("rank-drop scan and fibre dimensions of a polynomial map", _DEGENERACY, _cmd_degeneracy),
+    "glue": ("glue a singular potential to a buffer and certify regions", _GLUE, _cmd_glue),
 }
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged.
+    A subcommand's flags are the settings in its key table."""
+    parser = argparse.ArgumentParser(
+        prog="qposlab",
+        description="numerical certification of q-positivity on flat torus models",
+    )
+    parser.add_argument("--version", action="version", version=f"qposlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, table, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", type=str, help="JSON config file")
+        for key, spec in table.items():
+            if spec.flag:
+                sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=spec.kind.from_text, help=spec.flag)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -840,12 +801,16 @@ def main(argv=None) -> int:
             raise
         return EXIT_MODEL  # argparse's usage error
     t_start = time.perf_counter()
-    problems: list = []
+    _, table, handler = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config, args.command, problems)
-        settings = _resolve_settings(args, config, problems)
-        code, verdict, artifacts, files, trace = _HANDLERS[args.command](config, settings, problems)
-        digest = _inputs_digest(args.command, config, settings, files)
+        config = _load_config(args.config)
+        problems: list = []
+        values = _read_table(table, config, problems)
+        _override_settings(table, args, values, problems)
+        if problems:
+            raise ConfigError(problems)
+        code, verdict, artifacts, files, trace = handler(values)
+        digest = _inputs_digest(args.command, config, values, files)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MODEL
@@ -857,8 +822,8 @@ def main(argv=None) -> int:
         return EXIT_NUMERICS
 
     written = []
-    if settings["out"] is not None:
-        out_dir = Path(settings["out"])
+    if values["out"] is not None:
+        out_dir = Path(values["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, writer in artifacts:
             target = out_dir / name
@@ -876,8 +841,8 @@ def main(argv=None) -> int:
         "trace": _jsonable(trace),
         "artifacts": written,
     }
-    if settings["out"] is not None:
-        (Path(settings["out"]) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if values["out"] is not None:
+        (Path(values["out"]) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
     return code
 

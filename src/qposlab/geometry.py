@@ -120,6 +120,8 @@ class ConstantHermitianClass:
             raise ModelError(f"class matrix must be square, got shape {m.shape}")
         if not 1 <= m.shape[0] <= 3:
             raise ModelError(f"class matrix size must be 1..3, got {m.shape[0]}")
+        if not np.all(np.isfinite(m)):
+            raise ModelError("class matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL * scale:
             raise ModelError("class matrix is not Hermitian within 1e-12")

@@ -133,8 +133,8 @@ class SingularPotential:
                 raise ModelError("every -inf cell must be inside the declared pole mask")
         if not np.any(mask):
             raise ModelError("pole mask is empty; use a plain potential field instead")
-        if self.lower_bound < 0:
-            raise ModelError(f"declared lower bound must be nonnegative, got {self.lower_bound}")
+        if not 0 <= self.lower_bound < math.inf:
+            raise ModelError(f"declared lower bound must be finite and nonnegative, got {self.lower_bound}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "pole_mask", mask)
 

@@ -44,6 +44,33 @@ def _clean_exponents(exps, n: int) -> tuple[int, ...]:
     return t
 
 
+def _check_dimensions(n: int, m: int) -> None:
+    if not 1 <= n <= 4 or not 1 <= m <= 6:
+        raise ModelError(f"map dimensions out of range: n={n}, m={m}")
+
+
+def _monomial_row(row, n: int, m: int, where: str) -> tuple[int, tuple[int, ...], complex]:
+    """Component, exponents and coefficient of the row ``[component, e_1, ...,
+    e_n, re, im]`` named ``where``: integers in 0..m-1 and nonnegative
+    integers, then finite numbers; no entry is a bool."""
+    if not isinstance(row, (list, tuple)) or len(row) != n + 3 or any(isinstance(x, bool) for x in row):
+        raise ModelError(f"{where}: expected [component, {n} exponents, re, im], got {row!r}")
+    comp, *exps, re, im = row
+    if not all(isinstance(x, int) for x in (comp, *exps)):
+        raise ModelError(f"{where}: component and exponents must be integers, got {row!r}")
+    if not 0 <= comp < m:
+        raise ModelError(f"{where}: component index {comp} outside 0..{m - 1}")
+    if any(e < 0 for e in exps):
+        raise ModelError(f"{where}: exponents must be nonnegative, got {exps}")
+    try:
+        coeff = complex(re, im)
+    except (TypeError, OverflowError):  # a string, or an integer beyond float range
+        coeff = np.nan
+    if not np.isfinite(coeff):
+        raise ModelError(f"{where}: re and im must be finite numbers, got {re!r}, {im!r}")
+    return comp, tuple(exps), coeff
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Polynomial map C^n -> C^m with exact coefficient tables.
@@ -57,19 +84,30 @@ class PolyMap:
     components: tuple[dict, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4 or not 1 <= self.m <= 6:
-            raise ModelError(f"map dimensions out of range: n={self.n}, m={self.m}")
+        _check_dimensions(self.n, self.m)
         if len(self.components) != self.m:
             raise ModelError(f"expected {self.m} component tables, got {len(self.components)}")
         cleaned = []
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
             table = {}
             for exps, coeff in comp.items():
                 c = complex(coeff)
+                if not np.isfinite(c):
+                    raise ModelError(f"component {i}: coefficient of {exps} must be finite, got {coeff!r}")
                 if c != 0:
                     table[_clean_exponents(exps, self.n)] = c
             cleaned.append(table)
         object.__setattr__(self, "components", tuple(cleaned))
+
+    @classmethod
+    def from_rows(cls, rows, n: int, m: int) -> "PolyMap":
+        """Map from ``(where, row)`` pairs read by ``_monomial_row``; repeated monomials add up."""
+        _check_dimensions(n, m)
+        tables = [dict() for _ in range(m)]
+        for where, row in rows:
+            comp, key, coeff = _monomial_row(row, n, m, where)
+            tables[comp][key] = tables[comp].get(key, 0.0) + coeff
+        return cls(n=n, m=m, components=tuple(tables))
 
     @classmethod
     def from_text(cls, text: str, n: int, m: int) -> "PolyMap":
@@ -77,28 +115,16 @@ class PolyMap:
 
         Blank lines and ``#`` comments are skipped; repeated monomials add up.
         """
-        tables = [dict() for _ in range(m)]
+        rows = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != n + 3:
-                raise ModelError(
-                    f"map line {lineno}: expected {n + 3} fields (component, {n} exponents, re, im), "
-                    f"got {len(parts)}"
-                )
-            try:
-                comp = int(parts[0])
-                exps = tuple(int(p) for p in parts[1 : n + 1])
-                coeff = complex(float(parts[n + 1]), float(parts[n + 2]))
-            except ValueError as exc:
-                raise ModelError(f"map line {lineno}: {exc}") from exc
-            if not 0 <= comp < m:
-                raise ModelError(f"map line {lineno}: component index {comp} outside 0..{m - 1}")
-            key = _clean_exponents(exps, n)
-            tables[comp][key] = tables[comp].get(key, 0.0) + coeff
-        return cls(n=n, m=m, components=tuple(tables))
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                try:
+                    row = [int(f) for f in fields[:-2]] + [float(f) for f in fields[-2:]]
+                except ValueError as exc:
+                    raise ModelError(f"map line {lineno}: {exc}") from exc
+                rows.append((f"map line {lineno}", row))
+        return cls.from_rows(rows, n, m)
 
     def evaluate(self, points) -> np.ndarray:
         """Map values at ``points`` of shape (..., n); returns (..., m)."""
@@ -201,6 +227,8 @@ def sample_box(intervals, per_axis: int) -> np.ndarray:
     Returns points of shape (per_axis ** (2n), n), endpoints included.
     """
     intervals = [tuple(map(float, iv)) for iv in intervals]
+    if not np.all(np.isfinite(intervals)):
+        raise ModelError(f"interval ends must be finite, got {intervals}")
     if len(intervals) % 2 != 0:
         raise ModelError("need an even number of intervals: real and imaginary per variable")
     if per_axis < 2:
@@ -236,6 +264,8 @@ def degeneracy_locus_scan(pmap: PolyMap, q: int, points, rtol: float = _SIGMA_RT
     """
     if not 0 <= q < pmap.n:
         raise ModelError(f"q must be in 0..{pmap.n - 1}, got {q}")
+    if not (rtol > 0 and np.isfinite(rtol)):
+        raise ModelError(f"rtol must be a finite positive number, got {rtol}")
     pts = np.asarray(points, dtype=np.complex128)
     jac = pmap.jacobian(pts)
     sig = sigma_profile(jac)

@@ -8,8 +8,10 @@ command line.
 """
 
 import argparse
+import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -710,9 +712,249 @@ def test_every_shipped_config_is_listed():
     assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(SHIPPED)
 
 
+def _reject_constant(token):
+    raise ValueError(f"report holds the non-standard JSON token {token}")
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_config_exit_code(name, capsys):
     command, expected = SHIPPED[name]
-    code, report, err = run_cli([command, "--config", str(CONFIGS / name)], capsys)
-    assert code == expected, err
+    code = main([command, "--config", str(CONFIGS / name)])
+    captured = capsys.readouterr()
+    assert code == expected, captured.err
+    # strict JSON: a NaN or Infinity anywhere in the report fails here
+    report = json.loads(captured.out, parse_constant=_reject_constant)
     assert report["command"] == command
+
+
+# One valid config per command, with every numeric key it accepts set.
+# Paths into a config name the keys the tests below replace.
+BASE = {
+    "intersect": {"classes": [DIAG_2_M1, IDENTITY_2]},
+    "ma-solve": {"background": IDENTITY_2, "density_constant": 2.0, "max_iter": 50, "grid": 8, "tol": 1e-9},
+    "certify": {
+        "line_class": [[2, 0], [[0, 0], -1]],
+        "kahler": IDENTITY_2,
+        "psi0": {"type": "cosine", "amplitude": 0.1, "axis": 0},
+        "max_iter": 50,
+        "margin": 1e-8,
+        "grid": 8,
+        "q": 1,
+        "k_max": 64,
+        "tol": 1e-9,
+    },
+    "pseff": {"line_class": [[1, 0.5], [0.5, 0.25]], "kahler": IDENTITY_2, "max_iter": 50, "margin": 1e-8,
+              "grid": 8, "k_max": 64, "tol": 1e-9},
+    "ag-surface": {
+        "lattice": {
+            "rank": 2,
+            "pairing": [[0, 4], [4, 0]],
+            "nef_generators": [[1, 0], [0, 1]],
+            "effective_generators": [[1, 0], [0, 1]],
+        },
+        "divisor": [2, -1],
+        "analytic": {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "omega_class": [1, 1]},
+        "grid": 8,
+        "k_max": 64,
+    },
+    "degeneracy": {
+        "map": MAP_F,
+        "box": [[-1, 1]] * 4,
+        "per_axis": 3,
+        "rtol": 1e-10,
+        "fibre_targets": [[[0, 0], [0, 0]]],
+        "q": 0,
+    },
+    "glue": {**GLUE_CONFIG, "pole_band": 4, "eps_min": 2.0**-20, "margin": 0.0, "grid": 16, "q": 0, "tol": 1e-9},
+}
+
+# (command, path to a numeric value, the name the message must give it when
+# that differs from the path).  Matrix entries and [re, im] parts, list
+# entries and the entries of monomial rows are numeric values too.
+NUMERIC_KEYS = [
+    ("intersect", ("classes", 1, 0, 0), None),
+    ("ma-solve", ("background", 0, 1), None),
+    ("ma-solve", ("density_constant",), None),
+    ("ma-solve", ("max_iter",), None),
+    ("ma-solve", ("grid",), "config: grid"),
+    ("ma-solve", ("tol",), "config: tol"),
+    ("certify", ("line_class", 0, 0), None),
+    ("certify", ("line_class", 1, 0, 1), "line_class[1][0]"),
+    ("certify", ("kahler", 1, 1), None),
+    ("certify", ("psi0", "amplitude"), None),
+    ("certify", ("psi0", "axis"), None),
+    ("certify", ("max_iter",), None),
+    ("certify", ("margin",), None),
+    ("certify", ("grid",), "config: grid"),
+    ("certify", ("q",), "config: q"),
+    ("certify", ("k_max",), "config: k_max"),
+    ("certify", ("tol",), "config: tol"),
+    ("pseff", ("line_class", 1, 1), None),
+    ("pseff", ("kahler", 0, 1), None),
+    ("pseff", ("max_iter",), None),
+    ("pseff", ("margin",), None),
+    ("pseff", ("k_max",), "config: k_max"),
+    ("ag-surface", ("lattice", "rank"), None),
+    ("ag-surface", ("lattice", "pairing", 0, 1), None),
+    ("ag-surface", ("lattice", "nef_generators", 1, 0), None),
+    ("ag-surface", ("lattice", "effective_generators", 0, 0), None),
+    ("ag-surface", ("divisor", 1), None),
+    ("ag-surface", ("analytic", "line_class", 1, 1), None),
+    ("ag-surface", ("analytic", "kahler", 0, 0), None),
+    ("ag-surface", ("analytic", "omega_class", 0), None),
+    ("ag-surface", ("grid",), "config: grid"),
+    ("ag-surface", ("k_max",), "config: k_max"),
+    ("degeneracy", ("map", "n"), None),
+    ("degeneracy", ("map", "m"), None),
+    ("degeneracy", ("map", "monomials", 0, 0), "map.monomials[0]"),
+    ("degeneracy", ("map", "monomials", 0, 1), "map.monomials[0]"),
+    ("degeneracy", ("map", "monomials", 1, 3), "map.monomials[1]"),
+    ("degeneracy", ("map", "monomials", 1, 4), "map.monomials[1]"),
+    ("degeneracy", ("box", 0, 0), None),
+    ("degeneracy", ("box", 3, 1), None),
+    ("degeneracy", ("per_axis",), None),
+    ("degeneracy", ("rtol",), None),
+    ("degeneracy", ("fibre_targets", 0, 1), None),
+    ("degeneracy", ("fibre_targets", 0, 0, 1), "fibre_targets[0][0]"),
+    ("degeneracy", ("q",), "config: q"),
+    ("glue", ("background", 0, 0), None),
+    ("glue", ("singular", "center", 1), None),
+    ("glue", ("singular", "weight"), None),
+    ("glue", ("singular", "lower_bound"), None),
+    ("glue", ("pole_band",), None),
+    ("glue", ("eps_min",), None),
+    ("glue", ("margin",), None),
+    ("glue", ("grid",), "config: grid"),
+    ("glue", ("q",), "config: q"),
+    ("glue", ("tol",), "config: tol"),
+]
+BAD_NUMBERS = [float("nan"), float("inf"), -float("inf"), True, "x"]
+
+
+def _key_name(path):
+    name = path[0]
+    for step in path[1:]:
+        name += f"[{step}]" if isinstance(step, int) else f".{step}"
+    return name
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_base_configs_run(command, tmp_path, capsys):
+    code, report, err = run_cli([command, "--config", write_config(tmp_path, BASE[command])], capsys)
+    assert code in (0, 1), err
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=["nan", "inf", "-inf", "true", "text"])
+@pytest.mark.parametrize(
+    "command, path, name", NUMERIC_KEYS, ids=[f"{c}:{_key_name(p)}" for c, p, _ in NUMERIC_KEYS]
+)
+def test_every_numeric_key_rejects_non_numbers(command, path, name, bad, tmp_path, capsys):
+    data = copy.deepcopy(BASE[command])
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = bad
+    code, report, err = run_cli([command, "--config", write_config(tmp_path, data)], capsys)
+    assert code == 3, err
+    assert report is None
+    assert (name or _key_name(path)) in err
+
+
+# The common settings each command reads; these alone are its flags and
+# setting keys.
+READS = {
+    "intersect": {"out"},
+    "ma-solve": {"grid", "tol", "out"},
+    "certify": {"grid", "q", "k_max", "tol", "out"},
+    "pseff": {"grid", "k_max", "tol", "out"},
+    "ag-surface": {"grid", "k_max", "out"},
+    "degeneracy": {"q", "out"},
+    "glue": {"grid", "q", "tol", "out"},
+}
+UNREAD = [(c, s) for c in sorted(READS) for s in ("grid", "q", "k_max", "tol") if s not in READS[c]]  # 13 pairs
+SETTING_TEXT = {"grid": "16", "q": "0", "k_max": "8", "tol": "1e-9"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_flags_are_the_settings_a_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert flags == {"help", "config"} | {s.replace("_", "-") for s in READS[command]}
+
+
+@pytest.mark.parametrize("command, setting", UNREAD, ids=[f"{c}:{s}" for c, s in UNREAD])
+def test_unread_setting_exits_three(command, setting, tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE[command])
+    flag = "--" + setting.replace("_", "-")
+    assert main([command, "--config", cfg, flag, SETTING_TEXT[setting]]) == 3
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {**BASE[command], setting: json.loads(SETTING_TEXT[setting])})
+    code, report, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 3
+    assert report is None
+    assert f"unknown config key '{setting}'" in err
+
+
+def test_environment_setting_a_command_does_not_read_is_ignored(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, BASE["intersect"])
+    _, plain, _ = run_cli(["intersect", "--config", cfg], capsys)
+    monkeypatch.setenv("QPOSLAB_GRID", "abc")
+    monkeypatch.setenv("QPOSLAB_TOL", "nan")
+    code, report, err = run_cli(["intersect", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert report["inputs_digest"] == plain["inputs_digest"]
+
+
+def test_null_optional_key_takes_its_default(tmp_path, capsys):
+    data = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8}
+    _, plain, _ = run_cli(["certify", "--config", write_config(tmp_path, data)], capsys)
+    nulls = {**data, "psi0": None, "margin": None, "max_iter": None, "q": None, "tol": None}
+    code, report, _ = run_cli(["certify", "--config", write_config(tmp_path, nulls)], capsys)
+    assert code == 0
+    assert report["verdict"] == plain["verdict"]
+
+
+def test_null_required_key_is_missing(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"line_class": None, "kahler": IDENTITY_2, "grid": 8})
+    code, _, err = run_cli(["certify", "--config", cfg], capsys)
+    assert code == 3
+    assert "missing required config key 'line_class'" in err
+
+
+@pytest.mark.parametrize(
+    "psi0, message",
+    [
+        ({"type": "cosine", "amplitud": 0.2}, "unknown config key 'psi0.amplitud' (did you mean 'psi0.amplitude'?)"),
+        ({"amplitude": 0.2}, "missing required config key 'psi0.type'"),
+        ({"type": "sine"}, "psi0: unknown type 'sine'"),
+        ({"type": "cosine", "axis": 4}, "psi0.axis must be below 4, got 4"),
+        ({"type": "file"}, "missing required config key 'psi0.path'"),
+    ],
+    ids=["typo", "no-type", "unknown-type", "axis-range", "no-path"],
+)
+def test_nested_keys_are_checked(tmp_path, capsys, psi0, message):
+    cfg = write_config(tmp_path, {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8, "psi0": psi0})
+    code, report, err = run_cli(["certify", "--config", cfg], capsys)
+    assert code == 3
+    assert report is None
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"box": [[-1, 1]] * 3}, "box must be a list of 4 [lo, hi] pairs, got 3"),
+        ({"fibre_targets": [[[0, 0]]]}, "fibre_targets[0]: expected a vector of 2 entries, got 1"),
+        ({"map": {"n": 2, "m": 2, "text": "0 1 0 1 0", "file": "map.txt"}},
+         "map: provide exactly one of 'monomials', 'text' or 'file'"),
+    ],
+    ids=["box-length", "target-length", "map-source"],
+)
+def test_degeneracy_shapes_are_checked(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, {**BASE["degeneracy"], **extra})
+    code, report, err = run_cli(["degeneracy", "--config", cfg], capsys)
+    assert code == 3
+    assert report is None
+    assert message in err

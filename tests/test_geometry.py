@@ -74,6 +74,15 @@ class TestConstantClasses:
         with pytest.raises(ModelError):
             ConstantHermitianClass(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("cls", [ConstantHermitianClass, KahlerClass])
+    def test_rejects_non_finite_entries(self, cls, bad):
+        # nan slips past the Hermitian test, since nan > tol is false
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ModelError, match="finite"):
+            cls(m)
+
     def test_kahler_rejects_indefinite(self):
         with pytest.raises(ModelError):
             KahlerClass(H_EXAMPLE)

@@ -136,6 +136,11 @@ class TestSingularPotential:
         with pytest.raises(ModelError):
             SingularPotential(t, bad)
 
+    @pytest.mark.parametrize("lower_bound", [np.nan, np.inf, -0.5])
+    def test_rejects_bad_lower_bound(self, lower_bound):
+        with pytest.raises(ModelError, match="lower bound"):
+            worked_example(lower_bound=lower_bound)
+
     def test_explicit_mask_must_cover_poles(self):
         t = TorusModel(1, 16)
         vals = np.zeros((16, 16))

@@ -77,6 +77,50 @@ class TestPolyMap:
         with pytest.raises(ModelError):
             PolyMap.from_text("0 -1 0 1 0", n=2, m=2)  # negative exponent
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            PolyMap(n=1, m=1, components=({(1,): bad},))
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+    def test_text_rejects_non_finite_coefficients(self, field):
+        with pytest.raises(ModelError, match="line 2: re and im must be finite"):
+            PolyMap.from_text(f"0 1 0 1 0\n1 1 1 {field} 0", n=2, m=2)
+
+    def test_text_rejects_unreadable_field(self):
+        with pytest.raises(ModelError, match="line 1: invalid literal"):
+            PolyMap.from_text("0 1 x 1 0", n=2, m=2)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, 1, 0, 1], r"expected \[component, 2 exponents, re, im\]"),
+            ([0, True, 0, 1, 0], r"expected \[component, 2 exponents, re, im\]"),
+            ([0, 1, 0, 1.0, False], r"expected \[component, 2 exponents, re, im\]"),
+            ([0.0, 1, 0, 1, 0], "component and exponents must be integers"),
+            ([0, 1.5, 0, 1, 0], "component and exponents must be integers"),
+            ([2, 1, 0, 1, 0], "component index 2 outside 0..1"),
+            ([0, -1, 0, 1, 0], "exponents must be nonnegative"),
+            ([0, 1, 0, math.nan, 0], "re and im must be finite"),
+            ([0, 1, 0, 1, -math.inf], "re and im must be finite"),
+            ([0, 1, 0, "1", 0], "re and im must be finite"),
+            ([0, 1, 0, 10**400, 0], "re and im must be finite"),
+        ],
+    )
+    def test_rows_name_the_row(self, row, message):
+        with pytest.raises(ModelError, match=r"row 7: " + message):
+            PolyMap.from_rows([("row 7", row)], n=2, m=2)
+
+    def test_rows_and_text_agree(self):
+        rows = [("a", [0, 1, 0, 1, 0]), ("b", [1, 1, 1, 0.5, -2]), ("c", [1, 1, 1, 0.5, 0])]
+        text = "0 1 0 1 0\n1 1 1 0.5 -2\n1 1 1 0.5 0"
+        assert PolyMap.from_rows(rows, n=2, m=2).components == PolyMap.from_text(text, n=2, m=2).components
+        assert PolyMap.from_rows(rows, n=2, m=2).components[1] == {(1, 1): 1.0 - 2j}
+
+    def test_rows_check_dimensions_before_building_tables(self):
+        with pytest.raises(ModelError, match="dimensions out of range"):
+            PolyMap.from_rows([], n=2, m=10**12)
+
     def test_dimension_limits(self):
         with pytest.raises(ModelError):
             PolyMap(n=5, m=1, components=({},) * 1)
@@ -140,6 +184,11 @@ class TestSampleBox:
         assert np.min(pts.real) == -1.0 and np.max(pts.real) == 1.0
         assert np.any(pts[:, 0] == 0.0)  # odd per_axis hits the centre
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ends(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            sample_box([(-1, 1), (bad, 1)], per_axis=3)
+
     def test_validation(self):
         with pytest.raises(ModelError):
             sample_box([(-1, 1)] * 3, per_axis=5)
@@ -163,6 +212,13 @@ class TestDegeneracyScan:
         pts = sample_box([(-1, 1)] * 4, per_axis=9)
         scan = degeneracy_locus_scan(pm, q=1, points=pts)
         assert int(np.count_nonzero(scan.flagged)) == 0
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_rtol_validated(self, rtol):
+        # at rtol nan every threshold test is false, so nothing would be flagged
+        pts = sample_box([(-1, 1)] * 4, per_axis=3)
+        with pytest.raises(ModelError, match="rtol"):
+            degeneracy_locus_scan(example_map(), q=0, points=pts, rtol=rtol)
 
     def test_q_validated(self):
         pm = example_map()
