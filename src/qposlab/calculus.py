@@ -17,7 +17,7 @@ transforms are exact.  An nd transform runs one pass per axis, as numpy's
 does and with bitwise the same result, but every pass works in one array:
 the forward passes all write into the output, and the inverse complex
 passes run in place in the caller's temporary spectrum before the real pass
-on the last axis writes the result, for a Hessian straight into its entry of
+on the last axis writes the result, for a Hessian straight into its plane of
 the form field.
 
 A pass of at least 2 MiB runs as one contiguous slab per worker thread, cut
@@ -38,8 +38,10 @@ such slabs as leaf tasks on the same pool (:func:`_run_slabs`).
 Fields store numpy arrays broadcastable to the full grid shape; an axis of
 length one means "constant along that coordinate" and spectral derivatives
 along such axes vanish identically, which both is exact and keeps storage
-proportional to the coordinates a problem actually activates.  Small-matrix
-kernels (determinants, eigenvalues) live in :mod:`qposlab.smallmat`.
+proportional to the coordinates a problem actually activates.  A Hermitian
+form field is stored as entry planes (:class:`HermitianFormField`), half the
+bytes of ``(..., n, n)`` complex matrices at n = 2; both Hessians write
+them, and the kernels that read them live in :mod:`qposlab.smallmat`.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ModelError, NumericsError
 from .geometry import TorusModel
-from .smallmat import hermitian_det
+from .smallmat import hermitian_det, hermitian_matrices, upper_pairs
 
 __all__ = [
     "PotentialField",
@@ -140,27 +142,34 @@ def _require_same_torus(a, b):
 
 @dataclass(frozen=True)
 class HermitianFormField:
-    """Pointwise Hermitian n x n matrix field on the torus grid.
+    """Pointwise Hermitian n x n matrix field on the torus grid, stored as entry planes.
 
-    ``values`` has shape ``(*grid_broadcast, n, n)`` complex.  Fields built
-    by the constructor are checked to be Hermitian; the package's own results
-    (Hessians, sums of fields) are Hermitian by construction and skip the
-    check through :meth:`_trusted`.
+    ``diag`` stacks the n real diagonal planes, ``upper`` the n(n-1)/2 complex
+    planes above the diagonal (:mod:`qposlab.smallmat` layout), each of the
+    grid broadcast shape.  ``HermitianFormField(torus, values)`` reads and
+    checks, and ``values`` builds, ``(*grid, n, n)`` complex matrices, for
+    callers outside the package; its own fields skip the check (:meth:`_trusted`).
     """
 
     torus: TorusModel
-    values: np.ndarray
+    matrices: InitVar[np.ndarray]
+    diag: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+    def __post_init__(self, matrices):
+        v = np.asarray(matrices, dtype=np.complex128)
         n = self.torus.n
         if v.ndim != self.torus.ndim_real + 2 or v.shape[-2:] != (n, n):
             raise ModelError(f"form field must end in ({n},{n}) matrix axes, got shape {v.shape}")
         _check_grid_values(self.torus, v[..., 0, 0], "form field grid part")
+        if not np.all(np.isfinite(v)):
+            raise ModelError("form field entries must be finite")
         scale = max(1.0, float(np.max(np.abs(v))))
         if np.max(np.abs(v - v.conj().swapaxes(-1, -2))) > 1e-12 * scale:
             raise ModelError("form field is not pointwise Hermitian within 1e-12")
-        object.__setattr__(self, "values", v)
+        rows, cols = np.triu_indices(n, 1)
+        object.__setattr__(self, "diag", np.ascontiguousarray(np.moveaxis(v.real[..., range(n), range(n)], -1, 0)))
+        object.__setattr__(self, "upper", np.ascontiguousarray(np.moveaxis(v[..., rows, cols], -1, 0)))
 
     @classmethod
     def from_constant(cls, torus: TorusModel, matrix) -> "HermitianFormField":
@@ -170,21 +179,39 @@ class HermitianFormField:
         return cls(torus, m.reshape((1,) * torus.ndim_real + m.shape))
 
     @classmethod
-    def _trusted(cls, torus: TorusModel, values: np.ndarray) -> "HermitianFormField":
-        """Wrap complex values that are Hermitian and grid-shaped by construction."""
-        field = object.__new__(cls)
-        object.__setattr__(field, "torus", torus)
-        object.__setattr__(field, "values", values)
-        return field
+    def _trusted(cls, torus: TorusModel, diag: np.ndarray, upper: np.ndarray) -> "HermitianFormField":
+        """Wrap planes that are grid-shaped by construction."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "torus", torus)
+        object.__setattr__(form, "diag", diag)
+        object.__setattr__(form, "upper", upper)
+        return form
+
+    @property
+    def values(self) -> np.ndarray:
+        """The ``(*grid_broadcast, n, n)`` complex matrices, built on each call."""
+        return hermitian_matrices(self.diag, self.upper)
+
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(diag, upper)`` on grid rows ``lo:hi`` along axis 0, or whole when constant along it."""
+        if self.diag.shape[1] == 1:
+            return self.diag, self.upper
+        return self.diag[:, lo:hi], self.upper[:, lo:hi]
 
     def __add__(self, other):
         if isinstance(other, HermitianFormField):
             _require_same_torus(self, other)
-            return HermitianFormField._trusted(self.torus, self.values + other.values)
+            return HermitianFormField._trusted(self.torus, self.diag + other.diag, self.upper + other.upper)
         raise TypeError("can only add HermitianFormField to HermitianFormField")
 
-    def det(self) -> np.ndarray:
-        return hermitian_det(self.values)
+
+def _as_form(obj, torus: TorusModel) -> HermitianFormField:
+    """``obj`` as a form field on ``torus``: itself, or the constant field of a class or matrix."""
+    if not isinstance(obj, HermitianFormField):
+        return HermitianFormField.from_constant(torus, getattr(obj, "matrix", obj))
+    if obj.torus != torus:
+        raise ModelError("form fields live on different torus models")
+    return obj
 
 
 def form_top_density(form: HermitianFormField) -> np.ndarray:
@@ -194,7 +221,7 @@ def form_top_density(form: HermitianFormField) -> np.ndarray:
     intersection pairing: n! * 2^n * det(A).
     """
     n = form.torus.n
-    return math.factorial(n) * (2.0**n) * hermitian_det(form.values)
+    return math.factorial(n) * (2.0**n) * hermitian_det(form.diag, form.upper)
 
 
 def _half_spectrum_wavenumbers(torus: TorusModel, shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -322,8 +349,8 @@ def complex_hessian(phi: PotentialField) -> HermitianFormField:
     n = torus.n
     vhat = _rfftn(v)
     kappa = _half_spectrum_wavenumbers(torus, v.shape)
-    out = np.zeros(v.shape + (n, n), dtype=np.complex128)
-    re, im = out.real, out.imag
+    diag = np.empty((n,) + v.shape)
+    upper = np.empty((n * (n - 1) // 2,) + v.shape, dtype=np.complex128)
 
     def entry(symbol, dest):
         # d^2/dx_a dx_b has symbol -(2 pi)^2 kappa_a kappa_b; with the 1/4 above, -pi^2.
@@ -331,14 +358,12 @@ def complex_hessian(phi: PotentialField) -> HermitianFormField:
 
     for j in range(n):
         xj, yj = kappa[2 * j], kappa[2 * j + 1]
-        entry(xj * xj + yj * yj, re[..., j, j])
-        for k in range(j + 1, n):
-            xk, yk = kappa[2 * k], kappa[2 * k + 1]
-            entry(xj * xk + yj * yk, re[..., j, k])
-            entry(xj * yk - yj * xk, im[..., j, k])
-            re[..., k, j] = re[..., j, k]
-            np.negative(im[..., j, k], out=im[..., k, j])
-    return HermitianFormField._trusted(torus, out)
+        entry(xj * xj + yj * yj, diag[j])
+    for p, (j, k) in enumerate(upper_pairs(n)):
+        xj, yj, xk, yk = kappa[2 * j], kappa[2 * j + 1], kappa[2 * k], kappa[2 * k + 1]
+        entry(xj * xk + yj * yk, upper[p].real)
+        entry(xj * yk - yj * xk, upper[p].imag)
+    return HermitianFormField._trusted(torus, diag, upper)
 
 
 # A stencil slab holds about this many grid points (at least one row, since its
@@ -390,8 +415,8 @@ def _fd_slab_hessian(block: np.ndarray, halo: int, h: float, order: int, n: int)
     stored length one.  Axis-0 stencils read the halo rows by slicing; the
     other axes are whole in the block and roll periodically.  Each first
     derivative a mixed entry starts from is taken once.  Returns ``(diag,
-    upper)``: the real diagonal entries ``diag[j]`` and the complex entries
-    ``upper[j, k]``, ``j < k``, with the lower entries their conjugates.
+    upper)``: lists of the real diagonal planes and of the complex planes
+    above the diagonal, in :func:`qposlab.smallmat.upper_pairs` order.
     Along an axis of stored length one every derivative is exactly zero.
     """
     rows = block.shape[0] - 2 * halo
@@ -409,27 +434,15 @@ def _fd_slab_hessian(block: np.ndarray, halo: int, h: float, order: int, n: int)
 
     diag = [0.25 * (derivative(_fd_second, 2 * j) + derivative(_fd_second, 2 * j + 1)) for j in range(n)]
     first = [derivative(_fd_first, a) for a in range(2 * n - 2)]
-    upper = {}
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            dxx = derivative(_fd_first, xk, first[xj])
-            dyy = derivative(_fd_first, yk, first[yj])
-            dxy = derivative(_fd_first, yk, first[xj])
-            dyx = derivative(_fd_first, xk, first[yj])
-            upper[j, k] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
+    upper = []
+    for j, k in upper_pairs(n):
+        xj, yj, xk, yk = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
+        dxx = derivative(_fd_first, xk, first[xj])
+        dyy = derivative(_fd_first, yk, first[yj])
+        dxy = derivative(_fd_first, yk, first[xj])
+        dyx = derivative(_fd_first, xk, first[yj])
+        upper.append(0.25 * ((dxx + dyy) + 1j * (dxy - dyx)))
     return diag, upper
-
-
-def _assemble_hermitian(diag, upper, out: np.ndarray) -> np.ndarray:
-    """Write ``(diag, upper)`` Hessian entries into the ``(..., n, n)`` complex ``out``."""
-    for j, d in enumerate(diag):
-        out[..., j, j] = d
-    for (j, k), entry in upper.items():
-        out[..., j, k] = entry
-        out[..., k, j] = np.conj(entry)
-    return out
 
 
 def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormField:
@@ -452,11 +465,14 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
     n = torus.n
     h = 1.0 / torus.grid_size
     halo = order // 2
-    out = np.zeros(v.shape + (n, n), dtype=np.complex128)
+    diag = np.empty((n,) + v.shape)
+    upper = np.empty((n * (n - 1) // 2,) + v.shape, dtype=np.complex128)
     for lo, hi in _slab_bounds(v.shape[0], v[0].size):
         block, pad = _periodic_rows(v, lo, hi, halo)
-        _assemble_hermitian(*_fd_slab_hessian(block, pad, h, order, n), out[lo:hi])
-    return HermitianFormField._trusted(torus, out)
+        for dest, planes in zip((diag, upper), _fd_slab_hessian(block, pad, h, order, n)):
+            for p, plane in enumerate(planes):
+                dest[p, lo:hi] = plane
+    return HermitianFormField._trusted(torus, diag, upper)
 
 
 def poisson_solve(torus: TorusModel, rhs: np.ndarray) -> np.ndarray:

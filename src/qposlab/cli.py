@@ -63,6 +63,7 @@ from .surface_cones import (
     AnalyticSurfaceModel,
     DivisorClass,
     SurfaceLattice,
+    _frac,
     abelian_diag_lattice,
     converse_ag_surface,
     hirzebruch_f1_lattice,
@@ -171,12 +172,12 @@ class _Complex(_Kind):
 
 
 class _Rational(_Kind):
-    what = "an exact rational (exact rationals are integers or 'p/q' strings)"
+    what = "an exact rational (exact rationals are integers or 'p/q' strings, at most 100 digits each)"
 
     def convert(self, raw):
         try:
-            return Fraction(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else None
-        except (ValueError, ZeroDivisionError):
+            return _frac(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else None
+        except ModelError:
             return None
 
 
@@ -335,10 +336,13 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _field(path: str, torus: TorusModel, files: list) -> np.ndarray:
-    """Values of the field stored at ``path``, which joins the digest's files."""
+def _field(path: str, torus: TorusModel, files: list, finite: bool = False) -> np.ndarray:
+    """Values of the field stored at ``path``, which joins the digest's files (all finite, when ``finite``)."""
     files.append(path)
-    return read_field(path, torus)[1]
+    values = read_field(path, torus)[1]
+    if finite and not np.all(np.isfinite(values)):
+        raise ConfigError([f"field file {path} holds non-finite values; a potential must be finite"])
+    return values
 
 
 def _jsonable(obj):
@@ -503,7 +507,7 @@ def _certificate_torus(v) -> TorusModel:
 
 def _psi0(spec: dict, torus: TorusModel, files: list) -> PotentialField:
     if spec["type"] == "file":
-        return PotentialField(torus, _field(spec["path"], torus, files))
+        return PotentialField(torus, _field(spec["path"], torus, files, finite=True))
     if spec["axis"] >= torus.ndim_real:
         raise ConfigError([f"psi0.axis must be below {torus.ndim_real}, got {spec['axis']}"])
     coord = torus.real_coordinates()[spec["axis"]]
@@ -720,7 +724,7 @@ def _cmd_glue(v):
     if v["buffer_file"] is None:
         phi_b = PotentialField.zero(torus)
     else:
-        phi_b = PotentialField(torus, _field(v["buffer_file"], torus, files))
+        phi_b = PotentialField(torus, _field(v["buffer_file"], torus, files, finite=True))
     report = zariski_fujita_pipeline(
         ConstantHermitianClass(v["background"]),
         phi_b,

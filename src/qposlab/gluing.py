@@ -22,10 +22,11 @@ there.
 Every certificate runs slab by slab along axis 0.  A slab of about 65,536
 grid points (at least one row) reads its rows plus a periodic halo (one row
 for the second-order stencils, two for the fourth-order ones), evaluates the
-smoothed potential, the stencils, the background and the one eigenvalue a
-region needs there, and reduces each region to its point count, minimum and
-first argmin.  The slabs run on the thread pool of the spectral transforms,
-one worker per CPU in the affinity mask and serially on one CPU.
+smoothed potential and its Hessian as entry planes (the layout of every form
+field), adds the background's planes, takes the eigenvalues from
+:func:`smallmat.eigvalsh`, and reduces each region to its point count,
+minimum and first argmin.  The slabs run on the thread pool of the spectral
+transforms, one worker per CPU in the affinity mask and serially on one CPU.
 Temporaries stay the size of a slab, only the accepted smoothed potential is
 stored whole (the buffer's spectral Hessian is still taken on the whole
 grid), and every count, margin and worst point is bitwise what a whole-grid
@@ -46,8 +47,8 @@ from . import smallmat
 from .calculus import (
     HermitianFormField,
     PotentialField,
+    _as_form,
     _check_grid_values,
-    _assemble_hermitian,
     complex_hessian,
     _fd_slab_hessian,
     _periodic_rows,
@@ -55,7 +56,7 @@ from .calculus import (
     _slab_bounds,
 )
 from .errors import ModelError, NumericsError, PipelineFailure
-from .geometry import ConstantHermitianClass, TorusModel
+from .geometry import TorusModel
 
 __all__ = [
     "dilate",
@@ -269,10 +270,6 @@ class GlueReport:
         return all(c.passed for c in self.certificates)
 
 
-def _slab_rows(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return a if a.shape[0] == 1 else a[lo:hi]
-
-
 def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
     """Hessian source for :func:`_certify_regions`: finite differences of a
     field whose padded rows ``block_of(lo, hi, halo)`` yields as ``(block, halo)``."""
@@ -287,57 +284,33 @@ def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
     return rows
 
 
-def _form_hessian_rows(form: HermitianFormField):
-    """Hessian source for :func:`_certify_regions`: the entries of a stored form
-    field whose lower entries are the conjugates of its upper ones, bit for bit,
-    as :func:`complex_hessian` writes them."""
-    n = form.torus.n
-
-    def rows(lo, hi):
-        f = _slab_rows(form.values, lo, hi)
-        return [f[..., j, j].real for j in range(n)], {(j, k): f[..., j, k] for j in range(n) for k in range(j + 1, n)}
-
-    return rows
-
-
 def _certify_regions(
     hessian_rows, field_shape, background: HermitianFormField, regions, shift: float = 0.0
 ) -> tuple[RegionCertificate, ...]:
-    """Certificates of the margins ``eigvalsh(background + H)[..., index] - shift``.
+    """Certificates of the margins ``eigvalsh(background + H)[index] - shift``.
 
     ``regions`` holds ``(name, mask, index, margin)``.  The grid is cut into
     slabs of rows along axis 0 (one slab when every array is constant along
-    it); ``hessian_rows(lo, hi)`` gives the Hessian ``(diag, upper)`` entries
-    on rows ``lo:hi`` of ``field_shape``.  Each slab adds the background
-    entries, takes the eigenvalues it needs (the diagonal at n = 1,
-    :func:`smallmat.eigvalsh_planes` at n = 2, LAPACK on assembled matrices at
-    n = 3) and reduces each region to its point count, minimum and first
-    argmin.  Slabs are contiguous in C order, so combining them in order with
-    the first slab winning ties gives ``np.argmin``'s first flat index over
-    the whole grid, and every margin, count and worst point is bitwise the
-    whole-grid one.  The slabs run on the slab pool.
+    it); ``hessian_rows(lo, hi)`` gives the Hessian planes on rows ``lo:hi``
+    of ``field_shape`` (:func:`_fd_slab_hessian`, :meth:`HermitianFormField.rows`).
+    Each slab adds the background planes, takes the eigenvalues with
+    :func:`smallmat.eigvalsh` and reduces each region to its point count,
+    minimum and first argmin.  Slabs are contiguous in C order, so combining
+    them in order with the first slab winning ties gives ``np.argmin``'s
+    first flat index over the whole grid, and every margin, count and worst
+    point is bitwise the whole-grid one.  The slabs run on the slab pool.
     """
-    n = background.torus.n
-    bg = background.values
-    shape = np.broadcast_shapes(field_shape, bg.shape[:-2], *(mask.shape for _, mask, _, _ in regions))
+    shape = np.broadcast_shapes(field_shape, background.diag.shape[1:], *(mask.shape for _, mask, _, _ in regions))
 
     def slab(bounds):
         lo, hi = bounds
         diag, upper = hessian_rows(lo, hi)
-        b = _slab_rows(bg, lo, hi)
-        if n == 1:
-            lam = (b[..., 0, 0].real + diag[0],)
-        elif n == 2:
-            lam = smallmat.eigvalsh_planes(
-                b[..., 0, 0].real + diag[0], b[..., 1, 1].real + diag[1], b[..., 1, 0] + np.conj(upper[0, 1])
-            )
-        else:
-            h = _assemble_hermitian(diag, upper, np.zeros(diag[0].shape + (n, n), dtype=np.complex128))
-            lam = np.moveaxis(smallmat.eigvalsh(b + h), -1, 0)
+        bg_diag, bg_upper = background.rows(lo, hi)
+        lam = smallmat.eigvalsh([b + h for b, h in zip(bg_diag, diag)], [b + h for b, h in zip(bg_upper, upper)])
         reductions = []
         for _, mask, index, _ in regions:
             margins = lam[index] - shift if shift else lam[index]
-            vals, msk = np.broadcast_arrays(margins, _slab_rows(mask, lo, hi))
+            vals, msk = np.broadcast_arrays(margins, mask if mask.shape[0] == 1 else mask[lo:hi])
             count = int(np.count_nonzero(msk))
             flat, low = 0, math.inf
             if count:
@@ -407,11 +380,9 @@ def zariski_fujita_pipeline(
         raise ModelError(
             f"smoothing needs finite 0 < eps_min <= eps_start, got eps_min={eps_min}, eps_start={eps_start}"
         )
-    if not isinstance(background, HermitianFormField):
-        mat = background.matrix if isinstance(background, ConstantHermitianClass) else background
-        background = HermitianFormField.from_constant(torus, mat)
-    if phi_b.torus != torus or background.torus != torus:
-        raise ModelError("background, buffer, and singular potential must share one torus model")
+    background = _as_form(background, torus)
+    if phi_b.torus != torus:
+        raise ModelError("buffer and singular potential must share one torus model")
 
     pole = singular.pole_mask
     u_c = dilate(pole, pole_band)
@@ -437,7 +408,7 @@ def zariski_fujita_pipeline(
 
     # declaration (b): buffer metric is q-positive where it may take over
     (cert_b,) = _certify_regions(
-        _form_hessian_rows(complex_hessian(phi_b)),
+        complex_hessian(phi_b).rows,
         phi_b.values.shape,
         background,
         [("buffer (declaration)", dilate(pole, pole_band + 1), q, margin)],

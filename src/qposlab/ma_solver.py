@@ -28,9 +28,10 @@ so every transform is a real FFT.  A constant-coefficient version of ``A``
 built from the grid-mean of ``adj(M)`` preconditions the solve diagonally in
 Fourier space.  Steps are halved until pointwise positivity of
 ``W + dd_bar(phi)`` is preserved and the sup residual does not increase.
-Determinants, the adjugate's coefficient planes and the positivity test
-(Sylvester minors, which reuse the residual's determinant, with an
-eigenvalue fallback near zero) come from :mod:`qposlab.smallmat`; the
+The state holds ``W + dd_bar(phi)`` as the entry planes :func:`complex_hessian`
+writes, with no lower planes; determinants, the adjugate and the positivity
+test (Sylvester minors, which reuse the residual's determinant, with an
+eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`; the
 smallest eigenvalue is computed once, on the returned form.
 
 One Newton step costs one Hessian per line-search trial and nothing more:
@@ -152,16 +153,16 @@ def compatibility_check(
 class _NewtonOperator:
     """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  and its preconditioner.
 
-    Built from the form ``M`` (full stored ``shape``, contiguous); acts on
-    real fields through real FFTs.  The real and imaginary parts of
-    ``adj(M)`` are stored once, as contiguous planes.
+    Built from the planes of the form ``M`` (full stored ``shape``); acts on
+    real fields through real FFTs.  ``adj(M)`` is stored once, as contiguous
+    planes: its real diagonal and the real and imaginary upper entries.
     """
 
-    def __init__(self, torus: TorusModel, form: np.ndarray, shape: tuple[int, ...]):
+    def __init__(self, torus: TorusModel, diag: np.ndarray, upper: np.ndarray, shape: tuple[int, ...]):
         n = torus.n
         self.n = n
         self.shape = shape
-        self.adj_re, self.adj_im, mean_adj = smallmat.adjugate_planes(form)
+        self.adj_diag, self.adj_re, self.adj_im, mean_adj = smallmat.adjugate_planes(diag, upper)
         kappa = _half_spectrum_wavenumbers(torus, shape)
         self.deriv = [2j * np.pi * k for k in kappa]  # symbols of d/dx_1, d/dy_1, ...
         dz = [np.pi * (kappa[2 * j + 1] + 1j * kappa[2 * j]) for j in range(n)]
@@ -182,9 +183,15 @@ class _NewtonOperator:
             p = np.zeros(self.shape)
             q = np.zeros(self.shape)
             for k in range(self.n):
-                re, im = self.adj_re[j, k], self.adj_im[j, k]
-                p += re * gx[k] + im * gy[k]
-                q += re * gy[k] - im * gx[k]
+                if k == j:
+                    p += self.adj_diag[j] * gx[j]
+                    q += self.adj_diag[j] * gy[j]
+                    continue
+                # adj_jk is stored above the diagonal; below it, it is the conjugate of adj_kj
+                e = smallmat.upper_pairs(self.n).index((min(j, k), max(j, k)))
+                plus, minus = (np.add, np.subtract) if j < k else (np.subtract, np.add)
+                p += plus(self.adj_re[e] * gx[k], self.adj_im[e] * gy[k])
+                q += minus(self.adj_re[e] * gy[k], self.adj_im[e] * gx[k])
             acc = acc + _rfftn(p) * self.deriv[2 * j] + _rfftn(q) * self.deriv[2 * j + 1]
         return -0.25 * _irfftn(acc, self.shape)
 
@@ -227,29 +234,30 @@ def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> 
     return x, iterations
 
 
-def _evaluate(m: np.ndarray, fvals: np.ndarray):
-    """Form, determinant, compensated log residual, sup residual and constant ``c`` of a form ``m``.
+def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
+    """``planes``, determinant, compensated log residual, sup residual and constant ``c`` of a form.
 
-    ``None`` when ``m`` is not positive definite at every grid point.
+    ``None`` when the form ``planes = (diag, upper)`` is not positive definite at every grid point.
     """
-    det = hermitian_det(m)
-    if not np.all(smallmat.positive_definite(m, det)):
+    det = hermitian_det(*planes)
+    if not np.all(smallmat.positive_definite(*planes, det)):
         return None
     rho = np.log(det) - np.log(fvals)
     c = float(np.sum(det * rho) / np.sum(det))
     rinf = float(np.max(np.abs(np.exp(rho - c) - 1.0)))
-    return m, det, rho - c, rinf, c
+    return planes, det, rho - c, rinf, c
 
 
-def _state(wvals: np.ndarray, phi: np.ndarray, torus: TorusModel, fvals: np.ndarray):
-    """:func:`_evaluate` at the form ``W + dd_bar(phi)``."""
-    m = complex_hessian(PotentialField(torus, phi)).values
-    m += wvals
-    return _evaluate(m, fvals)
+def _state(wform: HermitianFormField, phi: np.ndarray, torus: TorusModel, fvals: np.ndarray):
+    """:func:`_evaluate` at the form ``W + dd_bar(phi)``, added into the Hessian's own planes."""
+    hess = complex_hessian(PotentialField(torus, phi))
+    np.add(hess.diag, wform.diag, out=hess.diag)
+    np.add(hess.upper, wform.upper, out=hess.upper)
+    return _evaluate((hess.diag, hess.upper), fvals)
 
 
-def _min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.min(smallmat.eigvalsh(m)[..., 0]))
+def _min_eigenvalue(planes: tuple[np.ndarray, np.ndarray]) -> float:
+    return float(np.min(smallmat.eigvalsh(*planes)[0]))
 
 
 def solve_ma(
@@ -278,25 +286,25 @@ def solve_ma(
 
     if background_form is None:
         background_form = problem.background_form()
-    wvals = background_form.values
-    shape = np.broadcast_shapes(wvals.shape[:-2], f.shape)
+    shape = np.broadcast_shapes(background_form.diag.shape[1:], f.shape)
     if initial_guess is not None:
         if initial_guess.torus != torus:
             raise ModelError("initial guess lives on a different torus")
         shape = np.broadcast_shapes(shape, initial_guess.values.shape)
     f = np.broadcast_to(f, shape)
     # dd_bar(0) = 0: W's own evaluation checks its positivity and is the state at a zero guess.
-    state = _evaluate(np.ascontiguousarray(np.broadcast_to(wvals, shape + (n, n))), f)
+    wplanes = (background_form.diag, background_form.upper)
+    state = _evaluate(tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in wplanes), f)
     if state is None:
         raise ModelError("background form is not positive definite at every grid point")
 
     if n == 1:
         # det is linear in the Hessian: one exact spectral Poisson step.
-        w = np.broadcast_to(wvals[..., 0, 0].real, shape)
+        w = np.broadcast_to(background_form.diag[0], shape)
         c = math.log(float(np.mean(w)) / float(np.mean(f)))
         phi = poisson_solve(torus, np.exp(c) * f - w)
         initial_residual = state[3]
-        state = _state(wvals, phi, torus, f)
+        state = _state(background_form, phi, torus, f)
         rinf = None if state is None else state[3]
         if rinf is None or rinf > problem.tol:
             raise NonConvergence(
@@ -317,10 +325,10 @@ def solve_ma(
         phi = np.zeros(shape)
     else:
         phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
-        state = _state(wvals, phi, torus, f)
+        state = _state(background_form, phi, torus, f)
         if state is None:
             raise ModelError("initial guess destroys pointwise positivity of the background form")
-    m, det, rho_c, rinf, c = state
+    planes, det, rho_c, rinf, c = state
     state = None
     history, cg_counts, halvings = [rinf], [], []
 
@@ -330,17 +338,17 @@ def solve_ma(
                 f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
                 residual=rinf,
             )
-        op = _NewtonOperator(torus, m, shape)
+        op = _NewtonOperator(torus, *planes, shape)
         # A(delta) = -b with A negative semidefinite, i.e. op(delta) = b for op = -A.
         b = det * rho_c
-        del m, det, rho_c  # the last references: freed before the CG solve and line search
+        del planes, det, rho_c  # the last references: freed before the CG solve and line search
         delta, cg = _pcg(op, b, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))
         del op, b
 
         alpha, halved = 1.0, 0
         while True:
             trial = phi + alpha * delta
-            state = _state(wvals, trial, torus, f)
+            state = _state(background_form, trial, torus, f)
             if state is not None and state[3] <= rinf * (1 + 1e-12) + 1e-15:
                 break
             state = None  # a rejected trial is freed before the next one
@@ -351,7 +359,7 @@ def solve_ma(
                     f"Newton step rejected down to 2^-30 damping at residual {rinf:.3e}"
                 )
         phi = trial
-        m, det, rho_c, rinf, c = state
+        planes, det, rho_c, rinf, c = state
         state = None
         history.append(rinf)
         cg_counts.append(cg)
@@ -361,7 +369,7 @@ def solve_ma(
         phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
         residual=rinf,
         iterations=len(history) - 1,
-        positivity_margin=_min_eigenvalue(m),
+        positivity_margin=_min_eigenvalue(planes),
         log_constant=c,
         residual_history=tuple(history),
         cg_iterations=tuple(cg_counts),
@@ -394,7 +402,7 @@ def ma_for_dk(
     n = torus.n
     dk = dk_constant(H.matrix, G, k)
     shifted = ConstantHermitianClass(H.matrix + k * G)
-    density = dk * math.factorial(n) * 2.0**n * hermitian_det((k * G)[None, ...])[0]
+    density = dk * math.factorial(n) * 2.0**n * smallmat.det((k * G)[None, ...])[0].real
     target = np.full((1,) * torus.ndim_real, density)
     problem = MAProblem(
         torus=torus,

@@ -4,7 +4,7 @@ A Hermitian form field ``A`` is measured against a pointwise positive
 reference ``B`` through the generalized eigenvalues of ``A v = lambda B v``.
 ``B = L L^H`` is factored on its stored shape only (one n x n Cholesky when
 the reference is constant, as in every pipeline), ``L^{-1} A L^{-H}`` is
-formed entry by entry, and its eigenvalues come from the closed-form kernels
+formed plane by plane, and its eigenvalues come from the closed-form kernels
 of :mod:`qposlab.smallmat`; they are returned sorted descending.  A class is
 *q-positive* at a point when at least ``n - q`` of them are positive, so the
 certificate tracks the (n-q)-th largest eigenvalue as its margin.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, complex_hessian
+from .calculus import HermitianFormField, PotentialField, _as_form, complex_hessian
 from .errors import ConsistencyFailure, HypothesisViolation, ModelError
 from .geometry import (
     ConstantHermitianClass,
@@ -48,16 +48,6 @@ __all__ = [
     "one_positive_pipeline",
     "pseff_pipeline",
 ]
-
-
-def _form_values(obj, torus: TorusModel) -> np.ndarray:
-    if isinstance(obj, HermitianFormField):
-        if obj.torus != torus:
-            raise ModelError("form fields live on different torus models")
-        return obj.values
-    if isinstance(obj, ConstantHermitianClass):
-        return HermitianFormField.from_constant(torus, obj.matrix).values
-    return HermitianFormField.from_constant(torus, np.asarray(obj)).values
 
 
 @dataclass(frozen=True)
@@ -89,32 +79,31 @@ class EigenvalueField:
 
 def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueField:
     """Generalized Hermitian eigenvalues of ``curvature`` against ``reference``."""
-    a = _form_values(curvature, torus)
-    b = _form_values(reference, torus)
+    a = _as_form(curvature, torus)
+    b = _as_form(reference, torus)
     n = torus.n
-    eigb = smallmat.eigvalsh(b)[..., 0]
+    eigb = smallmat.eigvalsh(b.diag, b.upper)[0]
     if float(np.min(eigb)) <= 0:
         worst = np.unravel_index(int(np.argmin(eigb)), eigb.shape)
         raise ModelError(f"reference form is not positive definite at grid point {worst}")
-    # Factor on the reference's stored shape only: one matrix when it is constant.
-    inv_chol = np.linalg.inv(np.linalg.cholesky(b))
+    # LAPACK factors the reference's matrices, on its stored shape only: one when it is constant.
+    inv_chol = np.linalg.inv(np.linalg.cholesky(b.values))
     conj_inv = inv_chol.conj()
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    reduced = np.empty(shape, dtype=np.complex128)
+    entry = smallmat.hermitian_entries(a.diag, a.upper)
+    diag, upper = [None] * n, [None] * (n * (n - 1) // 2)
     for j in range(n):
         for k in range(j + 1):
             # (L^{-1} A L^{-H})_jk, with L^{-1} lower triangular
             acc = 0.0
             for p in range(j + 1):
                 for r in range(k + 1):
-                    acc = acc + (inv_chol[..., j, p] * conj_inv[..., k, r]) * a[..., p, r]
+                    acc = acc + (inv_chol[..., j, p] * conj_inv[..., k, r]) * entry[p][r]
             if k == j:
-                reduced[..., j, j] = np.real(acc)
+                diag[j] = acc.real.copy()
             else:
-                reduced[..., j, k] = acc
-                reduced[..., k, j] = np.conj(acc)
-    lam = smallmat.eigvalsh(reduced)[..., ::-1]
-    return EigenvalueField(torus, np.ascontiguousarray(lam))
+                upper[smallmat.upper_pairs(n).index((k, j))] = np.conj(acc, out=acc)
+    lam = smallmat.eigvalsh(diag, upper)
+    return EigenvalueField(torus, np.stack(lam[::-1], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,25 @@
 
 Every pointwise matrix in the package is n x n with n <= 3 (the torus
 dimension), or up to 4 x 4 for the Jacobian minors of the degeneracy scan.
+Hermitian batches are entry planes: ``diag``, n real diagonal planes, and
+``upper``, the n(n-1)/2 complex planes above the diagonal in
+:func:`upper_pairs` order, conjugated below it.  A product with an
+off-diagonal plane stays a numpy complex product, which numpy fuses, in
+:func:`det`'s order, so results are bitwise :func:`det`'s on the matrices.
+
 At a million grid points a batched LAPACK call spends its time on per-matrix
 overhead, so determinants and adjugates are written out by cofactors, and
 Hermitian eigenvalues of sizes 1 and 2 come from the closed form
 
     lambda = h -+ r,   h = (a + d) / 2,   r = hypot((a - d) / 2, |b|)
 
-for ``[[a, conj(b)], [b, d]]`` (lower triangle read, as ``np.linalg.eigvalsh``
-does).  Its absolute error is a few ulps of ``|h| + r``, the same order as a
-backward-stable solver's; only relative accuracy near zero is lost.  Every
-eigenvalue with ``|lambda| <= 64 eps (|h| + r)`` is therefore recomputed by
-``np.linalg.eigvalsh``, so each sign decision near zero is the reference
-kernel's (J. Kopp, arXiv:physics/0610206, analyses this hybrid for 3 x 3).
-The closed form reads its matrices as planes (:func:`eigvalsh_planes`), so a
-caller that holds the entries as separate arrays builds no ``(..., 2, 2)``
-field.  Size 3 goes to ``np.linalg.eigvalsh`` directly.
+for ``[[a, b], [conj(b), d]]``.  Its absolute error is a few ulps of
+``|h| + r``, the same order as a backward-stable solver's; only relative
+accuracy near zero is lost.  Every eigenvalue with ``|lambda| <= 64 eps (|h|
++ r)`` is therefore recomputed by ``np.linalg.eigvalsh``, so each sign
+decision near zero is the reference kernel's (J. Kopp, arXiv:physics/0610206,
+analyses this hybrid for 3 x 3).  Size 3 goes to ``np.linalg.eigvalsh``
+directly, on matrices :func:`hermitian_matrices` assembles.
 
 Positive definiteness is decided by Sylvester's criterion on the leading
 principal minors, with the same kind of guard: with ``s`` the sum of the
@@ -24,7 +28,7 @@ entries' absolute real and imaginary parts (a bound on every eigenvalue),
 the minors decide where each minor of order i lies outside ``64 eps s^i`` of
 zero, and :func:`eigvalsh` decides elsewhere.  Where the minors decide, the
 smallest eigenvalue is at least about ``64 eps s`` away from zero, so the test
-agrees pointwise with ``eigvalsh(m)[..., 0] > 0``.
+agrees pointwise with ``eigvalsh(diag, upper)[0] > 0``.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from .errors import ModelError
 
 __all__ = [
     "det",
+    "upper_pairs",
+    "hermitian_entries",
+    "hermitian_matrices",
     "hermitian_det",
-    "adjugate",
     "adjugate_planes",
     "eigvalsh",
-    "eigvalsh_planes",
     "positive_definite",
 ]
 
@@ -58,8 +63,15 @@ def det(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     k = m.shape[-1]
+    if not 1 <= k <= 4:
+        raise ModelError(f"closed-form determinants cover sizes 1..4, got {k}")
     # [()] turns the entries of a single matrix into numpy scalars
-    e = [[m[..., i, j][()] for j in range(k)] for i in range(k)]
+    return _expand([[m[..., i, j][()] for j in range(k)] for i in range(k)])
+
+
+def _expand(e: list[list]):
+    """Cofactor expansion along the first row of the square entry table ``e``."""
+    k = len(e)
     if k == 1:
         return np.copy(e[0][0])[()]
     if k == 2:
@@ -70,104 +82,111 @@ def det(m: np.ndarray) -> np.ndarray:
             - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
             + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
         )
-    if k == 4:
-        acc = np.zeros(m.shape[:-2], dtype=np.complex128)
-        for c in range(4):
-            cols = [x for x in range(4) if x != c]
-            acc = acc + ((-1) ** c) * e[0][c] * det(m[..., 1:, cols])
-        return acc
-    raise ModelError(f"closed-form determinants cover sizes 1..4, got {k}")
+    acc = np.zeros(np.shape(e[0][0]), dtype=np.complex128)
+    for c in range(k):
+        acc = acc + ((-1) ** c) * e[0][c] * _expand([row[:c] + row[c + 1 :] for row in e[1:]])
+    return acc
 
 
-def hermitian_det(m: np.ndarray) -> np.ndarray:
-    """Batched determinant of Hermitian matrices (sizes 1..4), as its real part."""
-    return np.real(det(m))
+def upper_pairs(n: int) -> list[tuple[int, int]]:
+    """``(j, k)``, ``j < k``, of the upper planes of an n x n batch, in their order."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
-def _adjugate_entries(m: np.ndarray):
-    """Yield ``(i, j, adj(m)[..., i, j])`` for sizes 1..3: the cofactor rule, stated once."""
-    k = m.shape[-1]
-    if k == 1:
-        yield 0, 0, np.ones(m.shape[:-2], dtype=m.dtype)
-    elif k == 2:
-        yield 0, 0, m[..., 1, 1]
-        yield 1, 1, m[..., 0, 0]
-        yield 0, 1, -m[..., 0, 1]
-        yield 1, 0, -m[..., 1, 0]
-    elif k == 3:
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [b for b in range(3) if b != i]
-                minor = m[..., r[0], c[0]] * m[..., r[1], c[1]] - m[..., r[0], c[1]] * m[..., r[1], c[0]]
-                yield i, j, (-1) ** (i + j) * minor
-    else:
-        raise ModelError(f"adjugates cover sizes 1..3, got {k}")
+def hermitian_entries(diag, upper) -> list[list]:
+    """``e[i][j]``: the plane of entry ``(i, j)``, conjugated below the diagonal."""
+    n = len(diag)
+    e = [[diag[i] if i == j else None for j in range(n)] for i in range(n)]
+    for p, (j, k) in enumerate(upper_pairs(n)):
+        e[j][k], e[k][j] = upper[p], np.conj(upper[p])
+    return e
 
 
-def adjugate(m: np.ndarray) -> np.ndarray:
-    """Batched adjugate, sizes 1..3: ``adj(M) M = det(M) I``.
+def hermitian_matrices(diag, upper) -> np.ndarray:
+    """The ``(*batch, n, n)`` complex matrices of a batch given as planes."""
+    entries = np.broadcast_arrays(*(p for row in hermitian_entries(diag, upper) for p in row))
+    out = np.stack(entries, axis=-1).astype(np.complex128, copy=False)
+    return out.reshape(entries[0].shape + (len(diag),) * 2)
+
+
+def hermitian_det(diag, upper) -> np.ndarray:
+    """Batched real determinant of Hermitian planes, sizes 1..3: :func:`det`'s expansion,
+    with the products of two diagonal planes real (at size 2, all but ``b * conj(b)``)."""
+    n = len(diag)
+    if n == 2:
+        return diag[0] * diag[1] - (upper[0] * np.conj(upper[0])).real
+    if n in (1, 3):
+        return np.real(_expand(hermitian_entries(diag, upper)))
+    raise ModelError(f"Hermitian determinants of planes cover sizes 1..3, got {n}")
+
+
+def adjugate_planes(diag, upper):
+    """``(diag, re, im, mean)``: the adjugate ``adj(M) M = det(M) I`` of planes of one shape, sizes 1..3.
 
     The adjugate of a Hermitian matrix is Hermitian, and positive definite
-    when the matrix is.
+    when the matrix is: ``diag`` stacks its real diagonal planes and ``re``,
+    ``im`` the parts of its upper planes, each contiguous.  ``mean`` is its
+    ``(n, n)`` batch mean, each plane summed in batch order.
     """
-    m = np.asarray(m)
-    out = np.empty_like(m)
-    for i, j, entry in _adjugate_entries(m):
-        out[..., i, j] = entry
-    return out
+    n = len(diag)
+    if not 1 <= n <= 3:
+        raise ModelError(f"adjugates cover sizes 1..3, got {n}")
+    shape = np.shape(diag[0])
+    pairs = upper_pairs(n)
+    adj_diag = np.empty((n,) + shape)
+    re, im = np.empty((len(pairs),) + shape), np.empty((len(pairs),) + shape)
+    if n == 1:
+        adj_diag[0] = 1.0
+    elif n == 2:
+        adj_diag[0], adj_diag[1] = diag[1], diag[0]
+        np.negative(upper[0].real, out=re[0])
+        np.negative(upper[0].imag, out=im[0])
+    else:
+        # adj_ij is (-1)^(i+j) times the minor without row j and column i
+        e = hermitian_entries(diag, upper)
+        for i in range(3):
+            r0, r1 = [a for a in range(3) if a != i]
+            adj_diag[i] = hermitian_det([diag[r0], diag[r1]], [e[r0][r1]])
+        for p, (i, j) in enumerate(pairs):
+            entry = (-1) ** (i + j) * _expand([[e[a][b] for b in range(3) if b != i] for a in range(3) if a != j])
+            re[p], im[p] = entry.real, entry.imag
+    total = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        # np.cumsum adds in order; its last element is the in-order sum
+        total[i, i] = complex(np.cumsum(adj_diag[i])[-1], 0.0)
+    for p, (i, j) in enumerate(pairs):
+        real, imag = np.cumsum(re[p])[-1], np.cumsum(im[p])[-1]
+        total[i, j], total[j, i] = complex(real, imag), complex(real, -imag)
+    return adj_diag, re, im, total / adj_diag[0].size
 
 
-def adjugate_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re and Im of the batched adjugate as contiguous ``(k, k, *batch)`` planes, and its batch mean.
-
-    Sizes 1..3.  The entries go straight into the planes, with no complex
-    adjugate field.  The mean is summed in batch order, the order in which
-    ``np.mean`` sums the outer axis of the ``(batch, k, k)`` field, so it is
-    bitwise ``np.mean(adjugate(m).reshape(-1, k, k), axis=0)``.
-    """
-    m = np.asarray(m)
-    k = m.shape[-1]
-    planes = (k, k) + m.shape[:-2]
-    re, im = np.empty(planes), np.empty(planes)
-    for i, j, entry in _adjugate_entries(m):
-        re[i, j] = entry.real
-        im[i, j] = entry.imag
-    total = np.empty((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            # np.cumsum adds in order; its last element is the in-order sum
-            total[i, j] = complex(np.cumsum(re[i, j])[-1], np.cumsum(im[i, j])[-1])
-    return re, im, total / re[0, 0].size
-
-
-def positive_definite(m: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Pointwise positive definiteness of a batch of Hermitian matrices, sizes 1..3.
+def positive_definite(diag, upper, det: np.ndarray) -> np.ndarray:
+    """Pointwise positive definiteness of Hermitian planes of one shape, sizes 1..3.
 
     Sylvester's criterion with the guard described above; ``det`` is the
-    caller's :func:`hermitian_det` of ``m``, the last leading minor.  Agrees
-    pointwise with ``eigvalsh(m)[..., 0] > 0``.
+    caller's :func:`hermitian_det` of the planes, the last leading minor.
+    Agrees pointwise with ``eigvalsh(diag, upper)[0] > 0``.
     """
-    m = np.asarray(m)
-    k = m.shape[-1]
+    k = len(diag)
     if k == 1:
-        return m[..., 0, 0].real > 0
+        return diag[0] > 0
     if k > 3:
         raise ModelError(f"positivity tests cover sizes 1..3, got {k}")
-    s = np.abs(m[..., 0, 0].real)
+    s = np.abs(diag[0])
     for i in range(1, k):
-        s += np.abs(m[..., i, i].real)
+        s += np.abs(diag[i])
         for j in range(i):
-            off = np.abs(m[..., i, j].real)
-            off += np.abs(m[..., i, j].imag)
+            b = upper[upper_pairs(k).index((j, i))]
+            off = np.abs(b.real)
+            off += np.abs(b.imag)
             off *= 2.0
             s += off
-    minors = [m[..., 0, 0].real]
+    minors = [diag[0]]
     if k == 3:
-        minors.append(hermitian_det(m[..., :2, :2]))
+        minors.append(hermitian_det(diag[:2], upper[:1]))
     minors.append(det)
     positive = minors[0] > 0
-    near_zero = np.zeros(m.shape[:-2], dtype=bool)
+    near_zero = np.zeros(s.shape, dtype=bool)
     bound = _GUARD * s
     for order, minor in enumerate(minors, start=1):
         if order > 1:
@@ -176,48 +195,32 @@ def positive_definite(m: np.ndarray, det: np.ndarray) -> np.ndarray:
         near_zero |= np.abs(minor) <= bound
     if near_zero.any():
         idx = np.nonzero(near_zero)
-        positive[idx] = eigvalsh(m[idx])[..., 0] > 0
+        positive[idx] = eigvalsh([p[idx] for p in diag], [p[idx] for p in upper])[0] > 0
     return positive
 
 
-def eigvalsh_planes(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues ``(low, high)`` of batched 2 x 2 Hermitian matrices given as planes.
+def eigvalsh(diag, upper) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of batched Hermitian planes (broadcast together), one plane each.
 
-    The matrices are ``[[a, conj(b)], [b, d]]``: ``a`` and ``d`` are the real
-    diagonals and ``b`` the complex lower off-diagonal, broadcast together.
-    Closed form with the near-zero guard described above: where either
-    eigenvalue lies within ``64 eps (|h| + r)`` of zero, both come from
-    ``np.linalg.eigvalsh``, which reads only the real diagonal and the lower
-    triangle, so the result is bitwise that of :func:`eigvalsh` on the matrices.
+    Size 1 is the diagonal plane itself, size 2 the guarded closed form and
+    size 3 ``np.linalg.eigvalsh``, which reads the real diagonal and the lower
+    triangle (the conjugates of ``upper``) of the assembled matrices.
     """
+    n = len(diag)
+    if n == 1:
+        return (diag[0],)
+    if n == 3:
+        return tuple(np.moveaxis(np.linalg.eigvalsh(hermitian_matrices(diag, upper)), -1, 0))
+    if n != 2:
+        raise ModelError(f"eigenvalues of planes cover sizes 1..3, got {n}")
+    a, d, b = diag[0], diag[1], upper[0]
     h = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), np.abs(b))
     low, high = h - r, h + r
     bound = _GUARD * (np.abs(h) + r)
     idx = np.nonzero((np.abs(low) <= bound) | (np.abs(high) <= bound))
     if idx[0].size:
-        m = np.empty((idx[0].size, 2, 2), dtype=np.complex128)
-        m[:, 0, 0] = np.broadcast_to(a, low.shape)[idx]
-        m[:, 1, 1] = np.broadcast_to(d, low.shape)[idx]
-        m[:, 1, 0] = np.broadcast_to(b, low.shape)[idx]
-        m[:, 0, 1] = np.conj(m[:, 1, 0])
-        lam = np.linalg.eigvalsh(m)
+        near = [np.broadcast_to(p, low.shape)[idx] for p in (a, d, b)]
+        lam = np.linalg.eigvalsh(hermitian_matrices(near[:2], near[2:]))
         low[idx], high[idx] = lam[:, 0], lam[:, 1]
     return low, high
-
-
-def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of batched Hermitian matrices, ascending along the last axis.
-
-    Size 1 is the diagonal, size 2 :func:`eigvalsh_planes` on the matrices'
-    planes, size 3 ``np.linalg.eigvalsh``.
-    """
-    m = np.asarray(m)
-    k = m.shape[-1]
-    if k == 1:
-        return m[..., 0, :].real.copy()
-    if k != 2:
-        return np.linalg.eigvalsh(m)
-    if m.ndim == 2:
-        return eigvalsh(m[None])[0]
-    return np.stack(eigvalsh_planes(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]), axis=-1)

@@ -24,6 +24,7 @@ explicitly.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,12 +49,19 @@ __all__ = [
 ]
 
 
+# Exact rationals in text: an optional sign, digits, and optionally '/' and a non-zero denominator, at
+# most 100 digits each, so every number a rank-4 lattice query prints stays under Python's 4300-digit limit.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]{1,100}(/(?!0+\Z)[0-9]{1,100})?")
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_TEXT.fullmatch(x):
+            raise ModelError(f"cannot read {x!r} as an exact rational: an integer or 'p/q', at most 100 digits each")
         return Fraction(x)
     if isinstance(x, float):
         if not x.is_integer():

@@ -12,6 +12,7 @@ import copy
 import json
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,17 @@ class TestCertify:
         assert "margin_heatmap.csv" in names
         assert (out / "report.json").exists()
 
+    def test_non_finite_psi0_file_exits_three(self, tmp_path, capsys):
+        torus = TorusModel(n=2, grid_size=8)
+        values = np.zeros((8, 1, 1, 1))
+        values[3] = np.nan
+        path = tmp_path / "psi0.qpf"
+        write_field(path, torus, values)
+        cfg = self.worked_config(tmp_path, psi0={"type": "file", "path": str(path)})
+        code, report, err = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert str(path) in err and "non-finite" in err
+
     def test_trace_records_each_newton_step(self, tmp_path, capsys):
         cfg = self.worked_config(
             tmp_path, psi0={"type": "cosine", "amplitude": 0.1, "axis": 0}, tol=1e-12
@@ -332,6 +344,47 @@ class TestAgSurface:
         assert code == 3
         assert "exact rationals are integers or 'p/q' strings" in err
 
+    @pytest.mark.parametrize("entry", ["1e5000", "0.5", "1/0", "1" * 101, "1/" + "1" * 101])
+    def test_rational_strings_outside_the_rule_exit_three(self, tmp_path, capsys, entry):
+        cfg = write_config(tmp_path, {"lattice": {"model": "p1xp1"}, "divisor": [entry, -1]})
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert "divisor[0]" in err and "exact rationals are integers or 'p/q' strings" in err
+
+    def test_every_entry_at_the_digit_cap_prints_its_witness(self, tmp_path, capsys):
+        # The degree-6 del Pezzo lattice (basis H, E1, E2, E3; pairing
+        # diag(1, -1, -1, -1)) with its pairing, every generator and the
+        # divisor scaled by 100-digit rationals: every non-zero entry is a
+        # 100-digit numerator over a 100-digit denominator.
+        rng = np.random.default_rng(100)
+
+        def scale(coefficients):
+            num = int("".join(str(d) for d in rng.integers(0, 10, 99))) + 10**99  # 2 * num and 3 * num keep 100 digits
+            den = int("".join(str(d) for d in rng.integers(0, 10, 99))) + 10**99
+            return [f"{c * num}/{den}" if c else 0 for c in coefficients]
+
+        diagonal = scale([1, -1, -1, -1])
+        pairing = [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        effective = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, -1, -1, 0], [1, -1, 0, -1], [1, 0, -1, -1]]
+        nef = [[1, 0, 0, 0], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [2, -1, -1, -1]]
+        lattice = {
+            "rank": 4,
+            "pairing": pairing,
+            "effective_generators": [scale(g) for g in effective],
+            "nef_generators": [scale(g) for g in nef],
+        }
+        divisor = scale([3, -1, -1, -1])
+        entries = [e for row in pairing for e in row] + divisor
+        entries += [e for g in lattice["effective_generators"] + lattice["nef_generators"] for e in g]
+        assert {len(part.lstrip("-")) for e in entries if e for part in e.split("/")} == {100}
+        cfg = write_config(tmp_path, {"lattice": lattice, "divisor": divisor})
+        code, report, _ = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 0
+        witness = report["verdict"]["witness"]
+        vector, d = [Fraction(c) for c in witness["vector"]], [Fraction(c) for c in divisor]
+        q = [[Fraction(e) for e in row] for row in pairing]
+        assert Fraction(witness["pairing"]) == sum(d[i] * q[i][j] * vector[j] for i in range(4) for j in range(4)) > 0
+
     def test_explicit_lattice_and_rational_strings(self, tmp_path, capsys):
         lattice = {
             "rank": 2,
@@ -454,6 +507,16 @@ class TestGlue:
         assert regions["U_C minus V_C"]["n_points"] == 56
         names = {os.path.basename(p) for p in report["artifacts"]}
         assert names == {"psi.qpf", "psi_heatmap.csv"}
+
+    def test_non_finite_buffer_file_exits_three(self, tmp_path, capsys):
+        values = np.zeros((64, 64))
+        values[0, 0] = np.nan  # far from the pole at the centre
+        path = tmp_path / "buffer.qpf"
+        write_field(path, TorusModel(n=1, grid_size=64), values)
+        cfg = write_config(tmp_path, {**GLUE_CONFIG, "buffer_file": str(path)})
+        code, report, err = run_cli(["glue", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert str(path) in err and "non-finite" in err
 
     def test_empty_region_is_not_certified(self, capsys):
         # At grid 256 the buffer branch wins at no grid point outside the

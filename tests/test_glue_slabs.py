@@ -2,7 +2,7 @@
 
 The references are the whole-grid forms of the computations: periodic
 ``np.roll`` stencils for the finite-difference Hessian, ``background + H`` as
-a ``(..., n, n)`` field, ``smallmat.eigvalsh`` on it, and one masked argmin
+whole-grid entry planes, ``smallmat.eigvalsh`` on them, and one masked argmin
 per region.  Every comparison is bit for bit.
 """
 
@@ -18,7 +18,6 @@ from qposlab.gluing import (
     SingularPotential,
     _certify_regions,
     _fd_hessian_rows,
-    _form_hessian_rows,
     zariski_fujita_pipeline,
 )
 
@@ -44,20 +43,17 @@ def roll_second(v, axis, h, order):
 
 
 def roll_fd_hessian(v, n, h, order):
-    out = np.zeros(v.shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        out[..., j, j] = 0.25 * (roll_second(v, xj, h, order) + roll_second(v, yj, h, order))
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            dxx = roll_first(roll_first(v, xj, h, order), xk, h, order)
-            dyy = roll_first(roll_first(v, yj, h, order), yk, h, order)
-            dxy = roll_first(roll_first(v, xj, h, order), yk, h, order)
-            dyx = roll_first(roll_first(v, yj, h, order), xk, h, order)
-            entry = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
-    return out
+    """``(diag, upper)`` planes of the whole-grid finite-difference Hessian."""
+    diag = [0.25 * (roll_second(v, 2 * j, h, order) + roll_second(v, 2 * j + 1, h, order)) for j in range(n)]
+    upper = []
+    for j, k in smallmat.upper_pairs(n):
+        xj, yj, xk, yk = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
+        dxx = roll_first(roll_first(v, xj, h, order), xk, h, order)
+        dyy = roll_first(roll_first(v, yj, h, order), yk, h, order)
+        dxy = roll_first(roll_first(v, xj, h, order), yk, h, order)
+        dyx = roll_first(roll_first(v, yj, h, order), xk, h, order)
+        upper.append(0.25 * ((dxx + dyy) + 1j * (dxy - dyx)))
+    return diag, upper
 
 
 def masked_certificate(name, margin_field, mask, margin):
@@ -72,10 +68,18 @@ def masked_certificate(name, margin_field, mask, margin):
     return RegionCertificate(name=name, n_points=n_points, min_margin=low, passed=bool(low > margin), worst_point=worst)
 
 
+def whole_grid_eigvalsh(hessian, background):
+    """Eigenvalue planes of ``background + H``, ``H`` given as ``(diag, upper)`` planes."""
+    diag, upper = hessian
+    return smallmat.eigvalsh(
+        [b + h for b, h in zip(background.diag, diag)], [b + h for b, h in zip(background.upper, upper)]
+    )
+
+
 def reference(hessian, background, regions, shift=0.0):
-    eig = smallmat.eigvalsh(background + hessian)
+    eig = whole_grid_eigvalsh(hessian, background)
     return tuple(
-        masked_certificate(name, eig[..., index] - shift, mask, margin) for name, mask, index, margin in regions
+        masked_certificate(name, eig[index] - shift, mask, margin) for name, mask, index, margin in regions
     )
 
 
@@ -131,10 +135,11 @@ def test_fd_complex_hessian_is_bitwise_the_roll_stencils(monkeypatch, n, grid, s
     slab_rows(monkeypatch, shape, rows)
     torus = TorusModel(n, grid)
     v = np.random.default_rng(sum(shape) + rows).normal(size=shape)
-    got = fd_complex_hessian(PotentialField(torus, v), order=order).values
-    ref = roll_fd_hessian(v, n, 1.0 / grid, order)
-    assert got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
+    got = fd_complex_hessian(PotentialField(torus, v), order=order)
+    diag, upper = roll_fd_hessian(v, n, 1.0 / grid, order)
+    assert got.diag.shape == (n,) + shape and got.upper.shape == (n * (n - 1) // 2,) + shape
+    assert got.diag.tobytes() == np.stack(diag).tobytes()
+    assert got.upper.tobytes() == np.array(upper, dtype=np.complex128).reshape(got.upper.shape).tobytes()
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -155,7 +160,7 @@ def test_fd_regions_are_bitwise_the_whole_grid(monkeypatch, workers, n, grid, sh
     ]
     for shift in (0.0, 0.3):
         got = _certify_regions(fd_source(torus, v, order), shape, background, regions, shift)
-        want = reference(roll_fd_hessian(v, n, 1.0 / grid, order), background.values, regions, shift)
+        want = reference(roll_fd_hessian(v, n, 1.0 / grid, order), background, regions, shift)
         assert bits(got) == bits(want)
     assert got[2].n_points == 0 and not got[2].passed
 
@@ -168,7 +173,7 @@ def test_background_varying_along_axis_zero(monkeypatch, workers):
     background = HermitianFormField(torus, random_hermitian(rng, 2, (8, 1, 1, 1)))
     regions = [("all", np.ones((8, 8, 8, 8), dtype=bool), 0, 0.0)]
     got = _certify_regions(fd_source(torus, v, 2), shape, background, regions)
-    want = reference(roll_fd_hessian(v, 2, 1.0 / 8, 2), background.values, regions)
+    want = reference(roll_fd_hessian(v, 2, 1.0 / 8, 2), background, regions)
     assert bits(got) == bits(want)
 
 
@@ -180,11 +185,11 @@ def test_equal_minima_in_two_slabs_first_wins(monkeypatch, workers):
     background = HermitianFormField.from_constant(torus, np.eye(1))
     regions = [("all", np.ones(v.shape, dtype=bool), 0, 0.0)]
     got = _certify_regions(fd_source(torus, v, 2), v.shape, background, regions)
-    want = reference(roll_fd_hessian(v, 1, 1.0 / 8, 2), background.values, regions)
+    want = reference(roll_fd_hessian(v, 1, 1.0 / 8, 2), background, regions)
     assert bits(got) == bits(want)
     row, col = got[0].worst_point
     assert row < 4
-    margins = smallmat.eigvalsh(background.values + roll_fd_hessian(v, 1, 1.0 / 8, 2))[..., 0]
+    margins = whole_grid_eigvalsh(roll_fd_hessian(v, 1, 1.0 / 8, 2), background)[0]
     assert margins[row + 4, col] == got[0].min_margin  # the tie is real
 
 
@@ -195,7 +200,7 @@ def test_near_zero_guard_falls_back_inside_a_slab(monkeypatch, workers):
     v[:2] = np.random.default_rng(6).normal(size=(2, 8, 8, 8))  # H = 0 on rows 3 to 6
     background = HermitianFormField.from_constant(torus, np.diag([1.0, 0.0]))  # eigenvalue 0 there
     regions = [("all", np.ones(shape, dtype=bool), 0, -1.0), ("top", np.ones(shape, dtype=bool), 1, 0.0)]
-    want = reference(roll_fd_hessian(v, 2, 1.0 / 8, 2), background.values, regions)
+    want = reference(roll_fd_hessian(v, 2, 1.0 / 8, 2), background, regions)
     reference_eigvalsh = np.linalg.eigvalsh
     batches = []
 
@@ -213,14 +218,14 @@ def test_spectral_source_with_a_constant_buffer(monkeypatch, workers):
     # the worked example's (1, 1) buffer against a full-grid declaration mask
     torus = TorusModel(1, 64)
     form = complex_hessian(PotentialField(torus, np.zeros((1, 1))))
-    assert form.values.shape == (1, 1, 1, 1)
+    assert form.diag.shape == (1, 1, 1) and form.upper.shape == (0, 1, 1)
     slab_rows(monkeypatch, (64, 64), 5)
     mask = np.zeros((64, 64), dtype=bool)
     mask[28:37, 28:37] = True
     background = HermitianFormField.from_constant(torus, np.eye(1))
     regions = [("buffer", mask, 0, 0.0)]
-    got = _certify_regions(_form_hessian_rows(form), form.values.shape[:-2], background, regions)
-    assert bits(got) == bits(reference(form.values, background.values, regions))
+    got = _certify_regions(form.rows, form.diag.shape[1:], background, regions)
+    assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
     assert got[0].n_points == 81 and got[0].worst_point == (28, 28)
 
 
@@ -232,8 +237,8 @@ def test_spectral_source_is_bitwise_the_whole_grid(monkeypatch, workers, n, grid
     slab_rows(monkeypatch, shape, 3)
     background = HermitianFormField.from_constant(torus, random_hermitian(rng, n))
     regions = [("random", rng.random(shape) < 0.7, n - 1, 0.0)]
-    got = _certify_regions(_form_hessian_rows(form), shape, background, regions)
-    assert bits(got) == bits(reference(form.values, background.values, regions))
+    got = _certify_regions(form.rows, shape, background, regions)
+    assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
 
 
 def test_nan_margin_wins_like_argmin(monkeypatch, workers):
@@ -243,12 +248,13 @@ def test_nan_margin_wins_like_argmin(monkeypatch, workers):
     values = random_hermitian(rng, 2, shape)
     values[0, 1, 2, 3] = np.diag([-5.0, 1.0])
     values[7, 0, 0, 1, 0, 0] = np.nan
-    form = HermitianFormField._trusted(torus, values)
+    # the constructor refuses a nan entry; a Hessian of overflowing values can hold one
+    form = HermitianFormField._trusted(torus, np.moveaxis(values[..., [0, 1], [0, 1]].real, -1, 0), values[None, ..., 0, 1])
     slab_rows(monkeypatch, shape, 3)
     background = HermitianFormField.from_constant(torus, np.eye(2))
     regions = [("all", np.ones(shape, dtype=bool), 0, 0.0)]
-    got = _certify_regions(_form_hessian_rows(form), shape, background, regions)
-    assert bits(got) == bits(reference(form.values, background.values, regions))
+    got = _certify_regions(form.rows, shape, background, regions)
+    assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
     assert got[0].worst_point == (7, 0, 0, 1) and math.isnan(got[0].min_margin)
 
 

@@ -180,8 +180,8 @@ class TestNewtonPath:
     def test_pcg_counts_operator_applications(self, monkeypatch):
         t = TorusModel(2, 8)
         shape = (8,) * 4
-        form = np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), shape + (2, 2)).copy()
-        op = _NewtonOperator(t, form, shape)
+        diag = np.stack([np.full(shape, 2.0), np.full(shape, 1.0)])
+        op = _NewtonOperator(t, diag, np.zeros((1,) + shape, dtype=complex), shape)
         applied = []
         apply = op.apply
         monkeypatch.setattr(op, "apply", lambda u: applied.append(1) or apply(u))

@@ -111,6 +111,14 @@ class TestEigenvaluesRelative:
 
 
 class TestCertificate:
+    def test_nan_reference_is_a_model_error(self):
+        # a nan compares false against every bound, so it must be refused on entry
+        t = TorusModel(2, 16)
+        reference = 3 * np.eye(2, dtype=complex)
+        reference[1, 1] = np.nan
+        with pytest.raises(ModelError, match="finite"):
+            certify_q_positive(H_EXAMPLE, reference, t, q=1)
+
     def test_frozen_margin(self):
         t = TorusModel(2, 16)
         cert = certify_q_positive(H_EXAMPLE, 3 * np.eye(2), t, q=1)
@@ -147,6 +155,21 @@ class TestCertificate:
 
 
 class TestOnePositivePipeline:
+    def test_n3_newton_solve(self):
+        # psi0 varies along x1, x2 and y3 only: the planar 3 x 3 adjugate, the
+        # Sylvester minors and the n = 3 LAPACK eigenvalues all run
+        t = TorusModel(3, 8)
+        x1, _, x2, _, _, y3 = t.real_coordinates()
+        psi0 = PotentialField(
+            t, 0.05 * (np.cos(2 * np.pi * x1) + np.cos(2 * np.pi * x2)) + 0.025 * np.sin(2 * np.pi * (x1 + y3))
+        )
+        assert psi0.values.shape == (8, 1, 8, 1, 1, 8)
+        run = one_positive_pipeline(np.diag([2.0, -1.0, 1.0]), np.eye(3), psi0=psi0)
+        assert run.k == 2 and run.dk == pytest.approx(1.5, abs=1e-12)
+        assert run.ma_result.iterations >= 1 and all(cg >= 1 for cg in run.ma_result.cg_iterations)
+        assert run.certificate.passed
+        assert run.certificate.min_margin == pytest.approx(1.0, abs=1e-9)
+
     def test_frozen_constant_run(self):
         t = TorusModel(2, 64)
         run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, torus=t)

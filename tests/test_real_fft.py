@@ -83,10 +83,14 @@ def check_fft_helpers_bitwise(shape):
     assert np.array_equal(vhat, np.fft.rfftn(v, axes=axes))
     ref = np.fft.irfftn(vhat, s=shape, axes=axes)
     assert np.array_equal(_irfftn(vhat.copy(), shape), ref)  # _irfftn consumes its input
-    # A strided destination, as complex_hessian writes one entry of its form field.
-    form = np.zeros(shape + (2, 2), dtype=np.complex128)
-    _irfftn(vhat.copy(), shape, out=form.imag[..., 0, 1])
-    assert np.array_equal(form.imag[..., 0, 1], ref)
+    # complex_hessian writes a diagonal plane contiguously and the real and
+    # imaginary parts of an upper plane with a stride of two doubles.
+    diag = np.zeros((2,) + shape)
+    _irfftn(vhat.copy(), shape, out=diag[1])
+    assert diag[1].tobytes() == ref.tobytes()
+    upper = np.zeros((1,) + shape, dtype=np.complex128)
+    _irfftn(vhat.copy(), shape, out=upper[0].imag)
+    assert np.ascontiguousarray(upper[0].imag).tobytes() == ref.tobytes()
 
 
 def check_complex_hessian(n, grid, shape):
@@ -219,10 +223,13 @@ def test_newton_operator_matches_complex_fft_and_is_self_adjoint(n, grid, shape)
     torus = TorusModel(n, grid)
     rng = np.random.default_rng(len(shape) + shape[-1])
     m = random_positive_form(torus, shape, rng)
-    op = _NewtonOperator(torus, m, shape)
+    diag = np.stack([m[..., j, j].real for j in range(n)])
+    upper = np.stack([m[..., j, k] for j, k in smallmat.upper_pairs(n)])
+    op = _NewtonOperator(torus, diag, upper, shape)
     u, v = rng.normal(size=shape), rng.normal(size=shape)
     au, av = op.apply(u), op.apply(v)
-    ref = c2c_newton_apply(torus, smallmat.adjugate(m), shape, u)
+    m = smallmat.hermitian_matrices(diag, upper)  # exactly Hermitian: the matrices the planes hold
+    ref = c2c_newton_apply(torus, np.linalg.det(m)[..., None, None] * np.linalg.inv(m), shape, u)
     assert np.max(np.abs(au - ref)) <= 1e-12 * np.max(np.abs(ref))
     lhs, rhs = float(np.sum(u * av)), float(np.sum(au * v))
     assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(u * u) * np.sum(av * av))

@@ -1,4 +1,12 @@
-"""Closed-form small-matrix kernels against numpy's LAPACK routines."""
+"""Closed-form small-matrix kernels against numpy's LAPACK routines.
+
+The kernels take Hermitian batches as entry planes; ``planes`` below cuts a
+``(..., n, n)`` test batch into them, reading the real diagonal and the
+upper triangle.
+"""
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -18,8 +26,21 @@ def herm2(a, d, b_re, b_im):
     return np.array([[a, b_re - 1j * b_im], [b_re + 1j * b_im, d]])
 
 
+def planes(m):
+    """``(diag, upper)`` planes of a ``(..., n, n)`` batch."""
+    n = m.shape[-1]
+    return [m[..., j, j].real for j in range(n)], [m[..., j, k] for j, k in smallmat.upper_pairs(n)]
+
+
+def eigvalsh(m):
+    """The plane kernel's eigenvalues of a ``(..., n, n)`` batch, stacked along the last axis."""
+    if m.ndim == 2:
+        return eigvalsh(m[None])[0]
+    return np.stack(smallmat.eigvalsh(*planes(m)), axis=-1)
+
+
 def assert_matches_reference(m):
-    got = smallmat.eigvalsh(m)
+    got = eigvalsh(m)
     ref = np.linalg.eigvalsh(m)
     scale = np.max(np.abs(m), axis=(-2, -1), keepdims=True)[..., 0]
     assert got.shape == ref.shape
@@ -38,7 +59,7 @@ class TestEigvalsh:
     def test_degenerate_2x2(self, a, scale):
         m = scale * herm2(a, a, 0.0, 0.0)
         assert_matches_reference(m)
-        assert np.all(smallmat.eigvalsh(m) == scale * a)
+        assert np.all(eigvalsh(m) == scale * a)
 
     @settings(max_examples=100, deadline=None)
     @given(a=finite, gap=st.floats(min_value=-1e-10, max_value=1e-10), b=st.floats(0, 1e-10), scale=scales)
@@ -54,8 +75,8 @@ class TestEigvalsh:
     @given(a=finite, scale=scales)
     def test_1x1_is_exact(self, a, scale):
         m = np.array([[[scale * a + 0j]]])
-        assert smallmat.eigvalsh(m).shape == (1, 1)
-        assert smallmat.eigvalsh(m)[0, 0] == scale * a
+        assert eigvalsh(m).shape == (1, 1)
+        assert eigvalsh(m)[0, 0] == scale * a
 
     def test_batched_grid_field(self):
         rng = np.random.default_rng(0)
@@ -76,14 +97,14 @@ class TestEigvalsh:
             return reference(x)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        got = smallmat.eigvalsh(m)
+        got = eigvalsh(m)
         assert seen == [(1, 2, 2)]
         assert np.array_equal(got[1], reference(singular))
         assert abs(got[1, 0]) <= 64 * EPS * 2.0
 
     def test_guard_idle_when_well_separated(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: pytest.fail("guard fired"))
-        smallmat.eigvalsh(np.stack([herm2(2.0, -1.0, 0.3, 0.1)] * 4))
+        eigvalsh(np.stack([herm2(2.0, -1.0, 0.3, 0.1)] * 4))
 
 
 def stacked_closed_form(m):
@@ -111,20 +132,21 @@ class TestEigvalshPlanes:
 
     def test_bitwise_the_stacked_closed_form(self):
         m = self.field(11)
-        low, high = smallmat.eigvalsh_planes(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0])
+        low, high = smallmat.eigvalsh(*planes(m))
         ref = stacked_closed_form(m)
         assert low.tobytes() == np.ascontiguousarray(ref[..., 0]).tobytes()
         assert high.tobytes() == np.ascontiguousarray(ref[..., 1]).tobytes()
-        assert smallmat.eigvalsh(m).tobytes() == ref.tobytes()
 
     def test_fallback_ignores_the_upper_triangle_and_imaginary_diagonal(self):
         # LAPACK reads the real diagonal and the lower triangle, so planes built
-        # from those alone reproduce the fallback on the stored matrices
+        # from those alone (the upper plane the conjugate of the lower entry)
+        # reproduce the fallback on matrices with any upper triangle
         m = self.field(12)
         noisy = m.copy()
         noisy[..., 0, 1] += 0.5
         noisy[..., 1, 1] += 0.25j
-        assert smallmat.eigvalsh(noisy).tobytes() == stacked_closed_form(noisy).tobytes()
+        low, high = smallmat.eigvalsh([noisy[..., 0, 0].real, noisy[..., 1, 1].real], [np.conj(noisy[..., 1, 0])])
+        assert np.stack((low, high), axis=-1).tobytes() == stacked_closed_form(noisy).tobytes()
 
     def test_broadcast_planes(self):
         rng = np.random.default_rng(13)
@@ -132,27 +154,72 @@ class TestEigvalshPlanes:
         d = np.float64(0.0)
         b = rng.normal(size=(1, 6)) + 1j * rng.normal(size=(1, 6))
         a[0, 0] = b[0, 0] = 0.0  # row 0, column 0 is the zero matrix: the guard reads broadcast planes
-        low, high = smallmat.eigvalsh_planes(a, d, b)
+        low, high = smallmat.eigvalsh((a, d), (b,))
         m = np.zeros((8, 6, 2, 2), dtype=np.complex128)
-        m[..., 0, 0], m[..., 1, 0] = a, b
-        m[..., 0, 1] = np.conj(m[..., 1, 0])
+        m[..., 0, 0], m[..., 0, 1] = a, b
+        m[..., 1, 0] = np.conj(m[..., 0, 1])
         assert np.array_equal(np.stack((low, high), axis=-1), stacked_closed_form(m))
+
+
+def adjugate_reference(m):
+    """det(M) M^{-1} by LAPACK."""
+    return np.linalg.det(m)[..., None, None] * np.linalg.inv(m)
+
+
+def adjugate_matrices(diag, re, im):
+    return smallmat.hermitian_matrices(diag, re + 1j * im)
 
 
 class TestDeterminantAndAdjugate:
     def test_adjugate_identity(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
-            m = rng.normal(size=(6, 2, n, n)) + 1j * rng.normal(size=(6, 2, n, n))
-            lhs = smallmat.adjugate(m) @ m
+            z = rng.normal(size=(6, 2, n, n)) + 1j * rng.normal(size=(6, 2, n, n))
+            m = z + z.conj().swapaxes(-1, -2)
+            diag, re, im, _ = smallmat.adjugate_planes(*planes(m))
+            got, expect = adjugate_matrices(diag, re, im), adjugate_reference(m)
+            assert np.max(np.abs(got - expect)) < 1e-12 * max(1.0, float(np.max(np.abs(expect))))
+            lhs = got @ m
             rhs = smallmat.det(m)[..., None, None] * np.eye(n)
             assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, float(np.max(np.abs(rhs))))
 
     def test_adjugate_of_hermitian_is_hermitian(self):
+        # what the planes leave out: det(M) M^{-1} has a real diagonal and its
+        # lower triangle is the conjugate of the upper planes
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
-        adj = smallmat.adjugate(z + z.conj().swapaxes(-1, -2))
-        assert np.max(np.abs(adj - adj.conj().swapaxes(-1, -2))) < 1e-14
+        for n in (2, 3):
+            z = rng.normal(size=(10, n, n)) + 1j * rng.normal(size=(10, n, n))
+            m = z + z.conj().swapaxes(-1, -2)
+            _, re, im, _ = smallmat.adjugate_planes(*planes(m))
+            expect = adjugate_reference(m)
+            scale = float(np.max(np.abs(expect)))
+            assert np.max(np.abs(np.diagonal(expect, axis1=-2, axis2=-1).imag)) < 1e-14 * scale
+            for p, (j, k) in enumerate(smallmat.upper_pairs(n)):
+                assert np.max(np.abs(expect[..., k, j] - (re[p] - 1j * im[p]))) < 1e-13 * scale
+
+    def test_adjugate_of_positive_definite_is_positive_definite(self):
+        rng = np.random.default_rng(2)
+        m = hermitian_batch(rng, 3, spectra(rng, "definite", 3, 10))
+        diag, re, im, _ = smallmat.adjugate_planes(*planes(m))
+        assert np.min(np.linalg.eigvalsh(adjugate_matrices(diag, re, im))) > 0
+
+    def test_hermitian_det_matches_numpy_and_det(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            z = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+            m = z + z.conj().swapaxes(-1, -2)
+            got = smallmat.hermitian_det(*planes(m))
+            expect = np.linalg.det(m).real
+            assert np.max(np.abs(got - expect)) < 1e-10 * max(1.0, np.max(np.abs(expect)))
+            if n == 2:  # only complex products there: bitwise the real part of det
+                assert got.tobytes() == np.real(smallmat.det(m)).tobytes()
+
+    def test_2x2_hermitian_det_keeps_the_complex_product(self):
+        # b * conj(b) is a fused complex product; |b|^2 from real squares rounds differently
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=(1 << 14, 2, 2)) + 1j * rng.normal(size=(1 << 14, 2, 2))
+        m = z + z.conj().swapaxes(-1, -2)
+        assert smallmat.hermitian_det(*planes(m)).tobytes() == np.real(smallmat.det(m)).tobytes()
 
     def test_det_matches_numpy_up_to_4x4(self):
         rng = np.random.default_rng(3)
@@ -173,15 +240,15 @@ class TestDeterminantAndAdjugate:
 
     def test_single_matrix_determinant(self):
         assert smallmat.det(np.array([[2.0, 1.0], [1.0, 3.0]])) == 5.0
-        assert smallmat.hermitian_det(np.array([[2.0 + 0j]])) == 2.0
+        assert smallmat.hermitian_det([np.array([2.0])], []) == 2.0
 
     def test_sizes_out_of_range(self):
         with pytest.raises(ModelError):
             smallmat.det(np.eye(5))
-        with pytest.raises(ModelError):
-            smallmat.adjugate(np.eye(4))
-        with pytest.raises(ModelError):
-            smallmat.adjugate_planes(np.eye(4)[None])
+        four = planes(np.eye(4, dtype=complex)[None])
+        for kernel in (smallmat.adjugate_planes, smallmat.hermitian_det, smallmat.eigvalsh):
+            with pytest.raises(ModelError):
+                kernel(*four)
 
 
 def hermitian_batch(rng, n, eigenvalues):
@@ -206,10 +273,15 @@ def spectra(rng, kind, n, count):
     return lam
 
 
+def positive_definite(m):
+    diag, upper = planes(m)
+    return smallmat.positive_definite(diag, upper, smallmat.hermitian_det(diag, upper))
+
+
 def assert_positivity_matches_reference(m):
-    got = smallmat.positive_definite(m, smallmat.hermitian_det(m))
+    got = positive_definite(m)
     assert got.dtype == bool and got.shape == m.shape[:-2]
-    assert np.array_equal(got, smallmat.eigvalsh(m)[..., 0] > 0)
+    assert np.array_equal(got, eigvalsh(m)[..., 0] > 0)
 
 
 class TestPositiveDefinite:
@@ -228,7 +300,7 @@ class TestPositiveDefinite:
         rng = np.random.default_rng(seed)
         b = rng.integers(-3, 4, size=(32, n, n - 1)) + 1j * rng.integers(-3, 4, size=(32, n, n - 1))
         m = b @ b.conj().swapaxes(-1, -2)
-        assert np.all(smallmat.hermitian_det(m) == 0.0)
+        assert np.all(smallmat.hermitian_det(*planes(m)) == 0.0)
         assert_positivity_matches_reference(m)
         assert_positivity_matches_reference(scale * m)
 
@@ -239,31 +311,30 @@ class TestPositiveDefinite:
 
     def test_small_batches_and_zero_matrix(self):
         m = np.stack([herm2(2.0, 1.0, 0.5, 0.5), herm2(2.0, -1.0, 0.0, 0.0)])
-        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False])
-        zero = np.zeros((1, 3, 3), dtype=complex)
-        assert np.array_equal(smallmat.positive_definite(zero, smallmat.hermitian_det(zero)), [False])
+        assert np.array_equal(positive_definite(m), [True, False])
+        assert np.array_equal(positive_definite(np.zeros((1, 3, 3), dtype=complex)), [False])
 
     def test_fallback_only_near_zero(self, monkeypatch):
         seen = []
         reference = smallmat.eigvalsh
 
-        def counting(x):
-            seen.append(x.shape)
-            return reference(x)
+        def counting(diag, upper):
+            seen.append((len(diag), diag[0].shape))
+            return reference(diag, upper)
 
         monkeypatch.setattr(smallmat, "eigvalsh", counting)
         regular = herm2(2.0, 1.0, 0.3, 0.1)
         singular = herm2(1.0, 1.0, 1.0, 0.0)  # det = 0: Sylvester cannot decide
         m = np.stack([regular, -regular] * 3)
-        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False] * 3)
+        assert np.array_equal(positive_definite(m), [True, False] * 3)
         assert seen == []
         m = np.stack([regular, singular, regular])
-        assert np.array_equal(smallmat.positive_definite(m, smallmat.hermitian_det(m)), [True, False, True])
-        assert seen == [(1, 2, 2)]
+        assert np.array_equal(positive_definite(m), [True, False, True])
+        assert seen == [(2, (1,))]
 
     def test_sizes_out_of_range(self):
         with pytest.raises(ModelError):
-            smallmat.positive_definite(np.eye(4)[None], np.ones(1))
+            smallmat.positive_definite(*planes(np.eye(4, dtype=complex)[None]), np.ones(1))
 
 
 class TestAdjugatePlanes:
@@ -271,10 +342,21 @@ class TestAdjugatePlanes:
     def test_planes_and_mean_equal_the_adjugate_field(self, n):
         rng = np.random.default_rng(n)
         m = hermitian_batch(rng, n, spectra(rng, "definite", n, 4 * 5 * 6).reshape(4, 5, 6, n))
-        m[..., 0, 0] += 1e-17j  # the planes keep an imaginary diagonal
-        re, im, mean = smallmat.adjugate_planes(m)
-        adj = smallmat.adjugate(m)
-        assert re.shape == im.shape == (n, n, 4, 5, 6) and re.flags.c_contiguous
-        assert np.array_equal(re, np.moveaxis(adj.real, (-2, -1), (0, 1)))
-        assert np.array_equal(im, np.moveaxis(adj.imag, (-2, -1), (0, 1)))
-        assert np.array_equal(mean, np.mean(adj.reshape(-1, n, n), axis=0))
+        diag, re, im, mean = smallmat.adjugate_planes(*planes(m))
+        pairs = smallmat.upper_pairs(n)
+        assert diag.shape == (n, 4, 5, 6) and re.shape == im.shape == (len(pairs), 4, 5, 6)
+        assert diag.flags.c_contiguous and re.flags.c_contiguous and im.flags.c_contiguous
+        expect = adjugate_reference(m)
+        assert np.max(np.abs(adjugate_matrices(diag, re, im) - expect)) < 1e-12
+        assert np.max(np.abs(mean - np.mean(expect.reshape(-1, n, n), axis=0))) < 1e-12
+
+        def in_order(real, imag):
+            # sums in batch order, divided as numpy divides a complex array
+            total = complex(*(functools.reduce(operator.add, p.ravel().tolist(), 0.0) for p in (real, imag)))
+            return (np.array(total) / real.size)[()]
+
+        for j in range(n):
+            assert mean[j, j] == in_order(diag[j], np.zeros(1))
+        for p, (j, k) in enumerate(pairs):
+            assert mean[j, k] == in_order(re[p], im[p])
+            assert mean[k, j] == in_order(re[p], -im[p])

@@ -54,6 +54,18 @@ class TestDivisorClass:
         with pytest.raises(ModelError):
             DivisorClass((0.5, 1))
 
+    @pytest.mark.parametrize(
+        "text", ["1e5000", "0.5", "1/0", "1/00", "", "+", "1/-2", " 1", "1" * 101, "1/" + "1" * 101, "1" * 101 + "/3"]
+    )
+    def test_rational_text_outside_the_rule_rejected(self, text):
+        with pytest.raises(ModelError, match="exact rational"):
+            DivisorClass((text, 1))
+
+    def test_rational_text_at_the_digit_cap(self):
+        big = "9" * 100
+        d = DivisorClass((big, f"-{big}/{big[:-1]}7", "+0/" + big))
+        assert d.coefficients == (Fraction(int(big)), Fraction(-int(big), int(big[:-1] + "7")), Fraction(0))
+
     def test_algebra(self):
         d = DivisorClass((1, -2))
         assert (-d).coefficients == (Fraction(-1), Fraction(2))
