@@ -33,7 +33,7 @@ from .calculus import (
     fd_complex_hessian,
     form_top_density,
 )
-from .ma_solver import MAProblem, MASolveResult, compatibility_check, ma_for_dk, solve_ma
+from .ma_solver import MAProblem, MASolveResult, ma_for_dk, solve_ma
 from .positivity import (
     EigenvalueField,
     OnePositiveRun,

@@ -56,7 +56,7 @@ from .errors import ConfigError, ModelError, NumericsError
 from .fields_io import read_field, write_field, write_heatmap_csv
 from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, intersection_number
 from .gluing import SingularPotential, zariski_fujita_pipeline
-from .ma_solver import MAProblem, compatibility_check, solve_ma
+from .ma_solver import MAProblem, solve_ma
 from .maps_degeneracy import PolyMap, degeneracy_locus_scan, fibre_dimension_estimate, sample_box
 from .positivity import one_positive_pipeline, pseff_pipeline
 from .surface_cones import (
@@ -462,9 +462,7 @@ def _cmd_ma_solve(v):
         tol=v["tol"],
         max_iter=v["max_iter"],
     )
-    wform = problem.background_form()
-    problem = compatibility_check(problem, wform)
-    result = solve_ma(problem, background_form=wform)
+    result = solve_ma(problem)
     verdict = {
         "n": torus.n,
         "grid": torus.grid_size,
@@ -472,7 +470,7 @@ def _cmd_ma_solve(v):
         "iterations": result.iterations,
         "positivity_margin": result.positivity_margin,
         "log_constant": result.log_constant,
-        "compat_factor": problem.compat_factor,
+        "compat_factor": result.compat_factor,
     }
     artifacts = [
         ("phi.qpf", lambda p: write_field(p, torus, result.phi.values)),

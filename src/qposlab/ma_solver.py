@@ -31,13 +31,13 @@ Fourier space.  Steps are halved until pointwise positivity of
 The state holds ``W + dd_bar(phi)`` as the entry planes :func:`complex_hessian`
 writes, with no lower planes; determinants, the adjugate and the positivity
 test (Sylvester minors, which reuse the residual's determinant, with an
-eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`; the
-smallest eigenvalue is computed once, on the returned form.
+eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`.  The
+result keeps the solved form's planes; its smallest eigenvalue is computed
+only when read.
 
 One Newton step costs one Hessian per line-search trial and nothing more:
-``W`` can be built once and handed to both :func:`compatibility_check` and
-:func:`solve_ma` (as :func:`ma_for_dk` does), and a zero initial guess starts
-from ``M = W``.
+:func:`solve_ma` builds ``W`` once, rescales the density to its total mass,
+and a zero initial guess starts from ``M = W``.
 
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
@@ -46,7 +46,7 @@ single exact spectral step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .calculus import (
 from .errors import ModelError, NonConvergence, NumericsError, StepFailure
 from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, dk_constant
 
-__all__ = ["MAProblem", "MASolveResult", "compatibility_check", "solve_ma", "ma_for_dk"]
+__all__ = ["MAProblem", "MASolveResult", "solve_ma", "ma_for_dk"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class MAProblem:
     background_potential: PotentialField | None = None
     tol: float = 1e-9
     max_iter: int = 50
-    compat_factor: float | None = None
 
     def __post_init__(self):
         if self.background.n != self.torus.n:
@@ -112,8 +111,11 @@ class MAProblem:
 class MASolveResult:
     """Solution and per-step record.
 
-    ``residual_history`` holds the residual of the initial guess and then the
-    residual after each Newton step; ``cg_iterations`` (operator
+    ``form`` is the solved form ``W + dd_bar(phi)``: the planes of the last
+    accepted state, positive definite at every grid point.  ``compat_factor``
+    is the factor the target density was multiplied by to match the total mass
+    of ``W``.  ``residual_history`` holds the residual of the initial guess and
+    then the residual after each Newton step; ``cg_iterations`` (operator
     applications) and ``line_search_halvings`` hold one entry per step.  The
     n = 1 solve is one exact spectral step, recorded with zero CG iterations
     and halvings.
@@ -122,32 +124,31 @@ class MASolveResult:
     phi: PotentialField
     residual: float
     iterations: int
-    positivity_margin: float
     log_constant: float
+    compat_factor: float
+    form: HermitianFormField
     residual_history: tuple[float, ...] = field(default_factory=tuple)
     cg_iterations: tuple[int, ...] = field(default_factory=tuple)
     line_search_halvings: tuple[int, ...] = field(default_factory=tuple)
 
+    @property
+    def positivity_margin(self) -> float:
+        """Smallest eigenvalue of ``form`` over the grid, from one eigen pass per read."""
+        return float(np.min(smallmat.eigvalsh(self.form.diag, self.form.upper)[0]))
 
-def compatibility_check(
-    problem: MAProblem, background_form: HermitianFormField | None = None
-) -> MAProblem:
-    """Rescale the target density so its total mass matches the background form.
+
+def _compat_factor(density: np.ndarray, wform: HermitianFormField) -> float:
+    """The factor that rescales ``density`` to the total mass of the background form.
 
     The equation only constrains the density up to the free constant, and a
-    solution requires equal masses; the applied factor is recorded on the
-    returned problem (``compat_factor``).  ``background_form`` is
-    ``problem.background_form()`` when the caller has built it already.
+    solution requires equal masses.
     """
-    f = problem.target_density
-    if np.min(f) <= 0:
+    if np.min(density) <= 0:
         raise ModelError("target density must be strictly positive")
-    wform = problem.background_form() if background_form is None else background_form
     background_mass = float(np.mean(form_top_density(wform)))
     if background_mass <= 0:
         raise ModelError("background form has non-positive total volume")
-    factor = background_mass / float(np.mean(f))
-    return replace(problem, target_density=f * factor, compat_factor=factor)
+    return background_mass / float(np.mean(density))
 
 
 class _NewtonOperator:
@@ -177,6 +178,7 @@ class _NewtonOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         uhat = _rfftn(u)
         grad = [_irfftn(uhat * d, self.shape) for d in self.deriv]
+        del uhat  # its last use: the flux products below are where a solve peaks in memory
         gx, gy = grad[0::2], grad[1::2]
         acc = 0.0
         for j in range(self.n):
@@ -256,55 +258,43 @@ def _state(wform: HermitianFormField, phi: np.ndarray, torus: TorusModel, fvals:
     return _evaluate((hess.diag, hess.upper), fvals)
 
 
-def _min_eigenvalue(planes: tuple[np.ndarray, np.ndarray]) -> float:
-    return float(np.min(smallmat.eigvalsh(*planes)[0]))
-
-
-def solve_ma(
-    problem: MAProblem,
-    initial_guess: PotentialField | None = None,
-    background_form: HermitianFormField | None = None,
-) -> MASolveResult:
+def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) -> MASolveResult:
     """Damped-Newton solve in the mean-zero gauge.
 
-    Requires :func:`compatibility_check` to have been applied;
-    ``background_form`` is ``problem.background_form()`` when the caller has
-    built it already, for instance for that check.  The residual
-    reported is ``sup | det(W + dd_bar phi) / (e^c F) - 1 |`` with the
-    compensating constant ``c``; for compatible data ``|c|`` is at the
-    spectral-truncation level and the plain ratio against ``F`` satisfies the
-    same bound up to that term.
+    The target density is first rescaled to the total mass of the background
+    form ``W`` (the factor is ``compat_factor``).  The residual reported is
+    ``sup | det(W + dd_bar phi) / (e^c F) - 1 |`` with the compensating
+    constant ``c``; for compatible data ``|c|`` is at the spectral-truncation
+    level and the plain ratio against ``F`` satisfies the same bound up to
+    that term.
     """
-    if problem.compat_factor is None:
-        raise ModelError("run compatibility_check before solve_ma")
     torus = problem.torus
     n = torus.n
-    fscale = math.factorial(n) * 2.0**n
-    f = problem.target_density / fscale
+    wform = problem.background_form()
+    compat_factor = _compat_factor(problem.target_density, wform)
+    f = problem.target_density * compat_factor / (math.factorial(n) * 2.0**n)
     if np.min(f) <= 0:
         raise ModelError("target density must be strictly positive")
 
-    if background_form is None:
-        background_form = problem.background_form()
-    shape = np.broadcast_shapes(background_form.diag.shape[1:], f.shape)
+    shape = np.broadcast_shapes(wform.diag.shape[1:], f.shape)
     if initial_guess is not None:
         if initial_guess.torus != torus:
             raise ModelError("initial guess lives on a different torus")
         shape = np.broadcast_shapes(shape, initial_guess.values.shape)
     f = np.broadcast_to(f, shape)
     # dd_bar(0) = 0: W's own evaluation checks its positivity and is the state at a zero guess.
-    wplanes = (background_form.diag, background_form.upper)
+    wplanes = (wform.diag, wform.upper)
     state = _evaluate(tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in wplanes), f)
     if state is None:
         raise ModelError("background form is not positive definite at every grid point")
 
     if n == 1:
         # det is linear in the Hessian: one exact spectral Poisson step.
-        w = np.broadcast_to(background_form.diag[0], shape)
+        w = np.broadcast_to(wform.diag[0], shape)
         c = math.log(float(np.mean(w)) / float(np.mean(f)))
         phi = poisson_solve(torus, np.exp(c) * f - w)
         initial_residual = state[3]
-        state = _state(background_form, phi, torus, f)
+        state = _state(wform, phi, torus, f)
         rinf = None if state is None else state[3]
         if rinf is None or rinf > problem.tol:
             raise NonConvergence(
@@ -314,8 +304,9 @@ def solve_ma(
             phi=PotentialField(torus, phi, mean_zero=True),
             residual=rinf,
             iterations=1,
-            positivity_margin=_min_eigenvalue(state[0]),
             log_constant=c,
+            compat_factor=compat_factor,
+            form=HermitianFormField._trusted(torus, *state[0]),
             residual_history=(initial_residual, rinf),
             cg_iterations=(0,),
             line_search_halvings=(0,),
@@ -325,7 +316,7 @@ def solve_ma(
         phi = np.zeros(shape)
     else:
         phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
-        state = _state(background_form, phi, torus, f)
+        state = _state(wform, phi, torus, f)
         if state is None:
             raise ModelError("initial guess destroys pointwise positivity of the background form")
     planes, det, rho_c, rinf, c = state
@@ -348,7 +339,7 @@ def solve_ma(
         alpha, halved = 1.0, 0
         while True:
             trial = phi + alpha * delta
-            state = _state(background_form, trial, torus, f)
+            state = _state(wform, trial, torus, f)
             if state is not None and state[3] <= rinf * (1 + 1e-12) + 1e-15:
                 break
             state = None  # a rejected trial is freed before the next one
@@ -369,8 +360,9 @@ def solve_ma(
         phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
         residual=rinf,
         iterations=len(history) - 1,
-        positivity_margin=_min_eigenvalue(planes),
         log_constant=c,
+        compat_factor=compat_factor,
+        form=HermitianFormField._trusted(torus, *planes),
         residual_history=tuple(history),
         cg_iterations=tuple(cg_counts),
         line_search_halvings=tuple(halvings),
@@ -412,5 +404,4 @@ def ma_for_dk(
         tol=tol,
         max_iter=max_iter,
     )
-    wform = problem.background_form()
-    return solve_ma(compatibility_check(problem, wform), background_form=wform)
+    return solve_ma(problem)

@@ -133,12 +133,7 @@ class PolyMap:
             raise ModelError(f"points must end in an axis of length n={self.n}, got {z.shape}")
         out = np.zeros(z.shape[:-1] + (self.m,), dtype=np.complex128)
         for i, table in enumerate(self.components):
-            for exps, coeff in table.items():
-                term = np.full(z.shape[:-1], coeff, dtype=np.complex128)
-                for v, e in enumerate(exps):
-                    if e:
-                        term = term * z[..., v] ** e
-                out[..., i] += term
+            _add_monomials(z, table, out[..., i])
         return out
 
     def derivative_table(self, comp: int, var: int) -> dict:
@@ -159,13 +154,18 @@ class PolyMap:
         out = np.zeros(z.shape[:-1] + (self.m, self.n), dtype=np.complex128)
         for i in range(self.m):
             for v in range(self.n):
-                for exps, coeff in self.derivative_table(i, v).items():
-                    term = np.full(z.shape[:-1], coeff, dtype=np.complex128)
-                    for w, e in enumerate(exps):
-                        if e:
-                            term = term * z[..., w] ** e
-                    out[..., i, v] += term
+                _add_monomials(z, self.derivative_table(i, v), out[..., i, v])
         return out
+
+
+def _add_monomials(z: np.ndarray, table: dict, out: np.ndarray) -> None:
+    """Add each term ``coeff * z^exps`` of ``table`` into ``out``, in table order."""
+    for exps, coeff in table.items():
+        term = np.full(z.shape[:-1], coeff, dtype=np.complex128)
+        for v, e in enumerate(exps):
+            if e:
+                term = term * z[..., v] ** e
+        out += term
 
 
 def _submatrix(mats: np.ndarray, rows, cols) -> np.ndarray:

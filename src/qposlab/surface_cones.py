@@ -52,16 +52,20 @@ __all__ = [
 # Exact rationals in text: an optional sign, digits, and optionally '/' and a non-zero denominator, at
 # most 100 digits each, so every number a rank-4 lattice query prints stays under Python's 4300-digit limit.
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]{1,100}(/(?!0+\Z)[0-9]{1,100})?")
+_RATIONAL_INT_LIMIT = 10**100  # integers get the same cap
+_RATIONAL_RULE = "an integer or 'p/q', at most 100 digits each"
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
+        if abs(x) >= _RATIONAL_INT_LIMIT:
+            raise ModelError(f"cannot read an integer of more than 100 digits as an exact rational: {_RATIONAL_RULE}")
         return Fraction(x)
     if isinstance(x, str):
         if not _RATIONAL_TEXT.fullmatch(x):
-            raise ModelError(f"cannot read {x!r} as an exact rational: an integer or 'p/q', at most 100 digits each")
+            raise ModelError(f"cannot read {x!r} as an exact rational: {_RATIONAL_RULE}")
         return Fraction(x)
     if isinstance(x, float):
         if not x.is_integer():

@@ -29,7 +29,7 @@ from qposlab.calculus import (
 from qposlab.cli import main
 from qposlab.geometry import ConstantHermitianClass, TorusModel, dk_constant, dk_expansion
 from qposlab.gluing import SingularPotential, regularized_max, zariski_fujita_pipeline
-from qposlab.ma_solver import MAProblem, compatibility_check, solve_ma
+from qposlab.ma_solver import MAProblem, solve_ma
 from qposlab.maps_degeneracy import (
     PolyMap,
     degeneracy_locus_scan,
@@ -146,14 +146,12 @@ def test_04_manufactured_ma_recovery(capsys):
             PotentialField(torus, phi_star)
         )
         density = form_top_density(form)
-        problem = compatibility_check(
-            MAProblem(
-                torus=torus,
-                background=ConstantHermitianClass(EYE_2),
-                target_density=density,
-                tol=1e-11,
-                max_iter=25,
-            )
+        problem = MAProblem(
+            torus=torus,
+            background=ConstantHermitianClass(EYE_2),
+            target_density=density,
+            tol=1e-11,
+            max_iter=25,
         )
         result = solve_ma(problem)
         diff = result.phi.values - (phi_star - np.mean(phi_star))

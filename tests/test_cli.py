@@ -351,6 +351,29 @@ class TestAgSurface:
         assert code == 3 and report is None
         assert "divisor[0]" in err and "exact rationals are integers or 'p/q' strings" in err
 
+    def test_integers_beyond_the_digit_cap_exit_three(self, tmp_path, capsys):
+        # 2,200-digit JSON integers: the cone decision would succeed, and
+        # printing the witness would pass Python's 4300-digit limit.
+        big = int("3" * 2200)
+        lattice = {
+            "rank": 2,
+            "pairing": [[0, big], [big, 0]],
+            "nef_generators": [[1, 0], [0, 1]],
+            "effective_generators": [[1, 0], [0, 1]],
+        }
+        cfg = write_config(tmp_path, {"lattice": lattice, "divisor": [int("7" * 2200), -1]})
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert "divisor[0]" in err and "exact rationals are integers or 'p/q' strings" in err
+
+    def test_integer_at_the_digit_cap_is_read(self, tmp_path, capsys):
+        big = 10**100 - 1
+        cfg = write_config(tmp_path, {"lattice": {"model": "p1xp1"}, "divisor": [big, 1]})
+        code, report, _ = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 0
+        assert report["verdict"]["divisor"] == [str(big), "1"]
+        assert report["verdict"]["witness"]["pairing"] == str(2 * big + 1)
+
     def test_every_entry_at_the_digit_cap_prints_its_witness(self, tmp_path, capsys):
         # The degree-6 del Pezzo lattice (basis H, E1, E2, E3; pairing
         # diag(1, -1, -1, -1)) with its pairing, every generator and the

@@ -10,7 +10,6 @@ from qposlab import (
     NonConvergence,
     PotentialField,
     TorusModel,
-    compatibility_check,
     complex_hessian,
     form_top_density,
     HermitianFormField,
@@ -38,7 +37,7 @@ def manufactured_problem(torus, amplitude, tol=1e-11):
         target_density=density,
         tol=tol,
     )
-    return compatibility_check(problem), phi_star
+    return problem, phi_star
 
 
 class TestProblemValidation:
@@ -64,53 +63,48 @@ class TestProblemValidation:
         with pytest.raises(ModelError, match="target density must be finite"):
             MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(value))
 
-    def test_compat_required_before_solve(self):
-        p = MAProblem(TorusModel(1, 16), ConstantHermitianClass(np.eye(1)), np.array(2.0))
-        with pytest.raises(ModelError):
-            solve_ma(p)
-
     def test_compat_rejects_nonpositive_density(self):
         t = TorusModel(1, 16)
         x = t.real_coordinates()[0]
         p = MAProblem(t, ConstantHermitianClass(np.eye(1)), 1.0 + np.cos(2 * np.pi * x))
-        with pytest.raises(ModelError):
-            compatibility_check(p)
+        with pytest.raises(ModelError, match="target density must be strictly positive"):
+            solve_ma(p)
 
     def test_indefinite_background_rejected_at_compat(self):
         p = MAProblem(TorusModel(2, 16), ConstantHermitianClass(H_EXAMPLE), np.full((1,) * 4, 8.0))
-        with pytest.raises(ModelError):
-            compatibility_check(p)  # top wedge of diag(2,-1) has negative mass
+        with pytest.raises(ModelError, match="non-positive total volume"):
+            solve_ma(p)  # top wedge of diag(2,-1) has negative mass
 
     def test_background_must_stay_positive_in_solve(self):
-        p = MAProblem(
-            TorusModel(2, 16),
-            ConstantHermitianClass(H_EXAMPLE),
-            np.full((1,) * 4, 8.0),
-            compat_factor=1.0,
-        )
-        with pytest.raises(ModelError):
+        # det(-I) = 1: the mass is positive, so only the pointwise positivity check can refuse -I.
+        p = MAProblem(TorusModel(2, 16), ConstantHermitianClass(-np.eye(2)), np.full((1,) * 4, 8.0))
+        with pytest.raises(ModelError, match="not positive definite at every grid point"):
             solve_ma(p)
 
 
 class TestCompatibility:
     def test_factor_rescales_to_background_mass(self):
         t = TorusModel(2, 16)
-        p = MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 16.0))
-        q = compatibility_check(p)
-        assert q.compat_factor == pytest.approx(0.5)
-        assert float(np.mean(q.target_density)) == pytest.approx(8.0)  # 2! * 2^2 * det I
+        res = solve_ma(MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 16.0)))
+        assert res.compat_factor == pytest.approx(0.5)  # 16 * 0.5 = 2! * 2^2 * det I
+        assert res.iterations == 0 and res.residual == 0.0
 
     def test_matched_density_factor_one(self):
         t = TorusModel(1, 16)
         p = MAProblem(t, ConstantHermitianClass(np.eye(1)), np.array(2.0))
-        assert compatibility_check(p).compat_factor == pytest.approx(1.0)
+        assert solve_ma(p).compat_factor == pytest.approx(1.0)
+
+    def test_problem_is_not_rescaled(self):
+        t = TorusModel(2, 16)
+        p = MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 16.0))
+        solve_ma(p)
+        assert float(p.target_density.ravel()[0]) == 16.0
 
 
 class TestLinearPath:
     def test_constant_density_is_exact_zero(self):
         t = TorusModel(1, 32)
-        p = compatibility_check(MAProblem(t, ConstantHermitianClass(np.eye(1)), np.array(2.0)))
-        res = solve_ma(p)
+        res = solve_ma(MAProblem(t, ConstantHermitianClass(np.eye(1)), np.array(2.0)))
         assert res.iterations == 1
         assert res.residual == 0.0
         assert res.phi.sup_norm() < 1e-14
@@ -119,7 +113,7 @@ class TestLinearPath:
         t = TorusModel(1, 32)
         x = t.real_coordinates()[0]
         density = 2.0 * (1.0 + 0.3 * np.cos(2 * np.pi * x)) * np.ones((1, 32))
-        p = compatibility_check(MAProblem(t, ConstantHermitianClass(np.eye(1)), density, tol=1e-10))
+        p = MAProblem(t, ConstantHermitianClass(np.eye(1)), density, tol=1e-10)
         res = solve_ma(p)
         # oracle: the n=1 equation is linear, w + dd phi = e^c f with matched mass
         f = p.target_density / 2.0
@@ -133,18 +127,17 @@ class TestLinearPath:
         t = TorusModel(1, 32)
         x = t.real_coordinates()[0]
         density = 2.0 + 0.8 * np.sin(2 * np.pi * x) ** 2
-        p = compatibility_check(MAProblem(t, ConstantHermitianClass(np.eye(1)), density, tol=1e-10))
+        p = MAProblem(t, ConstantHermitianClass(np.eye(1)), density, tol=1e-10)
         res = solve_ma(p)
         lhs = 1.0 + complex_hessian(res.phi).values[..., 0, 0].real
-        rhs = np.exp(res.log_constant) * p.target_density / 2.0
+        rhs = np.exp(res.log_constant) * res.compat_factor * p.target_density / 2.0
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(rhs)
 
 
 class TestNewtonPath:
     def test_constant_density_converges_immediately(self):
         t = TorusModel(2, 16)
-        p = compatibility_check(MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 8.0)))
-        res = solve_ma(p)
+        res = solve_ma(MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 8.0)))
         assert res.iterations == 0
         assert res.residual == 0.0
 
@@ -157,6 +150,17 @@ class TestNewtonPath:
         assert res.residual < p.tol
         assert res.positivity_margin > 0.5
         assert res.iterations <= 15
+
+    def test_result_form_is_the_solved_form(self):
+        t = TorusModel(2, 16)
+        p, _ = manufactured_problem(t, amplitude=0.05)
+        res = solve_ma(p)
+        solved = HermitianFormField.from_constant(t, np.eye(2)) + complex_hessian(res.phi)
+        assert res.form.torus == t and res.form.diag.shape == (2,) + p.target_density.shape
+        assert np.max(np.abs(res.form.values - solved.values)) < 1e-12
+        lam_min = float(np.min(np.linalg.eigvalsh(solved.values)[..., 0]))
+        assert res.positivity_margin == pytest.approx(lam_min, abs=1e-12)
+        assert np.max(np.abs(form_top_density(res.form) - res.compat_factor * p.target_density)) < 1e-8
 
     def test_residual_history_non_increasing(self):
         t = TorusModel(2, 32)
@@ -205,10 +209,7 @@ class TestNewtonPath:
         density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * x))
         solved = []
         for dens in (density, np.broadcast_to(density, t.shape).copy()):
-            p = compatibility_check(
-                MAProblem(t, ConstantHermitianClass(np.eye(2)), dens, tol=1e-10)
-            )
-            solved.append(solve_ma(p))
+            solved.append(solve_ma(MAProblem(t, ConstantHermitianClass(np.eye(2)), dens, tol=1e-10)))
         diff = np.abs(
             np.broadcast_to(solved[0].phi.values, t.shape) - solved[1].phi.values
         )
@@ -218,8 +219,7 @@ class TestNewtonPath:
         t = TorusModel(2, 32)
         p, _ = manufactured_problem(t, amplitude=0.08, tol=1e-13)
         with pytest.raises(NonConvergence) as exc:
-            solve_ma(MAProblem(t, p.background, p.target_density, tol=1e-13, max_iter=1,
-                               compat_factor=p.compat_factor))
+            solve_ma(MAProblem(t, p.background, p.target_density, tol=1e-13, max_iter=1))
         assert exc.value.residual is not None and exc.value.residual > 1e-13
 
     def test_initial_guess_speeds_convergence(self):

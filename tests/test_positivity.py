@@ -237,6 +237,32 @@ class TestDifferentiationCount:
         assert set(shapes) == {t.shape}
 
 
+class TestEigenPassCount:
+    def test_full_grid_run_takes_one_grid_eigen_pass(self, monkeypatch):
+        # The certificate's relative eigenvalues are the only eigen pass over the
+        # grid: the reference k omega is constant, the solver's positivity test
+        # falls back to eigenvalues only on points near zero, and the solved
+        # form's smallest eigenvalue is not computed unless it is read.
+        from qposlab import smallmat
+
+        t = TorusModel(2, 8)
+        grid_passes = []
+        eigvalsh = smallmat.eigvalsh
+
+        def counting(diag, upper):
+            if np.shape(diag[0]) == t.shape:
+                grid_passes.append(1)
+            return eigvalsh(diag, upper)
+
+        monkeypatch.setattr(smallmat, "eigvalsh", counting)
+        xs = t.real_coordinates()
+        values = 0.02 * sum(np.cos(2 * np.pi * x) for x in xs) + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[3]))
+        run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=PotentialField(t, values), tol=1e-12)
+        assert run.certificate.passed
+        assert run.ma_result.iterations >= 2
+        assert len(grid_passes) == 1
+
+
 class TestPseffPipeline:
     def test_zero_class_rejected(self):
         with pytest.raises(ModelError):

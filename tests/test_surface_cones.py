@@ -61,6 +61,15 @@ class TestDivisorClass:
         with pytest.raises(ModelError, match="exact rational"):
             DivisorClass((text, 1))
 
+    @pytest.mark.parametrize("value", [10**100, -(10**100), 10**2199])
+    def test_integers_beyond_the_digit_cap_rejected(self, value):
+        with pytest.raises(ModelError, match="at most 100 digits each"):
+            DivisorClass((value, 1))
+
+    def test_integers_at_the_digit_cap(self):
+        big = 10**100 - 1
+        assert DivisorClass((big, -big)).coefficients == (Fraction(big), Fraction(-big))
+
     def test_rational_text_at_the_digit_cap(self):
         big = "9" * 100
         d = DivisorClass((big, f"-{big}/{big[:-1]}7", "+0/" + big))
