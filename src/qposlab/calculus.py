@@ -312,14 +312,15 @@ def _axis_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, **kwargs)
     return out
 
 
-def _rfftn(v: np.ndarray) -> np.ndarray:
+def _rfftn(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.rfftn`` over every axis, bitwise equal to it, in one output buffer.
 
     numpy's passes in numpy's order: the real pass on the last axis writes the
-    half spectrum, then the complex passes run in place from the last axis but
-    one down to axis 0.
+    half spectrum, into ``out`` when given (complex128, contiguous), then the
+    complex passes run in place from the last axis but one down to axis 0.
     """
-    out = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
     _axis_pass(np.fft.rfft, v, out, v.ndim - 1)
     for axis in range(v.ndim - 2, -1, -1):
         _axis_pass(np.fft.fft, out, out, axis)

@@ -24,20 +24,28 @@ fields its real part is the divergence form
     P_j = sum_k ( Re adj_jk d_xk delta + Im adj_jk d_yk delta ),
     Q_j = sum_k ( Re adj_jk d_yk delta - Im adj_jk d_xk delta ),
 
-so every transform is a real FFT.  A constant-coefficient version of ``A``
-built from the grid-mean of ``adj(M)`` preconditions the solve diagonally in
-Fourier space.  Steps are halved until pointwise positivity of
-``W + dd_bar(phi)`` is preserved and the sup residual does not increase.
-The state holds ``W + dd_bar(phi)`` as the entry planes :func:`complex_hessian`
-writes, with no lower planes; determinants, the adjugate and the positivity
-test (Sylvester minors, which reuse the residual's determinant, with an
-eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`.  The
-result keeps the solved form's planes; its smallest eigenvalue is computed
-only when read.
+so every transform is a real FFT.  Conjugate gradients runs in Fourier
+space: its vectors are ``rfftn`` half spectra, the operator maps ``rfftn(u)``
+to ``rfftn(op(u))`` with 2n inverse transforms for the gradients and 2n
+forward ones for the fluxes, and its inner product is the real-space one by
+Parseval (weight 2 on interior last-axis modes, 1 on the zero and Nyquist
+planes).  So a CG iteration costs 4n transforms, and a solve two more: the
+right-hand side in, the direction out.  A constant-coefficient version of
+``A`` built from the grid-mean of ``adj(M)`` preconditions the solve: a
+division by its symbol on the modes the operator reaches.  Steps are halved
+until pointwise positivity of ``W + dd_bar(phi)`` is preserved and the sup
+residual does not increase.  The state holds ``H_0 + dd_bar(psi_0 + phi)``
+(which is ``W + dd_bar(phi)``) as the entry planes :func:`complex_hessian`
+writes, with the constant entries of ``H_0`` added and no lower planes;
+determinants, the adjugate and the positivity test (Sylvester minors, which
+reuse the residual's determinant, with an eigenvalue fallback near zero)
+read them in :mod:`qposlab.smallmat`.  The result keeps the solved form's
+planes; its smallest eigenvalue is computed only when read.
 
 One Newton step costs one Hessian per line-search trial and nothing more:
-:func:`solve_ma` builds ``W`` once, rescales the density to its total mass,
-and a zero initial guess starts from ``M = W``.
+:func:`solve_ma` builds ``W`` once, for the density rescale to its total mass
+and as the state at a zero initial guess, and then drops it: the background
+is carried by its potential ``psi_0``.
 
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
@@ -152,11 +160,18 @@ def _compat_factor(density: np.ndarray, wform: HermitianFormField) -> float:
 
 
 class _NewtonOperator:
-    """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  and its preconditioner.
+    """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  on half spectra, and its preconditioner.
 
-    Built from the planes of the form ``M`` (full stored ``shape``); acts on
-    real fields through real FFTs.  ``adj(M)`` is stored once, as contiguous
-    planes: its real diagonal and the real and imaginary upper entries.
+    Built from the planes of the form ``M`` (full stored ``shape``).  It maps
+    ``rfftn(u)`` to ``rfftn(op(u))`` for real fields ``u``: the 2n gradients
+    are inverse real FFTs and the 2n fluxes forward ones, 4n transforms per
+    application and so per CG iteration, while the preconditioner is a
+    division by ``symbol`` on the ``active`` modes and the projection a mask.
+    ``adj(M)`` is stored once, as contiguous planes: its real diagonal and the
+    real and imaginary upper entries.  The gradient, flux and product planes
+    and a half-spectrum scratch are allocated once and rewritten by every
+    application.  :meth:`dot` is the real-space inner product of two fields
+    read off their half spectra.
     """
 
     def __init__(self, torus: TorusModel, diag: np.ndarray, upper: np.ndarray, shape: tuple[int, ...]):
@@ -174,66 +189,99 @@ class _NewtonOperator:
         half = shape[:-1] + (shape[-1] // 2 + 1,)
         self.symbol = np.ascontiguousarray(np.broadcast_to(np.real(symbol), half))
         self.active = self.symbol > 0  # modes the operator can reach
+        # rfftn keeps one of each conjugate pair of last-axis modes, except the
+        # zero mode and (at even length) the Nyquist mode, which pair with themselves.
+        self._once = [0] + ([shape[-1] // 2] if shape[-1] % 2 == 0 else [])
+        self._points = math.prod(shape)
+        self._grad = np.empty((2 * n,) + shape)
+        self._flux = np.empty(shape)
+        self._product = np.empty(shape)
+        self._spec = np.empty(half, dtype=np.complex128)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        uhat = _rfftn(u)
-        grad = [_irfftn(uhat * d, self.shape) for d in self.deriv]
-        del uhat  # its last use: the flux products below are where a solve peaks in memory
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``np.sum(u * v)`` for the real fields ``u``, ``v`` of the half spectra ``a``, ``b`` (Parseval).
+
+        Interior last-axis modes weigh 2, for the conjugate partners rfftn
+        leaves out; the zero and Nyquist planes weigh 1.  The products of the
+        real and imaginary parts go into the spectrum scratch and are summed
+        by numpy, not BLAS, whose threaded dot rounds differently on another
+        CPU count.
+        """
+        prod = np.multiply(a.view(np.float64), b.view(np.float64), out=self._spec.view(np.float64))
+        s = 2.0 * float(np.sum(prod))
+        for m in self._once:
+            s -= float(np.sum(prod[..., 2 * m : 2 * m + 2]))
+        return s / self._points
+
+    def apply(self, uhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``rfftn(op(u))`` from ``uhat = rfftn(u)``, written into ``out``."""
+        grad, flux, product, spec = self._grad, self._flux, self._product, self._spec
+        for a, d in enumerate(self.deriv):
+            _irfftn(np.multiply(uhat, d, out=spec), self.shape, out=grad[a])
         gx, gy = grad[0::2], grad[1::2]
-        acc = 0.0
+        out.fill(0)
         for j in range(self.n):
-            p = np.zeros(self.shape)
-            q = np.zeros(self.shape)
-            for k in range(self.n):
-                if k == j:
-                    p += self.adj_diag[j] * gx[j]
-                    q += self.adj_diag[j] * gy[j]
-                    continue
-                # adj_jk is stored above the diagonal; below it, it is the conjugate of adj_kj
-                e = smallmat.upper_pairs(self.n).index((min(j, k), max(j, k)))
-                plus, minus = (np.add, np.subtract) if j < k else (np.subtract, np.add)
-                p += plus(self.adj_re[e] * gx[k], self.adj_im[e] * gy[k])
-                q += minus(self.adj_re[e] * gy[k], self.adj_im[e] * gx[k])
-            acc = acc + _rfftn(p) * self.deriv[2 * j] + _rfftn(q) * self.deriv[2 * j + 1]
-        return -0.25 * _irfftn(acc, self.shape)
+            # P_j, then Q_j: the flux differentiated along x_j, then along y_j
+            for axis, g, h, sign in ((2 * j, gx, gy, 1), (2 * j + 1, gy, gx, -1)):
+                np.multiply(self.adj_diag[j], g[j], out=flux)
+                for k in range(self.n):
+                    if k == j:
+                        continue
+                    # adj_jk is stored above the diagonal; below it, it is the conjugate of adj_kj
+                    e = smallmat.upper_pairs(self.n).index((min(j, k), max(j, k)))
+                    flux += np.multiply(self.adj_re[e], g[k], out=product)
+                    np.multiply(self.adj_im[e], h[k], out=product)
+                    if sign * (k - j) > 0:
+                        flux += product
+                    else:
+                        flux -= product
+                out += np.multiply(_rfftn(flux, out=spec), self.deriv[axis], out=spec)
+        out *= -0.25
+        return out
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        rhat = _rfftn(r)
-        out = np.divide(rhat, self.symbol, out=np.zeros_like(rhat), where=self.active)
-        return _irfftn(out, self.shape)
+    def precondition(self, rhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``rhat / symbol`` on the active modes and zero on the others, written into ``out``."""
+        out.fill(0)
+        return np.divide(rhat, self.symbol, out=out, where=self.active)
 
-    def project(self, r: np.ndarray) -> np.ndarray:
-        """Restrict to the modes the operator can reach (drops the mean and Nyquist-only modes)."""
-        return _irfftn(_rfftn(r) * self.active, self.shape)
+    def project(self, rhat: np.ndarray) -> np.ndarray:
+        """Restrict a spectrum, in place, to the modes the operator can reach (drops the mean and Nyquist-only modes)."""
+        return np.multiply(rhat, self.active, out=rhat)
 
 
 def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> tuple[np.ndarray, int]:
-    """Preconditioned CG for ``op(x) = b``; returns ``x`` and the number of operator applications."""
-    b = op.project(b)
-    bnorm = float(np.sqrt(np.sum(b * b)))
-    x = np.zeros_like(b)
+    """Preconditioned CG for ``op(x) = b``; returns ``x`` and the number of operator applications.
+
+    ``b`` and ``x`` are real fields; the iteration runs on their half spectra,
+    with :meth:`_NewtonOperator.dot` as the inner product, so the only
+    transforms outside the operator are ``b``'s forward and ``x``'s inverse.
+    """
+    r = op.project(_rfftn(b))
+    bnorm = math.sqrt(op.dot(r, r))
     if bnorm == 0:
-        return x, 0
-    r = b.copy()
-    z = op.precondition(r)
+        return np.zeros(op.shape), 0
+    x = np.zeros_like(r)
+    z = op.precondition(r, np.empty_like(r))
     p = z.copy()
-    rz = float(np.sum(r * z))
+    ap = np.empty_like(p)
+    rz = op.dot(r, z)
     iterations = 0
     for iterations in range(1, max_cg + 1):
-        ap = op.apply(p)
-        pap = float(np.sum(p * ap))
+        op.apply(p, ap)
+        pap = op.dot(p, ap)
         if pap <= 0:
             break  # numerically lost positivity; return best-so-far direction
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if float(np.sqrt(np.sum(r * r))) <= rtol * bnorm:
+        x += np.multiply(p, alpha, out=z)  # z is free until the next preconditioning
+        r -= np.multiply(ap, alpha, out=ap)
+        if math.sqrt(op.dot(r, r)) <= rtol * bnorm:
             break
-        z = op.precondition(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        op.precondition(r, z)
+        rz_new = op.dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return x, iterations
+    return _irfftn(x, op.shape), iterations
 
 
 def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
@@ -250,11 +298,17 @@ def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
     return planes, det, rho - c, rinf, c
 
 
-def _state(wform: HermitianFormField, phi: np.ndarray, torus: TorusModel, fvals: np.ndarray):
-    """:func:`_evaluate` at the form ``W + dd_bar(phi)``, added into the Hessian's own planes."""
-    hess = complex_hessian(PotentialField(torus, phi))
-    np.add(hess.diag, wform.diag, out=hess.diag)
-    np.add(hess.upper, wform.upper, out=hess.upper)
+def _state(problem: MAProblem, phi: np.ndarray, fvals: np.ndarray):
+    """:func:`_evaluate` at the form ``H_0 + dd_bar(psi_0 + phi)`` of the problem's background.
+
+    One Hessian of ``psi_0 + phi``, with the constant entries of ``H_0`` added into its planes.
+    """
+    torus, h0, psi0 = problem.torus, problem.background.matrix, problem.background_potential
+    hess = complex_hessian(PotentialField(torus, phi if psi0 is None else psi0.values + phi))
+    for j in range(torus.n):
+        hess.diag[j] += h0[j, j].real
+    for p, (j, k) in enumerate(smallmat.upper_pairs(torus.n)):
+        hess.upper[p] += h0[j, k]
     return _evaluate((hess.diag, hess.upper), fvals)
 
 
@@ -294,7 +348,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         c = math.log(float(np.mean(w)) / float(np.mean(f)))
         phi = poisson_solve(torus, np.exp(c) * f - w)
         initial_residual = state[3]
-        state = _state(wform, phi, torus, f)
+        state = _state(problem, phi, f)
         rinf = None if state is None else state[3]
         if rinf is None or rinf > problem.tol:
             raise NonConvergence(
@@ -312,11 +366,12 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
             line_search_halvings=(0,),
         )
 
+    del wform, wplanes  # every later state is H_0 + dd_bar(psi_0 + phi); W's planes go with the first state's
     if initial_guess is None:
         phi = np.zeros(shape)
     else:
         phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
-        state = _state(wform, phi, torus, f)
+        state = _state(problem, phi, f)
         if state is None:
             raise ModelError("initial guess destroys pointwise positivity of the background form")
     planes, det, rho_c, rinf, c = state
@@ -339,7 +394,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         alpha, halved = 1.0, 0
         while True:
             trial = phi + alpha * delta
-            state = _state(wform, trial, torus, f)
+            state = _state(problem, trial, f)
             if state is not None and state[3] <= rinf * (1 + 1e-12) + 1e-15:
                 break
             state = None  # a rejected trial is freed before the next one

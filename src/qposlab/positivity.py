@@ -102,6 +102,7 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
                 diag[j] = acc.real.copy()
             else:
                 upper[smallmat.upper_pairs(n).index((k, j))] = np.conj(acc, out=acc)
+    del entry, acc  # freed before the eigen pass, which would otherwise peak with them
     lam = smallmat.eigvalsh(diag, upper)
     return EigenvalueField(torus, np.stack(lam[::-1], axis=-1))
 

@@ -16,7 +16,8 @@ from qposlab import (
     ma_for_dk,
     solve_ma,
 )
-from qposlab.calculus import poisson_solve
+from qposlab import ma_solver, smallmat
+from qposlab.calculus import _irfftn, _rfftn, poisson_solve
 from qposlab.ma_solver import _NewtonOperator, _pcg
 
 H_EXAMPLE = np.diag([2.0, -1.0])
@@ -188,12 +189,14 @@ class TestNewtonPath:
         op = _NewtonOperator(t, diag, np.zeros((1,) + shape, dtype=complex), shape)
         applied = []
         apply = op.apply
-        monkeypatch.setattr(op, "apply", lambda u: applied.append(1) or apply(u))
+        monkeypatch.setattr(op, "apply", lambda *args, **kwargs: applied.append(1) or apply(*args, **kwargs))
         xs = t.real_coordinates()
         b = np.broadcast_to(np.cos(2 * np.pi * xs[0]) + np.sin(2 * np.pi * (xs[1] + xs[2])), shape)
         x, count = _pcg(op, b, rtol=1e-12)
         assert count == len(applied) >= 1
-        assert np.max(np.abs(op.apply(x) - op.project(b))) < 1e-10
+        xhat = _rfftn(x)
+        residual = _irfftn(op.apply(xhat, np.empty_like(xhat)) - op.project(_rfftn(b)), shape)
+        assert np.max(np.abs(residual)) < 1e-10
         assert _pcg(op, np.zeros(shape), rtol=1e-12)[1] == 0
 
     def test_mean_zero_gauge(self):
@@ -228,6 +231,121 @@ class TestNewtonPath:
         warm = solve_ma(p, initial_guess=PotentialField(t, phi_star))
         assert warm.iterations <= 1
         assert warm.residual < p.tol
+
+
+def smooth_operator(n, shape):
+    """The Newton operator at the smooth form 2I + dd_bar(psi), broadcast to ``shape``."""
+    t = TorusModel(n, 8)
+    xs = t.real_coordinates()
+    psi = 0.02 * sum(np.cos(2 * np.pi * x) for x, size in zip(xs, shape) if size > 1)
+    psi = psi + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[-1]))  # shape keeps the first and last axes whole
+    form = HermitianFormField.from_constant(t, 2.0 * np.eye(n)) + complex_hessian(PotentialField(t, psi))
+    planes = (np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (form.diag, form.upper))
+    return t, _NewtonOperator(t, *planes, shape)
+
+
+def real_space_pcg(op, b, rtol, max_cg=400):
+    """The real-space PCG the spectral ``_pcg`` replaced, kept as its oracle.
+
+    Every operator, preconditioner and projection call transforms its real
+    field in and out, and the inner products are plain sums over the grid.
+    """
+    shape = op.shape
+
+    def apply(u):
+        uhat = _rfftn(u)
+        return _irfftn(op.apply(uhat, np.empty_like(uhat)), shape)
+
+    def precondition(r):
+        rhat = _rfftn(r)
+        return _irfftn(op.precondition(rhat, np.empty_like(rhat)), shape)
+
+    b = _irfftn(op.project(_rfftn(b)), shape)
+    bnorm = float(np.sqrt(np.sum(b * b)))
+    x = np.zeros_like(b)
+    if bnorm == 0:
+        return x, 0
+    r = b.copy()
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    iterations = 0
+    for iterations in range(1, max_cg + 1):
+        ap = apply(p)
+        pap = float(np.sum(p * ap))
+        if pap <= 0:
+            break
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        if float(np.sqrt(np.sum(r * r))) <= rtol * bnorm:
+            break
+        z = precondition(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, iterations
+
+
+class TestSpectralPCG:
+    @pytest.mark.parametrize("n,shape", [(2, (8,) * 4), (3, (8, 8, 1, 8, 8, 8))], ids=["n2", "n3"])
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-10])
+    def test_matches_real_space_pcg(self, n, shape, rtol):
+        t, op = smooth_operator(n, shape)
+        xs = t.real_coordinates()
+        b = np.broadcast_to(np.cos(2 * np.pi * (xs[0] + xs[-1])) + 0.5 * np.sin(2 * np.pi * xs[1]), shape)
+        x, count = _pcg(op, b, rtol=rtol)
+        ref, ref_count = real_space_pcg(op, b, rtol=rtol)
+        assert count == ref_count >= 1
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cg_iteration_takes_4n_transforms(self, monkeypatch):
+        t, op = smooth_operator(2, (8,) * 4)
+        transforms = []
+        for name in ("_rfftn", "_irfftn"):
+            monkeypatch.setattr(
+                ma_solver, name, lambda *args, _f=getattr(ma_solver, name), **kw: transforms.append(1) or _f(*args, **kw)
+            )
+        b = np.broadcast_to(np.cos(2 * np.pi * t.real_coordinates()[0]), op.shape)
+        for max_cg in (1, 2, 3):
+            transforms.clear()
+            _, iterations = _pcg(op, b, rtol=1e-15, max_cg=max_cg)
+            assert iterations == max_cg
+            assert len(transforms) == 2 + 8 * iterations  # b in, x out, and 4n per iteration
+
+
+def w_planes_state(problem, phi, fvals):
+    """The state as ``W + dd_bar(phi)`` with the whole form ``W = H_0 + dd_bar(psi_0)``: the solver's former formulation."""
+    w = problem.background_form()
+    hess = complex_hessian(PotentialField(problem.torus, phi))
+    np.add(hess.diag, w.diag, out=hess.diag)
+    np.add(hess.upper, w.upper, out=hess.upper)
+    return ma_solver._evaluate((hess.diag, hess.upper), fvals)
+
+
+class TestBackgroundPotential:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_matches_the_background_form_planes(self, monkeypatch, warm):
+        # psi_0 varies along x_1 only and the density along y_2 only: the solve runs on (16, 1, 1, 16).
+        t = TorusModel(2, 16)
+        xs = t.real_coordinates()
+        psi0 = PotentialField(t, 0.05 * np.cos(2 * np.pi * xs[0]))
+        density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * xs[3]))
+        problem = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, background_potential=psi0, tol=1e-10)
+        guess = PotentialField(t, -0.002 * np.cos(2 * np.pi * xs[3])) if warm else None
+        got = solve_ma(problem, initial_guess=guess)
+        monkeypatch.setattr(ma_solver, "_state", w_planes_state)
+        ref = solve_ma(problem, initial_guess=guess)
+        assert got.phi.values.shape == (16, 1, 1, 16)
+        assert got.iterations == ref.iterations >= 1
+        assert got.cg_iterations == ref.cg_iterations
+        assert got.line_search_halvings == ref.line_search_halvings
+        assert np.max(np.abs(got.phi.values - ref.phi.values)) <= 1e-12 * np.max(np.abs(ref.phi.values))
+        for a, b in ((got.form.diag, ref.form.diag), (got.form.upper, ref.form.upper)):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert got.residual < problem.tol and ref.residual < problem.tol
+        assert got.log_constant == pytest.approx(ref.log_constant, rel=1e-12, abs=1e-15)
+        assert got.compat_factor == ref.compat_factor
 
 
 class TestShiftedSolve:

@@ -218,19 +218,38 @@ def random_positive_form(torus, shape, rng):
     return z @ z.conj().swapaxes(-1, -2) + n * np.eye(n)
 
 
-@pytest.mark.parametrize("n,grid,shape", [s for s in SHAPES if s[0] > 1])
-def test_newton_operator_matches_complex_fft_and_is_self_adjoint(n, grid, shape):
+def newton_operator(n, grid, shape, rng):
+    """A Newton operator of a random positive form, and the exactly Hermitian matrices its planes hold."""
     torus = TorusModel(n, grid)
-    rng = np.random.default_rng(len(shape) + shape[-1])
     m = random_positive_form(torus, shape, rng)
     diag = np.stack([m[..., j, j].real for j in range(n)])
-    upper = np.stack([m[..., j, k] for j, k in smallmat.upper_pairs(n)])
-    op = _NewtonOperator(torus, diag, upper, shape)
+    pairs = smallmat.upper_pairs(n)
+    upper = np.empty((len(pairs),) + shape, dtype=np.complex128)
+    for p, (j, k) in enumerate(pairs):
+        upper[p] = m[..., j, k]
+    return _NewtonOperator(torus, diag, upper, shape), smallmat.hermitian_matrices(diag, upper)
+
+
+@pytest.mark.parametrize("n,grid,shape", [s for s in SHAPES if s[0] > 1])
+def test_newton_operator_matches_complex_fft_and_is_self_adjoint(n, grid, shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    op, m = newton_operator(n, grid, shape, rng)
     u, v = rng.normal(size=shape), rng.normal(size=shape)
-    au, av = op.apply(u), op.apply(v)
-    m = smallmat.hermitian_matrices(diag, upper)  # exactly Hermitian: the matrices the planes hold
-    ref = c2c_newton_apply(torus, np.linalg.det(m)[..., None, None] * np.linalg.inv(m), shape, u)
+    uhat, vhat = _rfftn(u), _rfftn(v)
+    auhat, avhat = op.apply(uhat, np.empty_like(uhat)), op.apply(vhat, np.empty_like(vhat))
+    au = _irfftn(auhat.copy(), shape)
+    ref = c2c_newton_apply(TorusModel(n, grid), np.linalg.det(m)[..., None, None] * np.linalg.inv(m), shape, u)
     assert np.max(np.abs(au - ref)) <= 1e-12 * np.max(np.abs(ref))
-    lhs, rhs = float(np.sum(u * av)), float(np.sum(au * v))
-    assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(u * u) * np.sum(av * av))
-    assert float(np.sum(u * au)) >= 0.0
+    lhs, rhs = op.dot(uhat, avhat), op.dot(auhat, vhat)
+    assert abs(lhs - rhs) <= 1e-12 * np.sqrt(op.dot(uhat, uhat) * op.dot(avhat, avhat))
+    assert op.dot(uhat, auhat) >= 0.0
+
+
+@pytest.mark.parametrize("n,grid,shape", SHAPES)
+def test_newton_dot_is_the_real_inner_product(n, grid, shape):
+    rng = np.random.default_rng(sum(shape) + 2)
+    op, _ = newton_operator(n, grid, shape, rng)
+    u, v = rng.normal(size=shape), rng.normal(size=shape)
+    ref = float(np.sum(u * v))
+    assert abs(op.dot(_rfftn(u), _rfftn(v)) - ref) <= 1e-12 * np.sqrt(np.sum(u * u) * np.sum(v * v))
+    assert op.dot(_rfftn(u), _rfftn(u)) == pytest.approx(float(np.sum(u * u)), rel=1e-12)
