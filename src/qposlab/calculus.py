@@ -312,30 +312,48 @@ def _axis_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, **kwargs)
     return out
 
 
+def _fft_passes(spec: np.ndarray) -> np.ndarray:
+    """The complex passes of ``np.fft.rfftn``, in place in the half spectrum ``spec``.
+
+    They follow the real pass on the last axis and run, in numpy's order, from
+    the last axis but one down to axis 0.
+    """
+    for axis in range(spec.ndim - 2, -1, -1):
+        _axis_pass(np.fft.fft, spec, spec, axis)
+    return spec
+
+
+def _ifft_passes(spec: np.ndarray) -> np.ndarray:
+    """The complex passes of ``np.fft.irfftn``, in place in the half spectrum ``spec``.
+
+    They precede the real pass on the last axis and run, in numpy's order,
+    from axis 0 up to the last axis but one.
+    """
+    for axis in range(spec.ndim - 1):
+        _axis_pass(np.fft.ifft, spec, spec, axis)
+    return spec
+
+
 def _rfftn(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.rfftn`` over every axis, bitwise equal to it, in one output buffer.
 
     numpy's passes in numpy's order: the real pass on the last axis writes the
-    half spectrum, into ``out`` when given (complex128, contiguous), then the
-    complex passes run in place from the last axis but one down to axis 0.
+    half spectrum, into ``out`` when given (complex128, contiguous), then
+    :func:`_fft_passes` runs in place.
     """
     if out is None:
         out = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
-    _axis_pass(np.fft.rfft, v, out, v.ndim - 1)
-    for axis in range(v.ndim - 2, -1, -1):
-        _axis_pass(np.fft.fft, out, out, axis)
-    return out
+    return _fft_passes(_axis_pass(np.fft.rfft, v, out, v.ndim - 1))
 
 
 def _irfftn(vhat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.irfftn`` over every axis, bitwise equal to it; consumes ``vhat``.
 
-    The complex passes run in place in ``vhat`` (a complex128 temporary the
-    caller gives up), in numpy's axis order, before the real pass on the last
-    axis, which writes into ``out`` when given (any strides).
+    :func:`_ifft_passes` runs in place in ``vhat`` (a complex128 temporary the
+    caller gives up) before the real pass on the last axis, which writes into
+    ``out`` when given (any strides).
     """
-    for axis in range(len(shape) - 1):
-        _axis_pass(np.fft.ifft, vhat, vhat, axis)
+    _ifft_passes(vhat)
     if out is None:
         out = np.empty(shape)
     return _axis_pass(np.fft.irfft, vhat, out, len(shape) - 1, n=shape[-1])

@@ -30,11 +30,21 @@ to ``rfftn(op(u))`` with 2n inverse transforms for the gradients and 2n
 forward ones for the fluxes, and its inner product is the real-space one by
 Parseval (weight 2 on interior last-axis modes, 1 on the zero and Nyquist
 planes).  So a CG iteration costs 4n transforms, and a solve two more: the
-right-hand side in, the direction out.  A constant-coefficient version of
-``A`` built from the grid-mean of ``adj(M)`` preconditions the solve: a
-division by its symbol on the modes the operator reaches.  Steps are halved
-until pointwise positivity of ``W + dd_bar(phi)`` is preserved and the sup
-residual does not increase.  The state holds ``H_0 + dd_bar(psi_0 + phi)``
+right-hand side in, the direction out.  An application holds no whole-grid
+gradient, flux or product plane: after the inverse complex passes of the 2n
+gradient spectra, each axis-0 slab of about 65,536 points takes the last-axis
+real transforms of its rows of the gradients, forms its rows of the 2n
+fluxes and transforms them back into the same rows of the same spectra,
+with every line transform and product bitwise the whole-grid one.  The slab
+tasks share min(slabs, CPUs) sets of slab rows, capped at what one
+whole-grid real plane holds (or two sets, on a grid too small for that), so
+the scratch does not grow with the CPU count.  The operator's 2n half
+spectra are its only lasting buffers, and CG keeps its preconditioned
+residual in one of them.  A constant-coefficient version of ``A`` built from
+the grid-mean of ``adj(M)`` preconditions the solve: a division by its
+symbol on the modes the operator reaches.  Steps are halved until pointwise
+positivity of ``W + dd_bar(phi)`` is preserved and the sup residual does not
+increase.  The state holds ``H_0 + dd_bar(psi_0 + phi)``
 (which is ``W + dd_bar(phi)``) as the entry planes :func:`complex_hessian`
 writes, with the constant entries of ``H_0`` added and no lower planes;
 determinants, the adjugate and the positivity test (Sylvester minors, which
@@ -43,9 +53,12 @@ read them in :mod:`qposlab.smallmat`.  The result keeps the solved form's
 planes; its smallest eigenvalue is computed only when read.
 
 One Newton step costs one Hessian per line-search trial and nothing more:
-:func:`solve_ma` builds ``W`` once, for the density rescale to its total mass
-and as the state at a zero initial guess, and then drops it: the background
-is carried by its potential ``psi_0``.
+:func:`solve_ma` builds ``W`` and takes its determinant once, for the density
+rescale to its total mass and as the state at a zero initial guess, and then
+drops it: the background is carried by its potential ``psi_0``.  Each step
+frees a plane with its last reference: the determinant and log residual once
+the right-hand side's half spectrum is taken, the state planes once the
+operator is built.
 
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
@@ -54,6 +67,7 @@ single exact spectral step.
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +76,15 @@ from . import smallmat
 from .calculus import (
     HermitianFormField,
     PotentialField,
+    _fft_passes,
     _half_spectrum_wavenumbers,
+    _ifft_passes,
     _irfftn,
     _rfftn,
+    _run_slabs,
+    _slab_bounds,
     complex_hessian,
-    form_top_density,
+    fft_workers,
     hermitian_det,
     poisson_solve,
 )
@@ -145,15 +163,18 @@ class MASolveResult:
         return float(np.min(smallmat.eigvalsh(self.form.diag, self.form.upper)[0]))
 
 
-def _compat_factor(density: np.ndarray, wform: HermitianFormField) -> float:
+def _compat_factor(density: np.ndarray, wdet: np.ndarray, n: int) -> float:
     """The factor that rescales ``density`` to the total mass of the background form.
 
+    ``wdet`` is the determinant of the background form's planes, so the mass
+    is the mean of its top density ``n! 2^n wdet``
+    (:func:`qposlab.calculus.form_top_density`).
     The equation only constrains the density up to the free constant, and a
     solution requires equal masses.
     """
     if np.min(density) <= 0:
         raise ModelError("target density must be strictly positive")
-    background_mass = float(np.mean(form_top_density(wform)))
+    background_mass = float(np.mean(math.factorial(n) * (2.0**n) * wdet))
     if background_mass <= 0:
         raise ModelError("background form has non-positive total volume")
     return background_mass / float(np.mean(density))
@@ -163,15 +184,25 @@ class _NewtonOperator:
     """The SPD operator  u -> -Re sum_j d/dz_bar_j(adj_jk d u/dz_k)  on half spectra, and its preconditioner.
 
     Built from the planes of the form ``M`` (full stored ``shape``).  It maps
-    ``rfftn(u)`` to ``rfftn(op(u))`` for real fields ``u``: the 2n gradients
-    are inverse real FFTs and the 2n fluxes forward ones, 4n transforms per
+    ``rfftn(u)`` to ``rfftn(op(u))`` for real fields ``u``, 4n transforms per
     application and so per CG iteration, while the preconditioner is a
     division by ``symbol`` on the ``active`` modes and the projection a mask.
     ``adj(M)`` is stored once, as contiguous planes: its real diagonal and the
-    real and imaginary upper entries.  The gradient, flux and product planes
-    and a half-spectrum scratch are allocated once and rewritten by every
-    application.  :meth:`dot` is the real-space inner product of two fields
-    read off their half spectra.
+    real and imaginary upper entries.
+
+    An application keeps no whole-grid gradient, flux or product plane.  The
+    2n gradient spectra get their inverse complex passes in the 2n half
+    spectra of :attr:`spectra`; then each axis-0 slab of
+    :func:`qposlab.calculus._slab_bounds` (:meth:`_fluxes`) takes the
+    last-axis inverse real FFT of its rows of the gradients, forms the 2n
+    fluxes and writes their last-axis real FFTs back into the same rows; the
+    forward complex passes, the derivative symbols and the sum follow.  The
+    slab tasks borrow their gradient, flux and product rows from
+    min(slabs, CPUs) buffer sets, fewer when the sets would take more than
+    one whole-grid real plane (but two, if the slabs and CPUs allow, on a
+    grid too small for that).  Every line transform and every product is the
+    one the whole-grid order takes, so the result is bitwise the same.  :meth:`dot` is the real-space inner
+    product of two fields read off their half spectra.
     """
 
     def __init__(self, torus: TorusModel, diag: np.ndarray, upper: np.ndarray, shape: tuple[int, ...]):
@@ -186,28 +217,36 @@ class _NewtonOperator:
         for j in range(n):
             for k in range(n):
                 symbol = symbol + mean_adj[j, k] * np.conj(dz[j]) * dz[k]
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        self.symbol = np.ascontiguousarray(np.broadcast_to(np.real(symbol), half))
+        self.half = shape[:-1] + (shape[-1] // 2 + 1,)
+        self.symbol = np.ascontiguousarray(np.broadcast_to(np.real(symbol), self.half))
         self.active = self.symbol > 0  # modes the operator can reach
         # rfftn keeps one of each conjugate pair of last-axis modes, except the
         # zero mode and (at even length) the Nyquist mode, which pair with themselves.
         self._once = [0] + ([shape[-1] // 2] if shape[-1] % 2 == 0 else [])
         self._points = math.prod(shape)
-        self._grad = np.empty((2 * n,) + shape)
-        self._flux = np.empty(shape)
-        self._product = np.empty(shape)
-        self._spec = np.empty(half, dtype=np.complex128)
+        self._spectra = None
+
+    @property
+    def spectra(self) -> np.ndarray:
+        """The 2n half-spectrum buffers every application rewrites, allocated on first use.
+
+        Between applications the caller may use them as scratch: :meth:`dot`
+        writes into the last one.
+        """
+        if self._spectra is None:
+            self._spectra = np.empty((2 * self.n,) + self.half, dtype=np.complex128)
+        return self._spectra
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """``np.sum(u * v)`` for the real fields ``u``, ``v`` of the half spectra ``a``, ``b`` (Parseval).
 
         Interior last-axis modes weigh 2, for the conjugate partners rfftn
         leaves out; the zero and Nyquist planes weigh 1.  The products of the
-        real and imaginary parts go into the spectrum scratch and are summed
-        by numpy, not BLAS, whose threaded dot rounds differently on another
-        CPU count.
+        real and imaginary parts go into the last of :attr:`spectra` and are
+        summed by numpy, not BLAS, whose threaded dot rounds differently on
+        another CPU count.
         """
-        prod = np.multiply(a.view(np.float64), b.view(np.float64), out=self._spec.view(np.float64))
+        prod = np.multiply(a.view(np.float64), b.view(np.float64), out=self.spectra[-1].view(np.float64))
         s = 2.0 * float(np.sum(prod))
         for m in self._once:
             s -= float(np.sum(prod[..., 2 * m : 2 * m + 2]))
@@ -215,29 +254,64 @@ class _NewtonOperator:
 
     def apply(self, uhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``rfftn(op(u))`` from ``uhat = rfftn(u)``, written into ``out``."""
-        grad, flux, product, spec = self._grad, self._flux, self._product, self._spec
+        spec = self.spectra
         for a, d in enumerate(self.deriv):
-            _irfftn(np.multiply(uhat, d, out=spec), self.shape, out=grad[a])
-        gx, gy = grad[0::2], grad[1::2]
+            _ifft_passes(np.multiply(uhat, d, out=spec[a]))
+        bounds = _slab_bounds(self.shape[0], math.prod(self.shape[1:]))
+        # Each slab task borrows one set of row buffers.  They are allocated on
+        # this thread: slab temporaries freed on the pool's threads would stay in
+        # those threads' allocator arenas and raise the process's resident size.
+        # There are at most as many sets as workers, and no more than fit in one
+        # whole-grid real plane, or two on a grid too small for that: the
+        # scratch does not grow with the CPU count.
+        rows = (2 * self.n + 2, max(hi - lo for lo, hi in bounds)) + self.shape[1:]
+        scratch = queue.SimpleQueue()
+        for _ in range(min(len(bounds), fft_workers(), max(2, self._points // math.prod(rows)))):
+            scratch.put(np.empty(rows))
+        _run_slabs(lambda b: self._fluxes(b, scratch), bounds)
+        del scratch  # freed before the forward complex passes
         out.fill(0)
-        for j in range(self.n):
-            # P_j, then Q_j: the flux differentiated along x_j, then along y_j
-            for axis, g, h, sign in ((2 * j, gx, gy, 1), (2 * j + 1, gy, gx, -1)):
-                np.multiply(self.adj_diag[j], g[j], out=flux)
-                for k in range(self.n):
-                    if k == j:
-                        continue
-                    # adj_jk is stored above the diagonal; below it, it is the conjugate of adj_kj
-                    e = smallmat.upper_pairs(self.n).index((min(j, k), max(j, k)))
-                    flux += np.multiply(self.adj_re[e], g[k], out=product)
-                    np.multiply(self.adj_im[e], h[k], out=product)
-                    if sign * (k - j) > 0:
-                        flux += product
-                    else:
-                        flux -= product
-                out += np.multiply(_rfftn(flux, out=spec), self.deriv[axis], out=spec)
+        for a, d in enumerate(self.deriv):
+            out += np.multiply(_fft_passes(spec[a]), d, out=spec[a])
         out *= -0.25
         return out
+
+    def _fluxes(self, bounds: tuple[int, int], scratch: queue.SimpleQueue) -> None:
+        """On axis-0 rows ``lo:hi``: gradients in from :attr:`spectra`, and the flux along each axis out into it.
+
+        The gradient spectra have had their complex passes; the last-axis
+        inverse real FFT of these rows gives the rows of the 2n gradients, and
+        the last-axis real FFT of each flux overwrites the rows of the spectrum
+        of the axis it is differentiated along.  The gradient, flux and product
+        rows live in a buffer set taken from ``scratch`` and put back.
+        """
+        lo, hi = bounds
+        n, spec = self.n, self.spectra
+        buffers = scratch.get()
+        try:
+            grad, flux, product = buffers[: 2 * n, : hi - lo], buffers[2 * n, : hi - lo], buffers[2 * n + 1, : hi - lo]
+            for a in range(2 * n):
+                np.fft.irfft(spec[a, lo:hi], n=self.shape[-1], axis=-1, out=grad[a])
+            gx, gy = grad[0::2], grad[1::2]
+            adj_diag, adj_re, adj_im = (p[:, lo:hi] for p in (self.adj_diag, self.adj_re, self.adj_im))
+            for j in range(n):
+                # P_j, then Q_j: the flux differentiated along x_j, then along y_j
+                for axis, g, h, sign in ((2 * j, gx, gy, 1), (2 * j + 1, gy, gx, -1)):
+                    np.multiply(adj_diag[j], g[j], out=flux)
+                    for k in range(n):
+                        if k == j:
+                            continue
+                        # adj_jk is stored above the diagonal; below it, it is the conjugate of adj_kj
+                        e = smallmat.upper_pairs(n).index((min(j, k), max(j, k)))
+                        flux += np.multiply(adj_re[e], g[k], out=product)
+                        np.multiply(adj_im[e], h[k], out=product)
+                        if sign * (k - j) > 0:
+                            flux += product
+                        else:
+                            flux -= product
+                    np.fft.rfft(flux, axis=-1, out=spec[axis, lo:hi])
+        finally:
+            scratch.put(buffers)
 
     def precondition(self, rhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``rhat / symbol`` on the active modes and zero on the others, written into ``out``."""
@@ -249,19 +323,22 @@ class _NewtonOperator:
         return np.multiply(rhat, self.active, out=rhat)
 
 
-def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> tuple[np.ndarray, int]:
+def _pcg(op: _NewtonOperator, bhat: np.ndarray, rtol: float, max_cg: int = 400) -> tuple[np.ndarray, int]:
     """Preconditioned CG for ``op(x) = b``; returns ``x`` and the number of operator applications.
 
-    ``b`` and ``x`` are real fields; the iteration runs on their half spectra,
-    with :meth:`_NewtonOperator.dot` as the inner product, so the only
-    transforms outside the operator are ``b``'s forward and ``x``'s inverse.
+    ``bhat`` is the half spectrum ``rfftn(b)``, which the iteration consumes as
+    its residual; ``x`` is returned as a real field.  The iteration runs on
+    half spectra, with :meth:`_NewtonOperator.dot` as the inner product, so the
+    only transform outside the operator is ``x``'s inverse.  The
+    preconditioned residual lives in the first of the operator's
+    :attr:`~_NewtonOperator.spectra`: it is dead while the operator applies.
     """
-    r = op.project(_rfftn(b))
+    r = op.project(bhat)
     bnorm = math.sqrt(op.dot(r, r))
     if bnorm == 0:
         return np.zeros(op.shape), 0
     x = np.zeros_like(r)
-    z = op.precondition(r, np.empty_like(r))
+    z = op.precondition(r, op.spectra[0])
     p = z.copy()
     ap = np.empty_like(p)
     rz = op.dot(r, z)
@@ -284,12 +361,15 @@ def _pcg(op: _NewtonOperator, b: np.ndarray, rtol: float, max_cg: int = 400) -> 
     return _irfftn(x, op.shape), iterations
 
 
-def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
+def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray, det: np.ndarray | None = None):
     """``planes``, determinant, compensated log residual, sup residual and constant ``c`` of a form.
 
-    ``None`` when the form ``planes = (diag, upper)`` is not positive definite at every grid point.
+    ``None`` when the form ``planes = (diag, upper)`` is not positive definite
+    at every grid point.  ``det`` is the planes' :func:`hermitian_det` when the
+    caller already has it.
     """
-    det = hermitian_det(*planes)
+    if det is None:
+        det = hermitian_det(*planes)
     if not np.all(smallmat.positive_definite(*planes, det)):
         return None
     rho = np.log(det) - np.log(fvals)
@@ -325,7 +405,8 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
     torus = problem.torus
     n = torus.n
     wform = problem.background_form()
-    compat_factor = _compat_factor(problem.target_density, wform)
+    wdet = hermitian_det(wform.diag, wform.upper)  # W's determinant, on its stored shape, taken once
+    compat_factor = _compat_factor(problem.target_density, wdet, n)
     f = problem.target_density * compat_factor / (math.factorial(n) * 2.0**n)
     if np.min(f) <= 0:
         raise ModelError("target density must be strictly positive")
@@ -337,8 +418,9 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         shape = np.broadcast_shapes(shape, initial_guess.values.shape)
     f = np.broadcast_to(f, shape)
     # dd_bar(0) = 0: W's own evaluation checks its positivity and is the state at a zero guess.
-    wplanes = (wform.diag, wform.upper)
-    state = _evaluate(tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in wplanes), f)
+    wplanes = tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (wform.diag, wform.upper))
+    state = _evaluate(wplanes, f, np.ascontiguousarray(np.broadcast_to(wdet, shape)))
+    del wdet
     if state is None:
         raise ModelError("background form is not positive definite at every grid point")
 
@@ -384,12 +466,14 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
                 f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
                 residual=rinf,
             )
+        # A(delta) = -b with A negative semidefinite, i.e. op(delta) = b for op = -A;
+        # CG takes b's half spectrum.  Each plane goes with its last reference.
+        bhat = _rfftn(det * rho_c)
+        del det, rho_c
         op = _NewtonOperator(torus, *planes, shape)
-        # A(delta) = -b with A negative semidefinite, i.e. op(delta) = b for op = -A.
-        b = det * rho_c
-        del planes, det, rho_c  # the last references: freed before the CG solve and line search
-        delta, cg = _pcg(op, b, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))
-        del op, b
+        del planes
+        delta, cg = _pcg(op, bhat, rtol=float(np.clip(1e-2 * rinf, 1e-14, 0.45)))
+        del op, bhat
 
         alpha, halved = 1.0, 0
         while True:
@@ -405,6 +489,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
                     f"Newton step rejected down to 2^-30 damping at residual {rinf:.3e}"
                 )
         phi = trial
+        del delta
         planes, det, rho_c, rinf, c = state
         state = None
         history.append(rinf)

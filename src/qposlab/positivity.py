@@ -3,11 +3,15 @@
 A Hermitian form field ``A`` is measured against a pointwise positive
 reference ``B`` through the generalized eigenvalues of ``A v = lambda B v``.
 ``B = L L^H`` is factored on its stored shape only (one n x n Cholesky when
-the reference is constant, as in every pipeline), ``L^{-1} A L^{-H}`` is
-formed plane by plane, and its eigenvalues come from the closed-form kernels
-of :mod:`qposlab.smallmat`; they are returned sorted descending.  A class is
-*q-positive* at a point when at least ``n - q`` of them are positive, so the
-certificate tracks the (n-q)-th largest eigenvalue as its margin.
+the reference is constant, as in every pipeline).  ``L^{-1} A L^{-H}`` is
+formed plane by plane and its eigenvalues taken by the kernels of
+:mod:`qposlab.smallmat` one axis-0 slab of about 65,536 points at a time (a
+reference that varies along axis 0 is sliced with it), each slab writing its
+rows of one preallocated field, sorted descending.  Every entry and
+eigenvalue is bitwise the whole-grid one, and no whole-grid entry plane is
+held.  A class is *q-positive* at a point when at least ``n - q`` of them
+are positive, so the certificate tracks the (n-q)-th largest eigenvalue as
+its margin.
 
 Pipeline for a single positive pairing (the (n-1)-positivity statement on the
 torus): pick the smallest admissible shift k with volume ratio D_k > 1, solve
@@ -17,17 +21,20 @@ the certificate off the relative eigenvalue field of the evolved form against
 relative eigenvalues ``lambda - 1``.  Two redundant identities are checked on
 the way (the pointwise eigenvalue product equals D_k; the smallest eigenvalue
 stays positive) and a violation raises, because it can only come from a
-solver defect.
+solver defect.  The evolved form behind the product check is recomputed from
+``psi0 + phi``, apart from the solver's planes, and freed before the
+certificate's reductions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, _as_form, complex_hessian
+from .calculus import HermitianFormField, PotentialField, _as_form, _slab_bounds, complex_hessian
 from .errors import ConsistencyFailure, HypothesisViolation, ModelError
 from .geometry import (
     ConstantHermitianClass,
@@ -78,7 +85,7 @@ class EigenvalueField:
 
 
 def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueField:
-    """Generalized Hermitian eigenvalues of ``curvature`` against ``reference``."""
+    """Generalized Hermitian eigenvalues of ``curvature`` against ``reference``, slab by slab along axis 0."""
     a = _as_form(curvature, torus)
     b = _as_form(reference, torus)
     n = torus.n
@@ -88,9 +95,24 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
         raise ModelError(f"reference form is not positive definite at grid point {worst}")
     # LAPACK factors the reference's matrices, on its stored shape only: one when it is constant.
     inv_chol = np.linalg.inv(np.linalg.cholesky(b.values))
+    shape = np.broadcast_shapes(a.diag.shape[1:], b.diag.shape[1:])
+    values = np.empty(shape + (n,))
+    # A serial loop: slab temporaries allocated on pool threads stay in those
+    # threads' allocator arenas and raise the process's resident size.
+    for lo, hi in _slab_bounds(shape[0], math.prod(shape[1:])):
+        factor = inv_chol if inv_chol.shape[0] == 1 else inv_chol[lo:hi]
+        lam = smallmat.eigvalsh(*_whitened(*a.rows(lo, hi), factor))
+        for i, plane in enumerate(lam):
+            values[lo:hi, ..., n - 1 - i] = plane  # descending
+    return EigenvalueField(torus, values)
+
+
+def _whitened(diag, upper, inv_chol):
+    """``(diag, upper)`` planes of ``L^{-1} A L^{-H}`` for the planes of ``A`` and ``inv_chol = L^{-1}``."""
+    n = len(diag)
     conj_inv = inv_chol.conj()
-    entry = smallmat.hermitian_entries(a.diag, a.upper)
-    diag, upper = [None] * n, [None] * (n * (n - 1) // 2)
+    entry = smallmat.hermitian_entries(diag, upper)
+    out_diag, out_upper = [None] * n, [None] * (n * (n - 1) // 2)
     for j in range(n):
         for k in range(j + 1):
             # (L^{-1} A L^{-H})_jk, with L^{-1} lower triangular
@@ -99,12 +121,10 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
                 for r in range(k + 1):
                     acc = acc + (inv_chol[..., j, p] * conj_inv[..., k, r]) * entry[p][r]
             if k == j:
-                diag[j] = acc.real.copy()
+                out_diag[j] = acc.real.copy()
             else:
-                upper[smallmat.upper_pairs(n).index((k, j))] = np.conj(acc, out=acc)
-    del entry, acc  # freed before the eigen pass, which would otherwise peak with them
-    lam = smallmat.eigvalsh(diag, upper)
-    return EigenvalueField(torus, np.stack(lam[::-1], axis=-1))
+                out_upper[smallmat.upper_pairs(n).index((k, j))] = np.conj(acc, out=acc)
+    return out_diag, out_upper
 
 
 @dataclass(frozen=True)
@@ -217,10 +237,13 @@ def one_positive_pipeline(
     dk = dk_constant(H.matrix, G.matrix, k)
     ma = ma_for_dk(H, G, k, psi0=psi0, torus=torus, tol=tol, max_iter=max_iter)
 
+    # The evolved form is recomputed from psi0 + phi, apart from the solver's planes, for the product check.
     total = ma.phi if psi0 is None else PotentialField(torus, psi0.values + ma.phi.values)
     evolved = HermitianFormField.from_constant(torus, H.matrix + k * G.matrix) + complex_hessian(total)
+    del total
     reference = HermitianFormField.from_constant(torus, k * G.matrix)
     lam = eigenvalues_relative(evolved, reference, torus)
+    del evolved  # freed before the certificate's reductions
 
     product_error = float(np.max(np.abs(lam.product() - dk)))
     if product_error > 10 * tol * max(1.0, dk):

@@ -1,5 +1,9 @@
 """Damped-Newton Monge-Ampere solver: exact n=1 path, manufactured n=2 problems."""
 
+import math
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from qposlab import (
     ma_for_dk,
     solve_ma,
 )
-from qposlab import ma_solver, smallmat
+from qposlab import calculus, ma_solver, smallmat
 from qposlab.calculus import _irfftn, _rfftn, poisson_solve
 from qposlab.ma_solver import _NewtonOperator, _pcg
 
@@ -192,12 +196,12 @@ class TestNewtonPath:
         monkeypatch.setattr(op, "apply", lambda *args, **kwargs: applied.append(1) or apply(*args, **kwargs))
         xs = t.real_coordinates()
         b = np.broadcast_to(np.cos(2 * np.pi * xs[0]) + np.sin(2 * np.pi * (xs[1] + xs[2])), shape)
-        x, count = _pcg(op, b, rtol=1e-12)
+        x, count = _pcg(op, _rfftn(b), rtol=1e-12)
         assert count == len(applied) >= 1
         xhat = _rfftn(x)
         residual = _irfftn(op.apply(xhat, np.empty_like(xhat)) - op.project(_rfftn(b)), shape)
         assert np.max(np.abs(residual)) < 1e-10
-        assert _pcg(op, np.zeros(shape), rtol=1e-12)[1] == 0
+        assert _pcg(op, _rfftn(np.zeros(shape)), rtol=1e-12)[1] == 0
 
     def test_mean_zero_gauge(self):
         t = TorusModel(2, 32)
@@ -294,24 +298,133 @@ class TestSpectralPCG:
         t, op = smooth_operator(n, shape)
         xs = t.real_coordinates()
         b = np.broadcast_to(np.cos(2 * np.pi * (xs[0] + xs[-1])) + 0.5 * np.sin(2 * np.pi * xs[1]), shape)
-        x, count = _pcg(op, b, rtol=rtol)
+        x, count = _pcg(op, _rfftn(b), rtol=rtol)
         ref, ref_count = real_space_pcg(op, b, rtol=rtol)
         assert count == ref_count >= 1
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cg_iteration_takes_4n_transforms(self, monkeypatch):
+        # A transform of the operator is one call of a complex-pass helper (its
+        # last-axis real pass runs in the slabs); x's inverse is one _irfftn.
         t, op = smooth_operator(2, (8,) * 4)
         transforms = []
-        for name in ("_rfftn", "_irfftn"):
+        for name in ("_fft_passes", "_ifft_passes", "_irfftn"):
             monkeypatch.setattr(
                 ma_solver, name, lambda *args, _f=getattr(ma_solver, name), **kw: transforms.append(1) or _f(*args, **kw)
             )
         b = np.broadcast_to(np.cos(2 * np.pi * t.real_coordinates()[0]), op.shape)
         for max_cg in (1, 2, 3):
             transforms.clear()
-            _, iterations = _pcg(op, b, rtol=1e-15, max_cg=max_cg)
+            _, iterations = _pcg(op, _rfftn(b), rtol=1e-15, max_cg=max_cg)
             assert iterations == max_cg
-            assert len(transforms) == 2 + 8 * iterations  # b in, x out, and 4n per iteration
+            assert len(transforms) == 1 + 8 * iterations  # x out, and 4n per iteration
+
+
+def unfused_apply(op, uhat):
+    """The operator as whole-grid planes: 2n gradients by ``_irfftn``, then each
+    flux plane, built with a product plane, by ``_rfftn``.  The order of
+    operations the slab application keeps, and its bitwise reference."""
+    n, shape = op.n, op.shape
+    grad = np.empty((2 * n,) + shape)
+    flux, product = np.empty(shape), np.empty(shape)
+    spec = np.empty(op.half, dtype=np.complex128)
+    for a, d in enumerate(op.deriv):
+        _irfftn(np.multiply(uhat, d, out=spec), shape, out=grad[a])
+    gx, gy = grad[0::2], grad[1::2]
+    out = np.zeros(op.half, dtype=np.complex128)
+    for j in range(n):
+        for axis, g, h, sign in ((2 * j, gx, gy, 1), (2 * j + 1, gy, gx, -1)):
+            np.multiply(op.adj_diag[j], g[j], out=flux)
+            for k in range(n):
+                if k == j:
+                    continue
+                e = smallmat.upper_pairs(n).index((min(j, k), max(j, k)))
+                flux += np.multiply(op.adj_re[e], g[k], out=product)
+                np.multiply(op.adj_im[e], h[k], out=product)
+                if sign * (k - j) > 0:
+                    flux += product
+                else:
+                    flux -= product
+            out += np.multiply(_rfftn(flux, out=spec), op.deriv[axis], out=spec)
+    out *= -0.25
+    return out
+
+
+def full_operator(n, grid, shape):
+    """The Newton operator at 2I + dd_bar(psi) for a psi that varies along every axis ``shape`` keeps."""
+    t = TorusModel(n, grid)
+    xs = t.real_coordinates()
+    kept = [x for x, size in zip(xs, shape) if size > 1]
+    psi = 0.02 * sum(np.cos(2 * np.pi * x) for x in kept) + 0.01 * np.sin(2 * np.pi * (kept[0] + kept[-1]))
+    psi = np.broadcast_to(psi, shape)
+    form = HermitianFormField.from_constant(t, 2.0 * np.eye(n)) + complex_hessian(PotentialField(t, psi))
+    planes = (np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (form.diag, form.upper))
+    return t, _NewtonOperator(t, *planes, shape)
+
+
+class TestSlabApply:
+    # n = 2 full grid 16, n = 3 full grid 8, the stored shape of a psi_0 on x_1
+    # with a density on y_2, and a shape constant along axis 0.
+    CASES = [(2, 16, (16,) * 4), (3, 8, (8,) * 6), (2, 16, (16, 1, 1, 16)), (2, 16, (1, 16, 16, 16))]
+
+    @pytest.mark.parametrize("slab_rows", [None, 1, 3], ids=["default", "one-row", "three-rows"])
+    @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8", "axes-0-3", "axis0-constant"])
+    def test_bitwise_the_whole_grid_planes(self, monkeypatch, n, grid, shape, slab_rows):
+        if slab_rows is not None:
+            monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", slab_rows * math.prod(shape[1:]))
+        t, op = full_operator(n, grid, shape)
+        rng = np.random.default_rng(len(shape) + shape[0])
+        uhat = _rfftn(rng.normal(size=shape))
+        for _ in range(2):  # the buffers are rewritten by a second application
+            got = op.apply(uhat, np.empty_like(uhat))
+            assert np.array_equal(got, unfused_apply(op, uhat))
+
+    def test_tasks_share_fewer_buffer_sets_than_workers(self, monkeypatch):
+        # One buffer set for every pool thread: each one-row slab task waits for
+        # the set, with frequent thread switches, and the result stays bitwise.
+        shape = (16,) * 4
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", math.prod(shape[1:]))
+        monkeypatch.setattr(ma_solver, "fft_workers", lambda: 1)
+        _, op = full_operator(2, 16, shape)
+        uhat = _rfftn(np.random.default_rng(5).normal(size=shape))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [op.apply(uhat, np.empty_like(uhat)) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        ref = unfused_apply(op, uhat)
+        assert all(np.array_equal(g, ref) for g in got)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    def test_no_whole_grid_plane_after_the_first_call(self, monkeypatch, workers):
+        # One-row slabs (a 16th of the grid each): beyond its spectra an
+        # application holds a slab's gradients, flux and product per buffer
+        # set, and the sets fit in one whole-grid plane at any worker count.
+        shape = (16,) * 4
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", math.prod(shape[1:]))
+        monkeypatch.setattr(ma_solver, "fft_workers", lambda: workers)
+        _, op = full_operator(2, 16, shape)
+        uhat = _rfftn(np.cos(2 * np.pi * np.arange(16) / 16).reshape(16, 1, 1, 1) * np.ones(shape))
+        out = np.empty_like(uhat)
+        op.apply(uhat, out)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op.apply(uhat, out)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < math.prod(shape) * 8
+
+    def test_solve_passes_cg_a_half_spectrum(self, monkeypatch):
+        t = TorusModel(2, 16)
+        p, _ = manufactured_problem(t, amplitude=0.05)
+        seen = []
+        pcg = ma_solver._pcg
+        monkeypatch.setattr(ma_solver, "_pcg", lambda op, bhat, **kw: seen.append(bhat.dtype) or pcg(op, bhat, **kw))
+        assert solve_ma(p).iterations >= 2
+        assert seen and all(dtype == np.complex128 for dtype in seen)
 
 
 def w_planes_state(problem, phi, fvals):

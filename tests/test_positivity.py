@@ -1,5 +1,7 @@
 """Relative eigenvalue fields, q-positivity certificates, and the pairing pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from qposlab import (
     one_positive_pipeline,
     pseff_pipeline,
 )
+from qposlab import calculus, smallmat
 
 H_EXAMPLE = np.diag([2.0, -1.0])
 G_EXAMPLE = np.eye(2)
@@ -108,6 +111,88 @@ class TestEigenvaluesRelative:
         lam = eigenvalues_relative(a, b, t)
         expect = np.linalg.det(a).real / np.linalg.det(b).real
         assert float(lam.product()[0, 0, 0, 0]) == pytest.approx(expect, rel=1e-10, abs=1e-10)
+
+
+def whole_grid_eigenvalues(curvature, reference, torus):
+    """Relative eigenvalues from whole-grid planes in one pass: the formula the
+    slab loop of ``eigenvalues_relative`` runs per slab, and its bitwise reference."""
+    a, b = (c if isinstance(c, HermitianFormField) else HermitianFormField.from_constant(torus, c)
+            for c in (curvature, reference))
+    n = torus.n
+    inv_chol = np.linalg.inv(np.linalg.cholesky(b.values))
+    conj_inv = inv_chol.conj()
+    entry = smallmat.hermitian_entries(a.diag, a.upper)
+    diag, upper = [None] * n, [None] * (n * (n - 1) // 2)
+    for j in range(n):
+        for k in range(j + 1):
+            acc = 0.0
+            for p in range(j + 1):
+                for r in range(k + 1):
+                    acc = acc + (inv_chol[..., j, p] * conj_inv[..., k, r]) * entry[p][r]
+            if k == j:
+                diag[j] = acc.real.copy()
+            else:
+                upper[smallmat.upper_pairs(n).index((k, j))] = np.conj(acc, out=acc)
+    return np.stack(smallmat.eigvalsh(diag, upper)[::-1], axis=-1)
+
+
+def varying_form(torus, shape, rng, rank_deficient=False):
+    """A Hermitian field on ``shape`` from random matrices times cosines; rank one
+    less than n (an exact zero eigenvalue up to rounding) when ``rank_deficient``."""
+    n = torus.n
+    xs = [x for x, size in zip(torus.real_coordinates(), shape) if size > 1]
+    waves = np.broadcast_to(sum(np.cos(2 * np.pi * (a + 1) * x) for a, x in enumerate(xs)), shape)[..., None, None]
+    if rank_deficient:
+        vecs = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1)) + waves[..., :1] * 0.3
+        return HermitianFormField(torus, vecs @ vecs.conj().swapaxes(-1, -2))
+    return HermitianFormField(torus, random_hermitian(rng, n) + waves * random_hermitian(rng, n))
+
+
+class TestSlabEigenvalues:
+    # n = 3 keeps four of its six axes: LAPACK takes every 3 x 3 matrix.
+    CASES = [(2, 16, (16,) * 4), (3, 8, (8, 8, 1, 1, 8, 8))]
+
+    @pytest.mark.parametrize("slab_rows", [None, 1, 3], ids=["default", "one-row", "three-rows"])
+    @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8"])
+    def test_constant_reference(self, monkeypatch, n, grid, shape, slab_rows):
+        if slab_rows is not None:
+            monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", slab_rows * math.prod(shape[1:]))
+        t = TorusModel(n, grid)
+        rng = np.random.default_rng(n)
+        a, b = varying_form(t, shape, rng), random_pd(rng, n)
+        assert np.array_equal(eigenvalues_relative(a, b, t).values, whole_grid_eigenvalues(a, b, t))
+
+    @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8"])
+    def test_reference_varying_along_axis_0(self, monkeypatch, n, grid, shape):
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", 3 * math.prod(shape[1:]))
+        t = TorusModel(n, grid)
+        rng = np.random.default_rng(n + 10)
+        a = varying_form(t, shape, rng)
+        x0, y_last = t.real_coordinates()[0], t.real_coordinates()[-1]
+        bump = np.cos(2 * np.pi * x0) * np.sin(2 * np.pi * y_last)
+        b = HermitianFormField(t, random_pd(rng, n) + 0.3 * bump[..., None, None] * np.eye(n))
+        assert b.diag.shape[1] == grid and b.diag.shape[1:] != shape
+        for q in range(n):
+            cert = certify_q_positive(a, b, t, q=q)
+            assert np.array_equal(cert.margin_field, whole_grid_eigenvalues(a, b, t)[..., n - q - 1])
+
+    @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8"])
+    def test_points_near_zero_take_the_lapack_fallback(self, monkeypatch, n, grid, shape):
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", 3 * math.prod(shape[1:]))
+        t = TorusModel(n, grid)
+        rng = np.random.default_rng(n + 20)
+        a, b = varying_form(t, shape, rng, rank_deficient=True), random_pd(rng, n)
+        lapack = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: lapack.append(m.shape[:-2]) or eigvalsh(m))
+        got = eigenvalues_relative(a, b, t).values
+        slab_calls, lapack[:] = list(lapack), []
+        ref = whole_grid_eigenvalues(a, b, t)
+        assert np.array_equal(got, ref)
+        assert np.max(np.abs(ref[..., -1])) < 1e-12  # a zero eigenvalue at every point
+        # every point goes to LAPACK, one batch per slab (plus the reference's own eigenvalues)
+        assert sum(math.prod(s) for s in slab_calls) >= math.prod(shape)
+        assert len(slab_calls) > 2
 
 
 class TestCertificate:
