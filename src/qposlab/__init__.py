@@ -33,9 +33,8 @@ from .calculus import (
     fd_complex_hessian,
     form_top_density,
 )
-from .ma_solver import MAProblem, MASolveResult, ma_for_dk, solve_ma
+from .ma_solver import MAProblem, MASolveResult, solve_ma
 from .positivity import (
-    EigenvalueField,
     OnePositiveRun,
     PositivityCertificate,
     certify_q_positive,

@@ -104,10 +104,6 @@ class PotentialField:
             raise ModelError("field flagged mean_zero has |mean| > 1e-12")
 
     @classmethod
-    def constant(cls, torus: TorusModel, value: float = 0.0) -> "PotentialField":
-        return cls(torus, np.full((1,) * torus.ndim_real, float(value)))
-
-    @classmethod
     def zero(cls, torus: TorusModel) -> "PotentialField":
         return cls(torus, np.zeros((1,) * torus.ndim_real), mean_zero=True)
 
@@ -124,12 +120,6 @@ class PotentialField:
             _require_same_torus(self, other)
             return PotentialField(self.torus, self.values + other.values)
         return PotentialField(self.torus, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, PotentialField):
-            _require_same_torus(self, other)
-            return PotentialField(self.torus, self.values - other.values)
-        return PotentialField(self.torus, self.values - float(other))
 
     def __rmul__(self, scalar):
         return PotentialField(self.torus, float(scalar) * self.values)

@@ -10,8 +10,8 @@ step; for a glue run: each smoothing scale tried with its region margins,
 and the size of the excluded switching band; for every run that transforms
 fields: ``fft_workers``, the threads an FFT pass and a stencil slab run
 on) in ``trace``, and an sha256 digest over the resolved
-inputs (including the content of referenced field files) ties the verdict to
-what produced it.
+inputs (with each referenced file's path replaced by the digest of its
+content) ties the verdict to what produced it, wherever the inputs sit.
 
 Each subcommand has one key table: it gives every config key the command
 accepts a kind and a default (none when the key is required), and holds the
@@ -369,16 +369,23 @@ def _jsonable(obj):
 
 def _inputs_digest(command: str, config: dict, values: dict, file_paths) -> str:
     # The payload holds all four settings; one the command does not read
-    # enters at its default.
+    # enters at its default.  Each referenced file's path is replaced in the
+    # config by the sha256 of its content, and the config's ``out`` is left
+    # out, so the digest depends neither on where the inputs sit nor on where
+    # the outputs go.
     settings = {k: values.get(k, _SETTINGS[k].default) for k in ("grid", "q", "k_max", "tol")}
+    content = {str(fp): "sha256:" + hashlib.sha256(Path(fp).read_bytes()).hexdigest() for fp in file_paths}
+
+    def by_content(obj):  # file paths sit in objects only, never in lists
+        if isinstance(obj, dict):
+            return {k: by_content(v) for k, v in obj.items()}
+        return content.get(obj, obj) if isinstance(obj, str) else obj
+
     payload = {
         "command": command,
-        "config": _jsonable(config),
+        "config": _jsonable(by_content({k: v for k, v in config.items() if k != "out"})),
         "settings": _jsonable(settings),
-        "file_digests": {},
     }
-    for fp in sorted(str(p) for p in file_paths):
-        payload["file_digests"][fp] = hashlib.sha256(Path(fp).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

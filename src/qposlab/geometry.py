@@ -136,12 +136,6 @@ class ConstantHermitianClass:
     def __add__(self, other):
         return ConstantHermitianClass(self.matrix + _as_matrix(other))
 
-    def __rmul__(self, scalar):
-        return ConstantHermitianClass(float(scalar) * self.matrix)
-
-    def scaled(self, scalar) -> "ConstantHermitianClass":
-        return ConstantHermitianClass(float(scalar) * self.matrix)
-
 
 @dataclass(frozen=True)
 class KahlerClass(ConstantHermitianClass):

@@ -70,6 +70,9 @@ __all__ = [
     "zariski_fujita_pipeline",
 ]
 
+# Exponents m of the dyadic thresholds C = 2**m that select_threshold tries, smallest first.
+_THRESHOLD_EXPONENTS = range(-20, 65)
+
 
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev (box) dilation of a boolean grid mask, periodic per axis.
@@ -160,13 +163,7 @@ def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return _softmax(u, v, eps)
 
 
-def select_threshold(
-    phi_b: PotentialField,
-    singular: SingularPotential,
-    region_u: np.ndarray,
-    m_lo: int = -20,
-    m_hi: int = 64,
-) -> float:
+def select_threshold(phi_b: PotentialField, singular: SingularPotential, region_u: np.ndarray) -> float:
     """Smallest dyadic ``C = 2**m`` with ``phi_b - phi_s < C`` outside ``region_u``.
 
     Keeping ``C`` minimal keeps the capped region as large as possible, which
@@ -185,11 +182,11 @@ def select_threshold(
     if not np.any(outside):
         raise ModelError("region_u covers the whole grid; nothing to glue against")
     sup = float(np.max(np.where(outside, diff, -np.inf)))
-    for m in range(m_lo, m_hi + 1):
+    for m in _THRESHOLD_EXPONENTS:
         c = 2.0**m
         if sup < c:
             return c
-    raise ModelError(f"no dyadic threshold up to 2**{m_hi} dominates the gap {sup:.3e}")
+    raise ModelError(f"no dyadic threshold up to 2**{_THRESHOLD_EXPONENTS[-1]} dominates the gap {sup:.3e}")
 
 
 @dataclass(frozen=True)

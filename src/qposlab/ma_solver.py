@@ -89,9 +89,9 @@ from .calculus import (
     poisson_solve,
 )
 from .errors import ModelError, NonConvergence, NumericsError, StepFailure
-from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, dk_constant
+from .geometry import ConstantHermitianClass, TorusModel
 
-__all__ = ["MAProblem", "MASolveResult", "solve_ma", "ma_for_dk"]
+__all__ = ["MAProblem", "MASolveResult", "solve_ma"]
 
 
 @dataclass(frozen=True)
@@ -508,40 +508,3 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         line_search_halvings=tuple(halvings),
     )
 
-
-def ma_for_dk(
-    line_class,
-    kahler,
-    k: int,
-    psi0: PotentialField | None = None,
-    torus: TorusModel | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 50,
-) -> MASolveResult:
-    """Monge-Ampere solve with shifted background ``H + kG`` and constant target
-    density ``D_k * (k omega)^n``.
-
-    At the solution the pointwise determinant ratio realises the volume ratio
-    D_k, so the relative eigenvalues of the evolved form against ``k omega``
-    multiply to D_k at every grid point.
-    """
-    if torus is None:
-        if psi0 is None:
-            raise ModelError("ma_for_dk needs a torus (directly or via psi0)")
-        torus = psi0.torus
-    H = ConstantHermitianClass(np.asarray(line_class.matrix if hasattr(line_class, "matrix") else line_class))
-    G = np.asarray(kahler.matrix if hasattr(kahler, "matrix") else kahler)
-    n = torus.n
-    dk = dk_constant(H.matrix, G, k)
-    shifted = ConstantHermitianClass(H.matrix + k * G)
-    density = dk * math.factorial(n) * 2.0**n * smallmat.det((k * G)[None, ...])[0].real
-    target = np.full((1,) * torus.ndim_real, density)
-    problem = MAProblem(
-        torus=torus,
-        background=shifted,
-        target_density=target,
-        background_potential=psi0,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return solve_ma(problem)

@@ -7,21 +7,22 @@ the reference is constant, as in every pipeline).  ``L^{-1} A L^{-H}`` is
 formed plane by plane and its eigenvalues taken by the kernels of
 :mod:`qposlab.smallmat` one axis-0 slab of about 65,536 points at a time (a
 reference that varies along axis 0 is sliced with it), each slab writing its
-rows of one preallocated field, sorted descending.  Every entry and
-eigenvalue is bitwise the whole-grid one, and no whole-grid entry plane is
-held.  A class is *q-positive* at a point when at least ``n - q`` of them
-are positive, so the certificate tracks the (n-q)-th largest eigenvalue as
-its margin.
+rows of one preallocated array, which comes back as the ``(..., n)`` field of
+eigenvalues sorted descending.  Every entry and eigenvalue is bitwise the
+whole-grid one, and no whole-grid entry plane is held.  A class is
+*q-positive* at a point when at least ``n - q`` of them are positive, so the
+certificate tracks the (n-q)-th largest eigenvalue as its margin.
 
 Pipeline for a single positive pairing (the (n-1)-positivity statement on the
 torus): pick the smallest admissible shift k with volume ratio D_k > 1, solve
-the Monge-Ampere equation with constant target ``D_k (k omega)^n``, and read
-the certificate off the relative eigenvalue field of the evolved form against
-``k omega``, one eigen pass in all: the curvature ``evolved - k omega`` has
-relative eigenvalues ``lambda - 1``.  Two redundant identities are checked on
-the way (the pointwise eigenvalue product equals D_k; the smallest eigenvalue
-stays positive) and a violation raises, because it can only come from a
-solver defect.  The evolved form behind the product check is recomputed from
+the Monge-Ampere equation with background ``H + k omega`` and constant target
+``D_k (k omega)^n`` by :func:`solve_ma`, and read the certificate off the
+relative eigenvalue field of the evolved form against ``k omega``, one eigen
+pass in all: the curvature ``evolved - k omega`` has relative eigenvalues
+``lambda - 1``.  Two redundant identities are checked on the way (the
+pointwise eigenvalue product equals D_k; the smallest eigenvalue stays
+positive) and a violation raises, because it can only come from a solver
+defect.  The evolved form behind the product check is recomputed from
 ``psi0 + phi``, apart from the solver's planes, and freed before the
 certificate's reductions.
 """
@@ -29,7 +30,7 @@ certificate's reductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +45,9 @@ from .geometry import (
     dk_constant,
     intersection_number,
 )
-from .ma_solver import MASolveResult, ma_for_dk
+from .ma_solver import MAProblem, MASolveResult, solve_ma
 
 __all__ = [
-    "EigenvalueField",
     "PositivityCertificate",
     "eigenvalues_relative",
     "certify_q_positive",
@@ -57,34 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenvalueField:
-    """Pointwise sorted (descending) relative eigenvalues on the grid."""
-
-    torus: TorusModel
-    values: np.ndarray  # shape (*grid_broadcast, n), real, descending
-
-    def min_over_grid(self, which: int) -> float:
-        """Minimum over the grid of the ``which``-th largest eigenvalue (1-based)."""
-        return float(np.min(self.values[..., which - 1]))
-
-    def product(self) -> np.ndarray:
-        return np.prod(self.values, axis=-1)
-
-    def max_neighbor_jump(self) -> float:
-        """Largest eigenvalue change between grid neighbours (reported, not asserted).
-
-        Eigenvalues of a continuous matrix field are continuous, so this gives
-        a resolution-dependent Lipschitz diagnostic; crossings only soften it.
-        """
-        jump = 0.0
-        for a in range(self.values.ndim - 1):
-            if self.values.shape[a] > 1:
-                jump = max(jump, float(np.max(np.abs(self.values - np.roll(self.values, 1, axis=a)))))
-        return jump
-
-
-def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueField:
+def eigenvalues_relative(curvature, reference, torus: TorusModel) -> np.ndarray:
     """Generalized Hermitian eigenvalues of ``curvature`` against ``reference``, slab by slab along axis 0."""
     a = _as_form(curvature, torus)
     b = _as_form(reference, torus)
@@ -96,7 +69,7 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
     # LAPACK factors the reference's matrices, on its stored shape only: one when it is constant.
     inv_chol = np.linalg.inv(np.linalg.cholesky(b.values))
     shape = np.broadcast_shapes(a.diag.shape[1:], b.diag.shape[1:])
-    values = np.empty(shape + (n,))
+    values = np.empty(shape + (n,))  # (*grid_broadcast, n), real, descending
     # A serial loop: slab temporaries allocated on pool threads stay in those
     # threads' allocator arenas and raise the process's resident size.
     for lo, hi in _slab_bounds(shape[0], math.prod(shape[1:])):
@@ -104,7 +77,7 @@ def eigenvalues_relative(curvature, reference, torus: TorusModel) -> EigenvalueF
         lam = smallmat.eigvalsh(*_whitened(*a.rows(lo, hi), factor))
         for i, plane in enumerate(lam):
             values[lo:hi, ..., n - 1 - i] = plane  # descending
-    return EigenvalueField(torus, values)
+    return values
 
 
 def _whitened(diag, upper, inv_chol):
@@ -127,6 +100,19 @@ def _whitened(diag, upper, inv_chol):
     return out_diag, out_upper
 
 
+def _neighbor_jump(values: np.ndarray) -> float:
+    """Largest eigenvalue change between grid neighbours (reported, not asserted).
+
+    Eigenvalues of a continuous matrix field are continuous, so this gives
+    a resolution-dependent Lipschitz diagnostic; crossings only soften it.
+    """
+    jump = 0.0
+    for a in range(values.ndim - 1):
+        if values.shape[a] > 1:
+            jump = max(jump, float(np.max(np.abs(values - np.roll(values, 1, axis=a)))))
+    return jump
+
+
 @dataclass(frozen=True)
 class PositivityCertificate:
     """Grid certificate that a form field has >= n - q positive eigenvalues.
@@ -142,7 +128,6 @@ class PositivityCertificate:
     passed: bool
     worst_point: tuple[int, ...]
     eigen_jump: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _check_certificate_args(n: int, q: int, margin: float) -> None:
@@ -152,15 +137,14 @@ def _check_certificate_args(n: int, q: int, margin: float) -> None:
         raise ModelError("margin must be non-negative")
 
 
-def _certificate(lam: EigenvalueField, q: int, margin: float, shift: float = 0.0,
-                 metadata: dict | None = None) -> PositivityCertificate:
-    """Certificate read off relative eigenvalues ``lam - shift``.
+def _certificate(lam: np.ndarray, q: int, margin: float, shift: float = 0.0) -> PositivityCertificate:
+    """Certificate read off relative eigenvalues ``lam - shift`` (descending along the last axis).
 
     Shifting every eigenvalue by one constant leaves their neighbour jumps
     unchanged, so the jump is read off ``lam`` itself.
     """
-    n = lam.values.shape[-1]
-    margin_field = lam.values[..., n - q - 1] - shift
+    n = lam.shape[-1]
+    margin_field = lam[..., n - q - 1] - shift
     min_margin = float(np.min(margin_field))
     worst = tuple(int(i) for i in np.unravel_index(int(np.argmin(margin_field)), margin_field.shape))
     return PositivityCertificate(
@@ -170,20 +154,18 @@ def _certificate(lam: EigenvalueField, q: int, margin: float, shift: float = 0.0
         min_margin=min_margin,
         passed=bool(min_margin > margin),
         worst_point=worst,
-        eigen_jump=lam.max_neighbor_jump(),
-        metadata=dict(metadata or {}),
+        eigen_jump=_neighbor_jump(lam),
     )
 
 
-def certify_q_positive(curvature, reference, torus: TorusModel, q: int, margin: float = 1e-8,
-                       metadata: dict | None = None) -> PositivityCertificate:
+def certify_q_positive(curvature, reference, torus: TorusModel, q: int, margin: float = 1e-8) -> PositivityCertificate:
     """Certify that ``curvature`` is q-positive relative to ``reference``.
 
     The count of positive eigenvalues does not depend on the (positive)
     reference; the margin values do, and are reported relative to it.
     """
     _check_certificate_args(torus.n, q, margin)
-    return _certificate(eigenvalues_relative(curvature, reference, torus), q, margin, metadata=metadata)
+    return _certificate(eigenvalues_relative(curvature, reference, torus), q, margin)
 
 
 @dataclass(frozen=True)
@@ -194,7 +176,7 @@ class OnePositiveRun:
     k: int
     dk: float
     ma_result: MASolveResult
-    lambda_field: EigenvalueField
+    lambda_field: np.ndarray  # relative eigenvalues of the evolved form against k omega, descending
     product_error: float
     pairing: float
 
@@ -235,39 +217,37 @@ def one_positive_pipeline(
 
     k = choose_k(H.matrix, G.matrix, k_max)
     dk = dk_constant(H.matrix, G.matrix, k)
-    ma = ma_for_dk(H, G, k, psi0=psi0, torus=torus, tol=tol, max_iter=max_iter)
+    # Monge-Ampere with background H + k omega and constant target D_k (k omega)^n: at the
+    # solution the relative eigenvalues against k omega multiply to D_k at every grid point.
+    shifted = H.matrix + k * G.matrix
+    density = dk * math.factorial(n) * 2.0**n * smallmat.det((k * G.matrix)[None, ...])[0].real
+    ma = solve_ma(MAProblem(
+        torus=torus,
+        background=ConstantHermitianClass(shifted),
+        target_density=np.full((1,) * torus.ndim_real, density),
+        background_potential=psi0,
+        tol=tol,
+        max_iter=max_iter,
+    ))
 
     # The evolved form is recomputed from psi0 + phi, apart from the solver's planes, for the product check.
     total = ma.phi if psi0 is None else PotentialField(torus, psi0.values + ma.phi.values)
-    evolved = HermitianFormField.from_constant(torus, H.matrix + k * G.matrix) + complex_hessian(total)
+    evolved = HermitianFormField.from_constant(torus, shifted) + complex_hessian(total)
     del total
     reference = HermitianFormField.from_constant(torus, k * G.matrix)
     lam = eigenvalues_relative(evolved, reference, torus)
     del evolved  # freed before the certificate's reductions
 
-    product_error = float(np.max(np.abs(lam.product() - dk)))
+    product_error = float(np.max(np.abs(np.prod(lam, axis=-1) - dk)))
     if product_error > 10 * tol * max(1.0, dk):
         raise ConsistencyFailure(
             f"pointwise eigenvalue product misses D_k={dk} by {product_error:.3e}; solver defect"
         )
-    if lam.min_over_grid(n) <= 0:
+    if float(np.min(lam[..., n - 1])) <= 0:
         raise ConsistencyFailure("evolved form lost pointwise positivity; solver defect")
 
     # The curvature evolved - k omega has relative eigenvalues lam - 1.
-    cert = _certificate(
-        lam,
-        q,
-        margin,
-        shift=1.0,
-        metadata={
-            "k": k,
-            "dk": dk,
-            "ma_residual": ma.residual,
-            "ma_iterations": ma.iterations,
-            "product_error": product_error,
-            "pairing": pairing,
-        },
-    )
+    cert = _certificate(lam, q, margin, shift=1.0)
     return OnePositiveRun(
         certificate=cert,
         k=k,

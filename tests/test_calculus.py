@@ -33,7 +33,7 @@ class TestPotentialField:
         t = TorusModel(1, 16)
         phi = cosine_field(t) + 3.0
         assert phi.mean() == pytest.approx(3.0, abs=1e-14)
-        assert PotentialField(t, (phi - phi.mean()).values, mean_zero=True).mean_zero
+        assert PotentialField(t, phi.values - phi.mean(), mean_zero=True).mean_zero
 
     def test_mean_zero_flag_enforced(self):
         t = TorusModel(1, 16)

@@ -742,6 +742,10 @@ class TestSettingsAndReport:
         _, decorated, _ = run_cli(["certify", "--config", cfg, "--out", str(out)], capsys)
         assert plain["inputs_digest"] == decorated["inputs_digest"]
         assert plain["verdict"] == decorated["verdict"]
+        in_config = write_config(
+            tmp_path, {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8, "out": str(out)}, "out.json"
+        )
+        assert run_cli(["certify", "--config", in_config], capsys)[1]["inputs_digest"] == plain["inputs_digest"]
 
     def test_digest_tracks_settings(self, tmp_path, capsys, monkeypatch):
         cfg = self.masolve_config(tmp_path)
@@ -761,6 +765,20 @@ class TestSettingsAndReport:
         map_path.write_text("0 1 0 1 0\n1 1 1 1 0\n1 0 0 2 0\n")
         _, changed, _ = run_cli(["degeneracy", "--config", cfg], capsys)
         assert base["inputs_digest"] != changed["inputs_digest"]
+
+    def test_digest_does_not_depend_on_where_the_inputs_sit(self, tmp_path, capsys):
+        torus = TorusModel(n=2, grid_size=8)
+        psi0 = 0.02 * np.cos(2 * np.pi * torus.real_coordinates()[0])
+        reports = []
+        for place in ("a", "b/deeper"):
+            work = tmp_path / place
+            work.mkdir(parents=True)
+            write_field(work / "psi0.qpf", torus, np.broadcast_to(psi0, torus.shape))
+            data = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8,
+                    "psi0": {"type": "file", "path": str(work / "psi0.qpf")}}
+            reports.append(run_cli(["certify", "--config", write_config(work, data)], capsys)[1])
+        assert reports[0]["verdict"] == reports[1]["verdict"]
+        assert reports[0]["inputs_digest"] == reports[1]["inputs_digest"]
 
     def test_config_file_not_found(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -99,7 +99,7 @@ class TestConstantClasses:
     def test_algebra(self):
         c = ConstantHermitianClass(H_EXAMPLE) + G_EXAMPLE
         assert np.array_equal(c.matrix, np.diag([3.0, 0.0]))
-        assert np.array_equal((2.0 * ConstantHermitianClass(G_EXAMPLE)).matrix, 2 * G_EXAMPLE)
+        assert np.array_equal((c + ConstantHermitianClass(G_EXAMPLE)).matrix, np.diag([4.0, 1.0]))
 
 
 class TestIntersectionNumber:

@@ -17,7 +17,7 @@ from qposlab import (
     complex_hessian,
     form_top_density,
     HermitianFormField,
-    ma_for_dk,
+    one_positive_pipeline,
     solve_ma,
 )
 from qposlab import calculus, ma_solver, smallmat
@@ -462,9 +462,13 @@ class TestBackgroundPotential:
 
 
 class TestShiftedSolve:
+    """The solve of ``one_positive_pipeline``: background H + k omega, constant target D_k (k omega)^n."""
+
     def test_frozen_example_is_flat(self):
         t = TorusModel(2, 64)
-        res = ma_for_dk(H_EXAMPLE, np.eye(2), k=3, torus=t)
+        run = one_positive_pipeline(H_EXAMPLE, np.eye(2), torus=t)
+        res = run.ma_result
+        assert run.k == 3
         assert res.iterations == 0
         assert res.residual == 0.0
         assert res.phi.sup_norm() == 0.0
@@ -474,11 +478,13 @@ class TestShiftedSolve:
         t = TorusModel(2, 64)
         x = t.real_coordinates()[0]
         psi0 = PotentialField(t, 0.1 * np.cos(2 * np.pi * x), mean_zero=True)
-        res = ma_for_dk(H_EXAMPLE, np.eye(2), k=3, psi0=psi0, tol=1e-10)
+        run = one_positive_pipeline(H_EXAMPLE, np.eye(2), psi0=psi0, tol=1e-10)
+        res = run.ma_result
+        assert run.k == 3
         total = psi0.values + res.phi.values
         assert float(np.max(np.abs(total - np.mean(total)))) < 1e-6
         assert res.residual < 1e-10
 
     def test_torus_required(self):
         with pytest.raises(ModelError):
-            ma_for_dk(H_EXAMPLE, np.eye(2), k=3)
+            one_positive_pipeline(H_EXAMPLE, np.eye(2))

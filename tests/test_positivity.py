@@ -19,6 +19,7 @@ from qposlab import (
     pseff_pipeline,
 )
 from qposlab import calculus, smallmat
+from qposlab.positivity import _neighbor_jump
 
 H_EXAMPLE = np.diag([2.0, -1.0])
 G_EXAMPLE = np.eye(2)
@@ -38,15 +39,15 @@ class TestEigenvaluesRelative:
     def test_frozen_diagonal_case(self):
         t = TorusModel(2, 16)
         lam = eigenvalues_relative(np.diag([5.0, 2.0]), 3 * np.eye(2), t)
-        assert lam.values[..., 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
-        assert lam.values[..., 1] == pytest.approx(2.0 / 3.0, abs=1e-14)
-        assert float(lam.product()[0, 0, 0, 0]) == pytest.approx(10.0 / 9.0, abs=1e-14)
+        assert lam[..., 0] == pytest.approx(5.0 / 3.0, abs=1e-14)
+        assert lam[..., 1] == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert float(np.prod(lam, axis=-1)[0, 0, 0, 0]) == pytest.approx(10.0 / 9.0, abs=1e-14)
 
     def test_descending_order(self):
         rng = np.random.default_rng(2)
         t = TorusModel(3, 16)
         lam = eigenvalues_relative(random_hermitian(rng, 3), random_pd(rng, 3), t)
-        v = lam.values[0, 0, 0, 0, 0, 0]
+        v = lam[0, 0, 0, 0, 0, 0]
         assert v[0] >= v[1] >= v[2]
 
     def test_brute_force_oracle(self):
@@ -59,7 +60,7 @@ class TestEigenvaluesRelative:
         b = np.broadcast_to(random_pd(rng, 2), a.shape)
         lam = eigenvalues_relative(HermitianFormField(t, a), HermitianFormField(t, b), t)
         brute = np.sort(np.linalg.eigvals(np.linalg.inv(b) @ a).real, axis=-1)[..., ::-1]
-        assert np.max(np.abs(lam.values - brute)) < 1e-10
+        assert np.max(np.abs(lam - brute)) < 1e-10
 
     def test_shift_identity(self):
         rng = np.random.default_rng(4)
@@ -67,8 +68,8 @@ class TestEigenvaluesRelative:
         for _ in range(8):
             a = random_hermitian(rng, 2)
             b = random_pd(rng, 2)
-            lam = eigenvalues_relative(a, b, t).values
-            shifted = eigenvalues_relative(a - b, b, t).values
+            lam = eigenvalues_relative(a, b, t)
+            shifted = eigenvalues_relative(a - b, b, t)
             assert np.max(np.abs(shifted - (lam - 1.0))) < 1e-12
 
     def test_monotone_under_psd_perturbation(self):
@@ -79,8 +80,8 @@ class TestEigenvaluesRelative:
             b = random_pd(rng, 2)
             c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             psd = c @ c.conj().T
-            lam = eigenvalues_relative(a, b, t).values
-            lam_up = eigenvalues_relative(a + psd, b, t).values
+            lam = eigenvalues_relative(a, b, t)
+            lam_up = eigenvalues_relative(a + psd, b, t)
             assert np.min(lam_up - lam) > -1e-12
 
     def test_reference_must_be_positive(self):
@@ -93,13 +94,16 @@ class TestEigenvaluesRelative:
     def test_neighbor_jump_zero_for_constant(self):
         t = TorusModel(2, 16)
         lam = eigenvalues_relative(H_EXAMPLE, G_EXAMPLE, t)
-        assert lam.max_neighbor_jump() == 0.0
+        assert _neighbor_jump(lam) == 0.0
 
     def test_min_over_grid_one_based(self):
+        # Column j - 1 holds the j-th largest eigenvalue; a q certificate reads the (n - q)-th.
         t = TorusModel(2, 16)
         lam = eigenvalues_relative(np.diag([5.0, 2.0]), 3 * np.eye(2), t)
-        assert lam.min_over_grid(1) == pytest.approx(5.0 / 3.0)
-        assert lam.min_over_grid(2) == pytest.approx(2.0 / 3.0)
+        assert float(np.min(lam[..., 0])) == pytest.approx(5.0 / 3.0)
+        assert float(np.min(lam[..., 1])) == pytest.approx(2.0 / 3.0)
+        assert certify_q_positive(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=1).min_margin == pytest.approx(5.0 / 3.0)
+        assert certify_q_positive(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=0).min_margin == pytest.approx(2.0 / 3.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -110,7 +114,7 @@ class TestEigenvaluesRelative:
         b = random_pd(rng, 2)
         lam = eigenvalues_relative(a, b, t)
         expect = np.linalg.det(a).real / np.linalg.det(b).real
-        assert float(lam.product()[0, 0, 0, 0]) == pytest.approx(expect, rel=1e-10, abs=1e-10)
+        assert float(np.prod(lam, axis=-1)[0, 0, 0, 0]) == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
 
 def whole_grid_eigenvalues(curvature, reference, torus):
@@ -160,7 +164,7 @@ class TestSlabEigenvalues:
         t = TorusModel(n, grid)
         rng = np.random.default_rng(n)
         a, b = varying_form(t, shape, rng), random_pd(rng, n)
-        assert np.array_equal(eigenvalues_relative(a, b, t).values, whole_grid_eigenvalues(a, b, t))
+        assert np.array_equal(eigenvalues_relative(a, b, t), whole_grid_eigenvalues(a, b, t))
 
     @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8"])
     def test_reference_varying_along_axis_0(self, monkeypatch, n, grid, shape):
@@ -185,7 +189,7 @@ class TestSlabEigenvalues:
         lapack = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: lapack.append(m.shape[:-2]) or eigvalsh(m))
-        got = eigenvalues_relative(a, b, t).values
+        got = eigenvalues_relative(a, b, t)
         slab_calls, lapack[:] = list(lapack), []
         ref = whole_grid_eigenvalues(a, b, t)
         assert np.array_equal(got, ref)
@@ -233,11 +237,6 @@ class TestCertificate:
             with pytest.raises(ModelError):
                 certify_q_positive(H_EXAMPLE, np.eye(2), t, q=q)
 
-    def test_metadata_carried(self):
-        t = TorusModel(2, 16)
-        cert = certify_q_positive(H_EXAMPLE, np.eye(2), t, q=1, metadata={"tag": 7})
-        assert cert.metadata["tag"] == 7
-
 
 class TestOnePositivePipeline:
     def test_n3_newton_solve(self):
@@ -265,7 +264,7 @@ class TestOnePositivePipeline:
         assert run.ma_result.iterations == 0
         assert run.certificate.passed
         assert run.certificate.min_margin == pytest.approx(2.0 / 3.0, abs=1e-9)
-        lam = run.lambda_field.values
+        lam = run.lambda_field
         assert np.max(np.abs(lam[..., 0] - 5.0 / 3.0)) < 1e-9
         assert np.max(np.abs(lam[..., 1] - 2.0 / 3.0)) < 1e-9
 
