@@ -535,7 +535,7 @@ def _cmd_certify(v):
         q=v["q"],
     )
     verdict = _certificate_verdict(run)
-    artifacts = []
+    artifacts = [("phi.qpf", lambda p: write_field(p, torus, run.ma_result.phi.values))]
     if np.squeeze(run.certificate.margin_field).ndim <= 2:
         artifacts.append(
             ("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.certificate.margin_field))

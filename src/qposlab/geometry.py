@@ -166,12 +166,11 @@ def _mixed_coefficient(mats: list[np.ndarray]) -> float:
     return float(total.real)
 
 
-def intersection_number(classes, torus: TorusModel | None = None) -> float:
+def intersection_number(classes) -> float:
     """Top intersection pairing of ``n`` constant classes.
 
     ``classes`` must contain exactly ``n`` entries of matching size ``n``
-    (repeat an entry for powers).  ``torus`` is optional and only used to
-    cross-check the arity against a declared model.
+    (repeat an entry for powers).
     """
     mats = [_as_matrix(c) for c in classes]
     if not mats:
@@ -182,8 +181,6 @@ def intersection_number(classes, torus: TorusModel | None = None) -> float:
             raise ModelError(f"class matrices disagree in size: {m.shape} vs {(n, n)}")
     if len(mats) != n:
         raise ModelError(f"intersection_number takes exactly n={n} classes, got {len(mats)}")
-    if torus is not None and torus.n != n:
-        raise ModelError(f"classes of size {n} do not live on a torus of dimension {torus.n}")
     return (2.0**n) * _mixed_coefficient(mats)
 
 

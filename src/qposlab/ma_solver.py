@@ -44,13 +44,14 @@ residual in one of them.  A constant-coefficient version of ``A`` built from
 the grid-mean of ``adj(M)`` preconditions the solve: a division by its
 symbol on the modes the operator reaches.  Steps are halved until pointwise
 positivity of ``W + dd_bar(phi)`` is preserved and the sup residual does not
-increase.  The state holds ``H_0 + dd_bar(psi_0 + phi)``
-(which is ``W + dd_bar(phi)``) as the entry planes :func:`complex_hessian`
-writes, with the constant entries of ``H_0`` added and no lower planes;
-determinants, the adjugate and the positivity test (Sylvester minors, which
-reuse the residual's determinant, with an eigenvalue fallback near zero)
-read them in :mod:`qposlab.smallmat`.  The result keeps the solved form's
-planes; its smallest eigenvalue is computed only when read.
+increase.  :meth:`MAProblem.form` builds ``W`` and every state, ``H_0 +
+dd_bar(psi_0 + phi)`` (which is ``W + dd_bar(phi)``), as the entry planes
+:func:`complex_hessian` writes, with the constant entries of ``H_0`` added
+and no lower planes; determinants, the adjugate and the positivity test
+(Sylvester minors, which reuse the residual's determinant, with an
+eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`.  The
+result keeps the solved form's planes, which the certificate reads; their
+smallest eigenvalue is computed only when read.
 
 One Newton step costs one Hessian per line-search trial and nothing more:
 :func:`solve_ma` builds ``W`` and takes its determinant once, for the density
@@ -126,11 +127,23 @@ class MAProblem:
         if not 0 < self.tol < math.inf or self.max_iter < 1:
             raise ModelError("tol must be finite and positive and max_iter >= 1")
 
-    def background_form(self) -> HermitianFormField:
-        base = HermitianFormField.from_constant(self.torus, self.background.matrix)
-        if self.background_potential is None:
-            return base
-        return base + complex_hessian(self.background_potential)
+    def form(self, phi: np.ndarray | None = None) -> HermitianFormField:
+        """``H_0 + dd_bar(psi_0 + phi)`` for potential values ``phi`` on the grid; ``W`` without ``phi``.
+
+        One Hessian of ``psi_0 + phi`` (or of the one given), with the constant entries of
+        ``H_0`` added into its planes; with neither potential, the constant planes of ``H_0``.
+        """
+        h0, potential = self.background.matrix, self.background_potential
+        if phi is not None:
+            potential = PotentialField(self.torus, phi if potential is None else potential.values + phi)
+        if potential is None:
+            return HermitianFormField.from_constant(self.torus, h0)
+        hess = complex_hessian(potential)
+        for j in range(self.torus.n):
+            hess.diag[j] += h0[j, j].real
+        for p, (j, k) in enumerate(smallmat.upper_pairs(self.torus.n)):
+            hess.upper[p] += h0[j, k]
+        return hess
 
 
 @dataclass(frozen=True)
@@ -379,17 +392,9 @@ def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray, det: np.
 
 
 def _state(problem: MAProblem, phi: np.ndarray, fvals: np.ndarray):
-    """:func:`_evaluate` at the form ``H_0 + dd_bar(psi_0 + phi)`` of the problem's background.
-
-    One Hessian of ``psi_0 + phi``, with the constant entries of ``H_0`` added into its planes.
-    """
-    torus, h0, psi0 = problem.torus, problem.background.matrix, problem.background_potential
-    hess = complex_hessian(PotentialField(torus, phi if psi0 is None else psi0.values + phi))
-    for j in range(torus.n):
-        hess.diag[j] += h0[j, j].real
-    for p, (j, k) in enumerate(smallmat.upper_pairs(torus.n)):
-        hess.upper[p] += h0[j, k]
-    return _evaluate((hess.diag, hess.upper), fvals)
+    """:func:`_evaluate` at the form ``H_0 + dd_bar(psi_0 + phi)`` of :meth:`MAProblem.form`."""
+    form = problem.form(phi)
+    return _evaluate((form.diag, form.upper), fvals)
 
 
 def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) -> MASolveResult:
@@ -404,7 +409,7 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
     """
     torus = problem.torus
     n = torus.n
-    wform = problem.background_form()
+    wform = problem.form()
     wdet = hermitian_det(wform.diag, wform.upper)  # W's determinant, on its stored shape, taken once
     compat_factor = _compat_factor(problem.target_density, wdet, n)
     f = problem.target_density * compat_factor / (math.factorial(n) * 2.0**n)

@@ -275,19 +275,20 @@ def degeneracy_locus_scan(pmap: PolyMap, q: int, points, rtol: float = _SIGMA_RT
     return DegeneracyScan(points=pts, sigmas=sig, flagged=flagged, q=q, rtol=rtol)
 
 
-def fibre_dimension_estimate(
-    pmap: PolyMap,
-    target,
-    center=None,
-    radius: float = 1.5,
-    n_seeds: int = 48,
-    seed: int = 0,
-    tol: float = 1e-11,
-    accept_tol: float = 1e-8,
-    max_iter: int = 80,
-    rank_rtol: float = _SIGMA_RTOL,
-) -> int:
-    """Estimated dimension of the fibre over ``target`` near ``center``.
+# Fibre probes: Gauss-Newton from _FIBRE_SEEDS seeds whose real and imaginary
+# parts are drawn (from one fixed generator seed) uniformly in [-_FIBRE_RADIUS,
+# _FIBRE_RADIUS], at most _FIBRE_MAX_ITER steps each, stopping once the residual
+# is below _FIBRE_TOL; a point is on the fibre when its residual is below _FIBRE_ACCEPT.
+_FIBRE_RADIUS = 1.5
+_FIBRE_SEEDS = 48
+_FIBRE_RNG_SEED = 0
+_FIBRE_TOL = 1e-11
+_FIBRE_ACCEPT = 1e-8
+_FIBRE_MAX_ITER = 80
+
+
+def fibre_dimension_estimate(pmap: PolyMap, target) -> int:
+    """Estimated dimension of the fibre over ``target`` near the origin.
 
     Gauss-Newton runs from random seeds; every converged point contributes
     ``rank J`` there, and the fibre dimension is ``n - max rank`` (the rank at
@@ -297,24 +298,22 @@ def fibre_dimension_estimate(
     w = np.asarray(target, dtype=np.complex128)
     if w.shape != (pmap.m,):
         raise ModelError(f"target must have shape ({pmap.m},), got {w.shape}")
-    c = np.zeros(pmap.n, dtype=np.complex128) if center is None else np.asarray(center, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    seeds = c + radius * (
-        rng.uniform(-1.0, 1.0, (n_seeds, pmap.n)) + 1j * rng.uniform(-1.0, 1.0, (n_seeds, pmap.n))
+    rng = np.random.default_rng(_FIBRE_RNG_SEED)
+    seeds = _FIBRE_RADIUS * (
+        rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pmap.n)) + 1j * rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pmap.n))
     )
     best_rank = None
     for z in seeds:
-        z = z.copy()
-        for _ in range(max_iter):
+        for _ in range(_FIBRE_MAX_ITER):
             r = pmap.evaluate(z) - w
-            if np.linalg.norm(r) < tol:
+            if np.linalg.norm(r) < _FIBRE_TOL:
                 break
             step = np.linalg.pinv(pmap.jacobian(z)) @ r
             if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(z)):
                 break
             z = z - step
-        if np.linalg.norm(pmap.evaluate(z) - w) < accept_tol:
-            rank = int(numeric_rank(pmap.jacobian(z), rtol=rank_rtol))
+        if np.linalg.norm(pmap.evaluate(z) - w) < _FIBRE_ACCEPT:
+            rank = int(numeric_rank(pmap.jacobian(z)))
             best_rank = rank if best_rank is None else max(best_rank, rank)
     if best_rank is None:
         return -1

@@ -19,12 +19,14 @@ the Monge-Ampere equation with background ``H + k omega`` and constant target
 ``D_k (k omega)^n`` by :func:`solve_ma`, and read the certificate off the
 relative eigenvalue field of the evolved form against ``k omega``, one eigen
 pass in all: the curvature ``evolved - k omega`` has relative eigenvalues
-``lambda - 1``.  Two redundant identities are checked on the way (the
-pointwise eigenvalue product equals D_k; the smallest eigenvalue stays
-positive) and a violation raises, because it can only come from a solver
-defect.  The evolved form behind the product check is recomputed from
-``psi0 + phi``, apart from the solver's planes, and freed before the
-certificate's reductions.
+``lambda - 1``.  The evolved form is the solver's own: the planes of
+``H + k omega + dd_bar(psi0 + phi)`` of its last accepted state, which its
+residual was measured on.  Two redundant identities are checked on those
+planes (the pointwise eigenvalue product equals D_k; the smallest eigenvalue
+stays positive) and a violation raises, because it can only come from a
+solver defect.  They are not an independent recompute: ``qposlab certify
+--out`` writes ``phi``, from which the form can be rebuilt and checked apart
+from the program.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
-from .calculus import HermitianFormField, PotentialField, _as_form, _slab_bounds, complex_hessian
+from .calculus import PotentialField, _as_form, _slab_bounds
 from .errors import ConsistencyFailure, HypothesisViolation, ModelError
 from .geometry import (
     ConstantHermitianClass,
@@ -219,24 +221,18 @@ def one_positive_pipeline(
     dk = dk_constant(H.matrix, G.matrix, k)
     # Monge-Ampere with background H + k omega and constant target D_k (k omega)^n: at the
     # solution the relative eigenvalues against k omega multiply to D_k at every grid point.
-    shifted = H.matrix + k * G.matrix
     density = dk * math.factorial(n) * 2.0**n * smallmat.det((k * G.matrix)[None, ...])[0].real
     ma = solve_ma(MAProblem(
         torus=torus,
-        background=ConstantHermitianClass(shifted),
+        background=ConstantHermitianClass(H.matrix + k * G.matrix),
         target_density=np.full((1,) * torus.ndim_real, density),
         background_potential=psi0,
         tol=tol,
         max_iter=max_iter,
     ))
 
-    # The evolved form is recomputed from psi0 + phi, apart from the solver's planes, for the product check.
-    total = ma.phi if psi0 is None else PotentialField(torus, psi0.values + ma.phi.values)
-    evolved = HermitianFormField.from_constant(torus, shifted) + complex_hessian(total)
-    del total
-    reference = HermitianFormField.from_constant(torus, k * G.matrix)
-    lam = eigenvalues_relative(evolved, reference, torus)
-    del evolved  # freed before the certificate's reductions
+    # The evolved form is the solver's last accepted state, the planes its residual was measured on.
+    lam = eigenvalues_relative(ma.form, k * G.matrix, torus)
 
     product_error = float(np.max(np.abs(np.prod(lam, axis=-1) - dk)))
     if product_error > 10 * tol * max(1.0, dk):

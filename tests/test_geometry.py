@@ -117,11 +117,8 @@ class TestIntersectionNumber:
             got = intersection_number([a] * n)
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
-    def test_accepts_class_objects_and_torus_check(self):
-        c = ConstantHermitianClass(H_EXAMPLE)
-        assert intersection_number([c, G_EXAMPLE], torus=TorusModel(2, 16)) == 4.0
-        with pytest.raises(ModelError):
-            intersection_number([c, G_EXAMPLE], torus=TorusModel(1, 16))
+    def test_accepts_class_objects(self):
+        assert intersection_number([ConstantHermitianClass(H_EXAMPLE), G_EXAMPLE]) == 4.0
 
     def test_arity_errors(self):
         with pytest.raises(ModelError):

@@ -429,11 +429,34 @@ class TestSlabApply:
 
 def w_planes_state(problem, phi, fvals):
     """The state as ``W + dd_bar(phi)`` with the whole form ``W = H_0 + dd_bar(psi_0)``: the solver's former formulation."""
-    w = problem.background_form()
+    w = problem.form()
     hess = complex_hessian(PotentialField(problem.torus, phi))
     np.add(hess.diag, w.diag, out=hess.diag)
     np.add(hess.upper, w.upper, out=hess.upper)
     return ma_solver._evaluate((hess.diag, hess.upper), fvals)
+
+
+def bits(form):
+    return form.diag.shape, form.diag.tobytes(), form.upper.shape, form.upper.tobytes()
+
+
+class TestProblemForm:
+    @pytest.mark.parametrize("with_psi0", [False, True], ids=["no_psi0", "psi0"])
+    @pytest.mark.parametrize("with_phi", [False, True], ids=["no_phi", "phi"])
+    def test_is_constant_plus_one_hessian_bitwise(self, with_psi0, with_phi):
+        # H_0 has a complex off-diagonal entry; psi_0 and phi vary on every real axis.
+        t = TorusModel(2, 8)
+        xs = t.real_coordinates()
+        h0 = np.array([[3.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]])
+        psi0 = PotentialField(t, 0.05 * sum(np.cos(2 * np.pi * x) for x in xs)) if with_psi0 else None
+        phi = 0.02 * np.sin(2 * np.pi * (xs[0] + xs[3])) * np.cos(2 * np.pi * xs[1]) if with_phi else None
+        problem = MAProblem(t, ConstantHermitianClass(h0), np.full((1,) * 4, 8.0), background_potential=psi0)
+        expected = HermitianFormField.from_constant(t, h0)
+        if with_psi0 and with_phi:
+            expected = expected + complex_hessian(PotentialField(t, psi0.values + phi))
+        elif with_psi0 or with_phi:
+            expected = expected + complex_hessian(psi0 if with_psi0 else PotentialField(t, phi))
+        assert bits(problem.form(phi)) == bits(expected)
 
 
 class TestBackgroundPotential:

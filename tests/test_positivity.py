@@ -296,8 +296,8 @@ class TestOnePositivePipeline:
 
 class TestDifferentiationCount:
     def test_full_grid_run_differentiates_each_field_once(self, monkeypatch):
-        # The background psi0, each line-search trial, and the final independent
-        # recompute of H + k omega + dd_bar(psi0 + phi) behind the product check.
+        # The background psi0 and each line-search trial; the certificate reads
+        # the planes of the solver's last accepted state.
         from qposlab import calculus, ma_solver, positivity
 
         shapes = []
@@ -306,8 +306,8 @@ class TestDifferentiationCount:
             shapes.append(phi.values.shape)
             return calculus.complex_hessian(phi)
 
-        monkeypatch.setattr(ma_solver, "complex_hessian", counting)
-        monkeypatch.setattr(positivity, "complex_hessian", counting)
+        for module in (ma_solver, positivity):
+            monkeypatch.setattr(module, "complex_hessian", counting, raising=False)
         t = TorusModel(2, 8)
         xs = t.real_coordinates()
         values = 0.02 * sum(np.cos(2 * np.pi * x) for x in xs) + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[3]))
@@ -317,8 +317,22 @@ class TestDifferentiationCount:
         ma = run.ma_result
         assert run.certificate.passed
         assert ma.iterations >= 2
-        assert len(shapes) == 2 + ma.iterations + sum(ma.line_search_halvings)
+        assert len(shapes) == 1 + ma.iterations + sum(ma.line_search_halvings)
         assert set(shapes) == {t.shape}
+
+
+class TestSolvedPlanes:
+    def test_lambda_field_reads_the_solver_form(self):
+        # The certificate's relative eigenvalues are those of the solver's last
+        # accepted state, bit for bit, not of a second build of the form.
+        t = TorusModel(2, 8)
+        xs = t.real_coordinates()
+        values = 0.02 * sum(np.cos(2 * np.pi * x) for x in xs) + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[3]))
+        run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=PotentialField(t, values), tol=1e-12)
+        assert run.ma_result.iterations >= 2
+        expected = eigenvalues_relative(run.ma_result.form, run.k * G_EXAMPLE, t)
+        assert run.lambda_field.shape == expected.shape == t.shape + (2,)
+        assert run.lambda_field.tobytes() == expected.tobytes()
 
 
 class TestEigenPassCount:
