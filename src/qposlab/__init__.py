@@ -31,13 +31,11 @@ from .calculus import (
     PotentialField,
     complex_hessian,
     fd_complex_hessian,
-    form_top_density,
 )
 from .ma_solver import MAProblem, MASolveResult, solve_ma
 from .positivity import (
     OnePositiveRun,
-    PositivityCertificate,
-    certify_q_positive,
+    RegionCertificate,
     eigenvalues_relative,
     one_positive_pipeline,
     pseff_pipeline,

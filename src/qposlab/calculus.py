@@ -46,7 +46,6 @@ them, and the kernels that read them live in :mod:`qposlab.smallmat`.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -64,7 +63,6 @@ __all__ = [
     "complex_hessian",
     "fd_complex_hessian",
     "hermitian_det",
-    "form_top_density",
     "fft_workers",
 ]
 
@@ -112,17 +110,11 @@ class PotentialField:
         # of the stored values equals the mean over the full grid.
         return float(np.mean(self.values))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def __add__(self, other):
         if isinstance(other, PotentialField):
             _require_same_torus(self, other)
             return PotentialField(self.torus, self.values + other.values)
         return PotentialField(self.torus, self.values + float(other))
-
-    def __rmul__(self, scalar):
-        return PotentialField(self.torus, float(scalar) * self.values)
 
 
 def _require_same_torus(a, b):
@@ -202,16 +194,6 @@ def _as_form(obj, torus: TorusModel) -> HermitianFormField:
     if obj.torus != torus:
         raise ModelError("form fields live on different torus models")
     return obj
-
-
-def form_top_density(form: HermitianFormField) -> np.ndarray:
-    """Density of the form's top wedge against Lebesgue measure on [0,1)^{2n}.
-
-    For a constant class this integrates to the same number as the repeated
-    intersection pairing: n! * 2^n * det(A).
-    """
-    n = form.torus.n
-    return math.factorial(n) * (2.0**n) * hermitian_det(form.diag, form.upper)
 
 
 def _half_spectrum_wavenumbers(torus: TorusModel, shape: tuple[int, ...]) -> list[np.ndarray]:

@@ -72,7 +72,7 @@ from .surface_cones import (
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _ENV_PREFIX = "QPOSLAB_"
 
 EXIT_CERTIFIED = 0
@@ -394,14 +394,13 @@ def _certificate_verdict(run) -> dict:
     cert = run.certificate
     return {
         "passed": cert.passed,
-        "q": cert.q,
+        "q": run.q,
         "k": run.k,
         "dk": run.dk,
         "pairing": run.pairing,
         "min_margin": cert.min_margin,
-        "margin_required": cert.margin,
+        "margin_required": run.margin,
         "worst_point": list(cert.worst_point),
-        "eigen_jump": cert.eigen_jump,
         "product_error": run.product_error,
         "ma_residual": run.ma_result.residual,
         "ma_iterations": run.ma_result.iterations,
@@ -536,10 +535,9 @@ def _cmd_certify(v):
     )
     verdict = _certificate_verdict(run)
     artifacts = [("phi.qpf", lambda p: write_field(p, torus, run.ma_result.phi.values))]
-    if np.squeeze(run.certificate.margin_field).ndim <= 2:
-        artifacts.append(
-            ("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.certificate.margin_field))
-        )
+    # The margin field is computed only when the heatmap is written; it has the solved form's stored shape.
+    if sum(size > 1 for size in run.ma_result.form.diag.shape[1:]) <= 2:
+        artifacts.append(("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.margin_field)))
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
     return code, verdict, artifacts, files, _spectral_trace(_newton_trace(run.ma_result))
 

@@ -18,7 +18,7 @@ sentinels).
 
 from __future__ import annotations
 
-import io
+import math
 import struct
 from pathlib import Path
 
@@ -71,20 +71,29 @@ def read_field(path, torus: TorusModel | None = None) -> tuple[TorusModel, np.nd
             header = fh.readline().strip()
             if not header.startswith("# qposlab-field"):
                 raise ModelError(f"{path}: missing qposlab-field CSV header")
-            meta = dict(part.split("=") for part in header.split()[2:])
-            n = int(meta["n"])
-            grid = int(meta["grid"])
-            shape = tuple(int(s) for s in meta["shape"].split("x"))
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=1)
-        values = data.reshape(shape)
+            meta = dict(part.partition("=")[::2] for part in header.split()[2:])
+            missing = [key for key in ("n", "grid", "shape") if key not in meta]
+            if missing:
+                raise ModelError(f"{path}: CSV header lacks {', '.join(missing)}")
+            try:
+                n = int(meta["n"])
+                grid = int(meta["grid"])
+                shape = tuple(int(s) for s in meta["shape"].split("x"))
+                values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=1).reshape(shape)
+            except ValueError as exc:
+                raise ModelError(f"{path}: malformed CSV field: {exc}") from None
     else:
         blob = path.read_bytes()
         if blob[:4] != _MAGIC:
             raise ModelError(f"{path}: not a qposlab binary field (bad magic)")
+        if len(blob) < 16:
+            raise ModelError(f"{path}: header has {len(blob)} bytes, expected at least 16")
         n, grid, ndim = struct.unpack_from("<III", blob, 4)
+        if len(blob) < 16 + 4 * ndim:
+            raise ModelError(f"{path}: header has {len(blob)} bytes, expected {16 + 4 * ndim} for {ndim} axes")
         shape = struct.unpack_from(f"<{ndim}I", blob, 16)
         payload = blob[16 + 4 * ndim:]
-        expected = int(np.prod(shape)) * 8
+        expected = math.prod(shape) * 8
         if len(payload) != expected:
             raise ModelError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
         values = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)

@@ -23,10 +23,11 @@ Every certificate runs slab by slab along axis 0.  A slab of about 65,536
 grid points (at least one row) reads its rows plus a periodic halo (one row
 for the second-order stencils, two for the fourth-order ones), evaluates the
 smoothed potential and its Hessian as entry planes (the layout of every form
-field), adds the background's planes, takes the eigenvalues from
-:func:`smallmat.eigvalsh`, and reduces each region to its point count,
-minimum and first argmin.  The slabs run on the thread pool of the spectral
-transforms, one worker per CPU in the affinity mask and serially on one CPU.
+field) and adds the background's planes; the grid certificate of
+:mod:`qposlab.positivity`, which ``certify`` shares, takes the eigenvalues
+and reduces each region to its point count, minimum and first argmin.  Glue
+runs those slabs on the thread pool of the spectral transforms, one worker
+per CPU in the affinity mask and serially on one CPU.
 Temporaries stay the size of a slab, only the accepted smoothed potential is
 stored whole (the buffer's spectral Hessian is still taken on the whole
 grid), and every count, margin and worst point is bitwise what a whole-grid
@@ -43,7 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import smallmat
 from .calculus import (
     HermitianFormField,
     PotentialField,
@@ -53,10 +53,10 @@ from .calculus import (
     _fd_slab_hessian,
     _periodic_rows,
     _run_slabs,
-    _slab_bounds,
 )
 from .errors import ModelError, NumericsError, PipelineFailure
 from .geometry import TorusModel
+from .positivity import RegionCertificate, _certify_regions
 
 __all__ = [
     "dilate",
@@ -72,6 +72,9 @@ __all__ = [
 
 # Exponents m of the dyadic thresholds C = 2**m that select_threshold tries, smallest first.
 _THRESHOLD_EXPONENTS = range(-20, 65)
+
+# The first smoothing scale the dyadic ladder tries; it halves down to eps_min.
+_EPS_START = 1.0
 
 
 def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -233,20 +236,6 @@ def glue_max(
 
 
 @dataclass(frozen=True)
-class RegionCertificate:
-    """Eigenvalue margin of one region, switching band excluded.
-
-    A region with no grid points has ``min_margin = inf`` and does not pass.
-    """
-
-    name: str
-    n_points: int
-    min_margin: float
-    passed: bool
-    worst_point: tuple | None
-
-
-@dataclass(frozen=True)
 class GlueReport:
     """Successful glue run: declarations, threshold, smoothing, region margins.
 
@@ -268,7 +257,7 @@ class GlueReport:
 
 
 def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
-    """Hessian source for :func:`_certify_regions`: finite differences of a
+    """Hessian source for :func:`_certify_glue_regions`: finite differences of a
     field whose padded rows ``block_of(lo, hi, halo)`` yields as ``(block, halo)``."""
     h = 1.0 / torus.grid_size
 
@@ -281,58 +270,33 @@ def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
     return rows
 
 
-def _certify_regions(
+def _certify_glue_regions(
     hessian_rows, field_shape, background: HermitianFormField, regions, shift: float = 0.0
 ) -> tuple[RegionCertificate, ...]:
-    """Certificates of the margins ``eigvalsh(background + H)[index] - shift``.
+    """Certificates of the margins ``eigvalsh(background + H)[index] - shift``, on the slab pool.
 
-    ``regions`` holds ``(name, mask, index, margin)``.  The grid is cut into
-    slabs of rows along axis 0 (one slab when every array is constant along
-    it); ``hessian_rows(lo, hi)`` gives the Hessian planes on rows ``lo:hi``
-    of ``field_shape`` (:func:`_fd_slab_hessian`, :meth:`HermitianFormField.rows`).
-    Each slab adds the background planes, takes the eigenvalues with
-    :func:`smallmat.eigvalsh` and reduces each region to its point count,
-    minimum and first argmin.  Slabs are contiguous in C order, so combining
-    them in order with the first slab winning ties gives ``np.argmin``'s
-    first flat index over the whole grid, and every margin, count and worst
-    point is bitwise the whole-grid one.  The slabs run on the slab pool.
+    ``regions`` holds ``(name, mask, index, margin)``; ``hessian_rows(lo, hi)``
+    gives the Hessian planes on rows ``lo:hi`` of ``field_shape``
+    (:func:`_fd_slab_hessian`, :meth:`HermitianFormField.rows`), and each slab
+    adds the background planes before :func:`qposlab.positivity._certify_regions`
+    takes its eigenvalues.  The slabs run on the pool, whose speed-up is
+    measured beside :data:`qposlab.calculus._STENCIL_SLAB_POINTS`.
     """
-    shape = np.broadcast_shapes(field_shape, background.diag.shape[1:], *(mask.shape for _, mask, _, _ in regions))
 
-    def slab(bounds):
-        lo, hi = bounds
+    def planes_rows(lo, hi):
         diag, upper = hessian_rows(lo, hi)
         bg_diag, bg_upper = background.rows(lo, hi)
-        lam = smallmat.eigvalsh([b + h for b, h in zip(bg_diag, diag)], [b + h for b, h in zip(bg_upper, upper)])
-        reductions = []
-        for _, mask, index, _ in regions:
-            margins = lam[index] - shift if shift else lam[index]
-            vals, msk = np.broadcast_arrays(margins, mask if mask.shape[0] == 1 else mask[lo:hi])
-            count = int(np.count_nonzero(msk))
-            flat, low = 0, math.inf
-            if count:
-                masked = np.where(msk, vals, np.inf)
-                flat = int(np.argmin(masked))
-                low = float(masked.reshape(-1)[flat])
-            first, *rest = np.unravel_index(flat, msk.shape)
-            reductions.append((count, low, (int(first) + lo, *(int(i) for i in rest))))
-        return reductions
+        return [b + h for b, h in zip(bg_diag, diag)], [b + h for b, h in zip(bg_upper, upper)]
 
-    per_slab = _run_slabs(slab, _slab_bounds(shape[0], math.prod(shape[1:])))
-    certs = []
-    for r, (name, _, _, margin) in enumerate(regions):
-        n_points, low, worst = 0, None, None
-        for reductions in per_slab:
-            count, slab_low, slab_worst = reductions[r]
-            n_points += count
-            # np.argmin's rule: the first minimum wins, and a nan is smaller than every number
-            if low is None or slab_low < low or (math.isnan(slab_low) and not math.isnan(low)):
-                low, worst = slab_low, slab_worst
-        if n_points == 0:
-            worst = None
-        passed = n_points > 0 and bool(low > margin)
-        certs.append(RegionCertificate(name=name, n_points=n_points, min_margin=low, passed=passed, worst_point=worst))
-    return tuple(certs)
+    def margin_of(index):
+        return lambda lam: lam[index] - shift if shift else lam[index]
+
+    return _certify_regions(
+        planes_rows,
+        np.broadcast_shapes(field_shape, background.diag.shape[1:]),
+        [(name, mask, margin_of(index), margin) for name, mask, index, margin in regions],
+        _run_slabs,
+    )
 
 
 def zariski_fujita_pipeline(
@@ -341,7 +305,6 @@ def zariski_fujita_pipeline(
     singular: SingularPotential,
     q: int = 0,
     pole_band: int = 4,
-    eps_start: float = 1.0,
     eps_min: float = 2.0**-20,
     tol: float = 1e-9,
     margin: float = 0.0,
@@ -356,11 +319,11 @@ def zariski_fujita_pipeline(
     2.  Declaration (b): the buffer metric ``H + Hess(phi_b)`` keeps
         ``n - q`` positive eigenvalues on a one-cell enlargement of ``U_C``.
     3.  Threshold selection and the raw maximum glue.
-    4.  Dyadic smoothing sweep from ``eps_start`` down to ``eps_min``: the
+    4.  Dyadic smoothing sweep from 1 down to ``eps_min``: the
         first ``eps`` whose smoothed glue certifies on every region that
         holds grid points (band excluded) wins.
 
-    Every stage certifies slab by slab (:func:`_certify_regions`): the
+    Every stage certifies slab by slab (:func:`_certify_glue_regions`): the
     finite-difference stencils, the softmax and the eigenvalues run on slabs
     of rows, and only the accepted smoothed potential is stored whole.  The
     spectral Hessian of declaration (b) is taken whole, before its slabs.
@@ -373,10 +336,8 @@ def zariski_fujita_pipeline(
     n = torus.n
     if not 0 <= q < n:
         raise ModelError(f"q must be in 0..{n - 1}, got {q}")
-    if not (math.isfinite(eps_min) and math.isfinite(eps_start) and 0 < eps_min <= eps_start):
-        raise ModelError(
-            f"smoothing needs finite 0 < eps_min <= eps_start, got eps_min={eps_min}, eps_start={eps_start}"
-        )
+    if not 0 < eps_min <= _EPS_START:
+        raise ModelError(f"smoothing needs 0 < eps_min <= {_EPS_START}, got eps_min={eps_min}")
     background = _as_form(background, torus)
     if phi_b.torus != torus:
         raise ModelError("buffer and singular potential must share one torus model")
@@ -388,7 +349,7 @@ def zariski_fujita_pipeline(
 
     # declaration (a): singular branch beats the lower bound away from poles
     phi_s = singular.finite_values()
-    (cert_a,) = _certify_regions(
+    (cert_a,) = _certify_glue_regions(
         _fd_hessian_rows(torus, 4, lambda lo, hi, halo: _periodic_rows(phi_s, lo, hi, halo)),
         phi_s.shape,
         background,
@@ -404,7 +365,7 @@ def zariski_fujita_pipeline(
         )
 
     # declaration (b): buffer metric is q-positive where it may take over
-    (cert_b,) = _certify_regions(
+    (cert_b,) = _certify_glue_regions(
         complex_hessian(phi_b).rows,
         phi_b.values.shape,
         background,
@@ -439,10 +400,10 @@ def zariski_fujita_pipeline(
 
         return _fd_hessian_rows(torus, 2, block_of)
 
-    eps = float(eps_start)
+    eps = _EPS_START
     ladder = []
     while eps >= eps_min * (1.0 - 1e-12):
-        certs = _certify_regions(smoothed_rows(eps), psi_shape, background, region_defs)
+        certs = _certify_glue_regions(smoothed_rows(eps), psi_shape, background, region_defs)
         ladder.append((eps, certs))
         if all(c.passed or c.n_points == 0 for c in certs):
             psi_eps = PotentialField(torus, regularized_max(shifted, singular.values, eps))

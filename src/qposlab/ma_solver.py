@@ -180,8 +180,7 @@ def _compat_factor(density: np.ndarray, wdet: np.ndarray, n: int) -> float:
     """The factor that rescales ``density`` to the total mass of the background form.
 
     ``wdet`` is the determinant of the background form's planes, so the mass
-    is the mean of its top density ``n! 2^n wdet``
-    (:func:`qposlab.calculus.form_top_density`).
+    is the mean of its top density ``n! 2^n wdet``.
     The equation only constrains the density up to the free constant, and a
     solution requires equal masses.
     """

@@ -15,7 +15,6 @@ from qposlab import (
     TorusModel,
     complex_hessian,
     fd_complex_hessian,
-    form_top_density,
     intersection_number,
 )
 from qposlab.calculus import hermitian_det, poisson_solve
@@ -92,7 +91,8 @@ class TestHermitianFormField:
     def test_top_density_matches_intersection_number(self):
         t = TorusModel(2, 16)
         f = HermitianFormField.from_constant(t, np.eye(2))
-        assert float(form_top_density(f)[0, 0, 0, 0]) == intersection_number([np.eye(2)] * 2)
+        # the top wedge's density n! 2^n det against Lebesgue measure on [0,1)^4
+        assert float(8.0 * hermitian_det(f.diag, f.upper)[0, 0, 0, 0]) == intersection_number([np.eye(2)] * 2)
 
 
 class TestSpectralHessian:
@@ -247,6 +247,6 @@ class TestHessianLinearity:
         x, y = t.real_coordinates()
         f = PotentialField(t, np.cos(2 * np.pi * x))
         g = PotentialField(t, np.sin(2 * np.pi * y))
-        lhs = complex_hessian(a * f + b * g).values
+        lhs = complex_hessian(PotentialField(t, a * f.values + b * g.values)).values
         rhs = a * complex_hessian(f).values + b * complex_hessian(g).values
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * (1 + abs(a) + abs(b))

@@ -68,7 +68,7 @@ class TestIntersect:
         assert code == 0
         assert err == ""
         assert report["command"] == "intersect"
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["trace"] == {}
         assert report["verdict"] == {"intersection_number": 4.0, "n": 2, "classes": 2}
 
@@ -144,12 +144,7 @@ class TestMASolve:
         assert "exactly one of 'density_constant' or 'density_file'" in err
 
     def test_nonconvergence_exits_two(self, tmp_path, capsys):
-        from qposlab.calculus import (
-            HermitianFormField,
-            PotentialField,
-            complex_hessian,
-            form_top_density,
-        )
+        from qposlab.calculus import HermitianFormField, PotentialField, complex_hessian, hermitian_det
 
         torus = TorusModel(n=2, grid_size=8)
         x1 = torus.real_coordinates()[0]
@@ -159,7 +154,7 @@ class TestMASolve:
         )
         # Density of a genuinely curved metric: one damped step cannot reach tol.
         form = HermitianFormField.from_constant(torus, np.eye(2)) + complex_hessian(phi)
-        density = form_top_density(form)
+        density = 8.0 * hermitian_det(form.diag, form.upper)  # n! 2^n det, n = 2
         assert np.min(density) > 0.0
         field_path = tmp_path / "density.qpf"
         write_field(field_path, torus, density)
@@ -213,6 +208,34 @@ class TestCertify:
         code, report, err = run_cli(["certify", "--config", cfg], capsys)
         assert code == 3 and report is None
         assert str(path) in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("psi0.qpf", b"QPF1" + b"\x02\x00\x00\x00"),
+            ("psi0.csv", b"# qposlab-field n=2 grid\n"),
+            ("psi0.csv", b"# qposlab-field n=2 grid=8 shape=8x8\n1.0,2.0,3.0\n"),
+        ],
+        ids=["truncated-binary", "csv-header", "csv-short"],
+    )
+    def test_malformed_psi0_file_exits_three(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        cfg = self.worked_config(tmp_path, psi0={"type": "file", "path": str(path)})
+        code, report, err = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert str(path) in err
+
+    def test_full_grid_psi0_writes_no_heatmap(self, tmp_path, capsys):
+        torus = TorusModel(n=2, grid_size=8)
+        xs = torus.real_coordinates()
+        path = tmp_path / "psi0.qpf"
+        write_field(path, torus, 0.02 * sum(np.cos(2 * np.pi * x) for x in xs))
+        out = tmp_path / "out"
+        cfg = self.worked_config(tmp_path, psi0={"type": "file", "path": str(path)}, tol=1e-12)
+        code, report, _ = run_cli(["certify", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0
+        assert {os.path.basename(p) for p in report["artifacts"]} == {"phi.qpf"}
 
     def test_trace_records_each_newton_step(self, tmp_path, capsys):
         cfg = self.worked_config(

@@ -54,6 +54,20 @@ class TestBinaryRoundTrip:
         with pytest.raises(ModelError):
             read_field(tmp_path / "absent.qpf")
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"QPF1" + b"\x02\x00\x00\x00",  # cut inside n, grid, ndim
+            b"QPF1" + np.array([2, 8, 4, 8], dtype="<u4").tobytes(),  # cut inside the shape
+        ],
+        ids=["fixed-header", "shape"],
+    )
+    def test_truncated_header(self, tmp_path, blob):
+        p = tmp_path / "short.qpf"
+        p.write_bytes(blob)
+        with pytest.raises(ModelError, match="short.qpf: header has"):
+            read_field(p)
+
     def test_axis_count_checked_on_write(self, tmp_path):
         t = TorusModel(2, 16)
         with pytest.raises(ModelError):
@@ -84,6 +98,35 @@ class TestCsvRoundTrip:
         p = tmp_path / "raw.csv"
         p.write_text("1.0,2.0\n")
         with pytest.raises(ModelError):
+            read_field(p)
+
+    @pytest.mark.parametrize(
+        "header, lacks",
+        [
+            ("# qposlab-field n=2 grid", "shape"),
+            ("# qposlab-field grid=8 shape=8x8", "n"),
+            ("# qposlab-field n=1 shape=8x8", "grid"),
+        ],
+    )
+    def test_header_fields_required(self, tmp_path, header, lacks):
+        p = tmp_path / "field.csv"
+        p.write_text(header + "\n1.0,2.0\n")
+        with pytest.raises(ModelError, match=f"field.csv: CSV header lacks {lacks}"):
+            read_field(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# qposlab-field n=1 grid=8 shape=8x8\n1.0,2.0,3.0\n",  # three values for 64
+            "# qposlab-field n=1 grid=8 shape=1x2\n1.0,abc\n",
+            "# qposlab-field n=one grid=8 shape=1x1\n1.0\n",
+        ],
+        ids=["short", "not-a-number", "bad-header-number"],
+    )
+    def test_malformed_values(self, tmp_path, text):
+        p = tmp_path / "field.csv"
+        p.write_text(text)
+        with pytest.raises(ModelError, match="field.csv: malformed CSV field"):
             read_field(p)
 
 

@@ -16,7 +16,7 @@ from qposlab.calculus import _periodic_rows, complex_hessian, fd_complex_hessian
 from qposlab.gluing import (
     RegionCertificate,
     SingularPotential,
-    _certify_regions,
+    _certify_glue_regions,
     _fd_hessian_rows,
     zariski_fujita_pipeline,
 )
@@ -159,7 +159,7 @@ def test_fd_regions_are_bitwise_the_whole_grid(monkeypatch, workers, n, grid, sh
         ("empty", np.zeros(full, dtype=bool), 0, 0.0),
     ]
     for shift in (0.0, 0.3):
-        got = _certify_regions(fd_source(torus, v, order), shape, background, regions, shift)
+        got = _certify_glue_regions(fd_source(torus, v, order), shape, background, regions, shift)
         want = reference(roll_fd_hessian(v, n, 1.0 / grid, order), background, regions, shift)
         assert bits(got) == bits(want)
     assert got[2].n_points == 0 and not got[2].passed
@@ -172,7 +172,7 @@ def test_background_varying_along_axis_zero(monkeypatch, workers):
     v = rng.normal(size=shape)
     background = HermitianFormField(torus, random_hermitian(rng, 2, (8, 1, 1, 1)))
     regions = [("all", np.ones((8, 8, 8, 8), dtype=bool), 0, 0.0)]
-    got = _certify_regions(fd_source(torus, v, 2), shape, background, regions)
+    got = _certify_glue_regions(fd_source(torus, v, 2), shape, background, regions)
     want = reference(roll_fd_hessian(v, 2, 1.0 / 8, 2), background, regions)
     assert bits(got) == bits(want)
 
@@ -184,7 +184,7 @@ def test_equal_minima_in_two_slabs_first_wins(monkeypatch, workers):
     slab_rows(monkeypatch, v.shape, 3)  # slabs [0, 3), [3, 6), [6, 8): copies sit in different slabs
     background = HermitianFormField.from_constant(torus, np.eye(1))
     regions = [("all", np.ones(v.shape, dtype=bool), 0, 0.0)]
-    got = _certify_regions(fd_source(torus, v, 2), v.shape, background, regions)
+    got = _certify_glue_regions(fd_source(torus, v, 2), v.shape, background, regions)
     want = reference(roll_fd_hessian(v, 1, 1.0 / 8, 2), background, regions)
     assert bits(got) == bits(want)
     row, col = got[0].worst_point
@@ -209,7 +209,7 @@ def test_near_zero_guard_falls_back_inside_a_slab(monkeypatch, workers):
         return reference_eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    got = _certify_regions(fd_source(torus, v, 2), shape, background, regions)
+    got = _certify_glue_regions(fd_source(torus, v, 2), shape, background, regions)
     assert sum(batches) >= 4 * 8**3
     assert bits(got) == bits(want)
 
@@ -224,7 +224,7 @@ def test_spectral_source_with_a_constant_buffer(monkeypatch, workers):
     mask[28:37, 28:37] = True
     background = HermitianFormField.from_constant(torus, np.eye(1))
     regions = [("buffer", mask, 0, 0.0)]
-    got = _certify_regions(form.rows, form.diag.shape[1:], background, regions)
+    got = _certify_glue_regions(form.rows, form.diag.shape[1:], background, regions)
     assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
     assert got[0].n_points == 81 and got[0].worst_point == (28, 28)
 
@@ -237,7 +237,7 @@ def test_spectral_source_is_bitwise_the_whole_grid(monkeypatch, workers, n, grid
     slab_rows(monkeypatch, shape, 3)
     background = HermitianFormField.from_constant(torus, random_hermitian(rng, n))
     regions = [("random", rng.random(shape) < 0.7, n - 1, 0.0)]
-    got = _certify_regions(form.rows, shape, background, regions)
+    got = _certify_glue_regions(form.rows, shape, background, regions)
     assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
 
 
@@ -253,7 +253,7 @@ def test_nan_margin_wins_like_argmin(monkeypatch, workers):
     slab_rows(monkeypatch, shape, 3)
     background = HermitianFormField.from_constant(torus, np.eye(2))
     regions = [("all", np.ones(shape, dtype=bool), 0, 0.0)]
-    got = _certify_regions(form.rows, shape, background, regions)
+    got = _certify_glue_regions(form.rows, shape, background, regions)
     assert bits(got) == bits(reference((form.diag, form.upper), background, regions))
     assert got[0].worst_point == (7, 0, 0, 1) and math.isnan(got[0].min_margin)
 
@@ -265,7 +265,7 @@ def test_non_finite_values_raise(monkeypatch, workers):
     v[5, 3] = np.inf
     background = HermitianFormField.from_constant(torus, np.eye(1))
     with pytest.raises(NumericsError, match="non-finite"):
-        _certify_regions(fd_source(torus, v, 2), shape, background, [("all", np.ones(shape, dtype=bool), 0, 0.0)])
+        _certify_glue_regions(fd_source(torus, v, 2), shape, background, [("all", np.ones(shape, dtype=bool), 0, 0.0)])
 
 
 def test_pool_runs_one_task_per_slab(monkeypatch):
@@ -280,7 +280,7 @@ def test_pool_runs_one_task_per_slab(monkeypatch):
     try:
         background = HermitianFormField.from_constant(torus, np.eye(2))
         v = np.random.default_rng(2).normal(size=shape)
-        _certify_regions(fd_source(torus, v, 2), shape, background, [("all", np.ones(shape, dtype=bool), 0, 0.0)])
+        _certify_glue_regions(fd_source(torus, v, 2), shape, background, [("all", np.ones(shape, dtype=bool), 0, 0.0)])
         assert submitted == [((0, 3),), ((3, 6),), ((6, 8),)]
     finally:
         pool.shutdown()
@@ -300,9 +300,9 @@ def test_pipeline_report_does_not_depend_on_slabs(monkeypatch, workers, rows):
     t, sing = worked_example()
     phi_b = PotentialField(t, np.zeros((1, 1)))
     slab_rows(monkeypatch, (64, 64), rows)
-    report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=4.0, margin=0.75)
+    report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.85)
     monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", 1 << 30)
-    whole = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=4.0, margin=0.75)
+    whole = zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.85)
     assert bits(report.certificates) == bits(whole.certificates)
     assert report.declarations == whole.declarations
     assert [(e, bits(c)) for e, c in report.smoothing] == [(e, bits(c)) for e, c in whole.smoothing]

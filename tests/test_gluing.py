@@ -293,39 +293,29 @@ class TestPipeline:
     def test_trace_records_the_ladder_and_the_band(self):
         t, sing = worked_example()
         phi_b = PotentialField(t, np.zeros((1, 1)))
-        # U_C minus V_C reaches margin 0.75 only once eps is down to 1
-        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=4.0, margin=0.75)
-        assert [eps for eps, _ in report.smoothing] == [4.0, 2.0, 1.0]
-        assert report.result.smoothing_eps == 1.0
+        # U_C minus V_C reaches margin 0.85 only once eps is down to 1/4
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.85)
+        assert [eps for eps, _ in report.smoothing] == [1.0, 0.5, 0.25]
+        assert report.result.smoothing_eps == 0.25
         assert report.smoothing[-1][1] == report.certificates
         for _, certs in report.smoothing[:-1]:
             assert [c.passed for c in certs] == [True, True, False]
         # the band is the ring around the single V_C cell, a 5 x 5 box less its centre
         assert report.switching_band_points == 24
 
-    @pytest.mark.parametrize(
-        "eps_start, eps_min",
-        [
-            (2.0**-21, 2.0**-20),  # start below the floor: no scale to try
-            (float("nan"), 2.0**-20),
-            (1.0, float("nan")),
-            (float("inf"), 2.0**-20),
-            (1.0, float("inf")),
-            (1.0, 0.0),
-            (-1.0, -2.0),
-        ],
-    )
-    def test_bad_smoothing_scales_rejected(self, eps_start, eps_min):
+    # 2.0 lies above the ladder's first scale 1: no scale to try
+    @pytest.mark.parametrize("eps_min", [2.0, float("nan"), float("inf"), 0.0, -2.0])
+    def test_bad_smoothing_scales_rejected(self, eps_min):
         t, sing = worked_example()
         phi_b = PotentialField(t, np.zeros((1, 1)))
-        with pytest.raises(ModelError, match="eps_min <= eps_start"):
-            zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=eps_start, eps_min=eps_min)
+        with pytest.raises(ModelError, match="0 < eps_min <= 1"):
+            zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_min=eps_min)
 
     def test_single_scale_ladder(self):
         t, sing = worked_example()
         phi_b = PotentialField(t, np.zeros((1, 1)))
-        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_start=0.5, eps_min=0.5)
-        assert [eps for eps, _ in report.smoothing] == [0.5]
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, eps_min=1.0)
+        assert [eps for eps, _ in report.smoothing] == [1.0]
 
     def test_q_validated(self):
         t, sing = worked_example()

@@ -1,5 +1,6 @@
-"""Relative eigenvalue fields, q-positivity certificates, and the pairing pipeline."""
+"""Relative eigenvalue fields, the grid certificate, and the pairing pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,18 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qposlab import (
+    ConsistencyFailure,
     HermitianFormField,
     HypothesisViolation,
     ModelError,
     PotentialField,
     TorusModel,
-    certify_q_positive,
     eigenvalues_relative,
     one_positive_pipeline,
     pseff_pipeline,
 )
-from qposlab import calculus, smallmat
-from qposlab.positivity import _neighbor_jump
+from qposlab import calculus, positivity, smallmat
+from qposlab.calculus import _as_form
+from qposlab.positivity import _certify_regions, _in_order, _inverse_cholesky, _whitened
 
 H_EXAMPLE = np.diag([2.0, -1.0])
 G_EXAMPLE = np.eye(2)
@@ -33,6 +35,29 @@ def random_hermitian(rng, n):
 def random_pd(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m @ m.conj().T + np.eye(n)
+
+
+def certify(curvature, reference, torus, q, margin=1e-8):
+    """The grid certificate that ``curvature`` is q-positive relative to ``reference``:
+    the reducer over the whitened planes, with the (n - q)-th largest eigenvalue as margin."""
+    a, b = _as_form(curvature, torus), _as_form(reference, torus)
+    inv_chol = _inverse_cholesky(b)
+
+    def planes_rows(lo, hi):
+        return _whitened(*a.rows(lo, hi), inv_chol if inv_chol.shape[0] == 1 else inv_chol[lo:hi])
+
+    every_point = np.ones((1,) * torus.ndim_real, dtype=bool)
+    shape = np.broadcast_shapes(a.diag.shape[1:], b.diag.shape[1:])
+    (cert,) = _certify_regions(planes_rows, shape, [("certificate", every_point, lambda lam: lam[q], margin)], _in_order)
+    return cert
+
+
+def full_grid_psi0(torus, amplitude):
+    """The full-grid seed of the slab checks: a cosine on every real axis plus one mixed mode."""
+    xs = torus.real_coordinates()
+    values = amplitude * sum(np.cos(2 * np.pi * x) for x in xs) + 0.5 * amplitude * np.sin(2 * np.pi * (xs[0] + xs[-1]))
+    assert values.shape == torus.shape
+    return PotentialField(torus, values)
 
 
 class TestEigenvaluesRelative:
@@ -91,10 +116,11 @@ class TestEigenvaluesRelative:
         with pytest.raises(ModelError):
             eigenvalues_relative(np.ones((1, 1)), HermitianFormField(t, b + 0j), t)
 
-    def test_neighbor_jump_zero_for_constant(self):
+    def test_constant_forms_give_a_stored_constant_field(self):
         t = TorusModel(2, 16)
         lam = eigenvalues_relative(H_EXAMPLE, G_EXAMPLE, t)
-        assert _neighbor_jump(lam) == 0.0
+        assert lam.shape == (1, 1, 1, 1, 2)
+        assert lam.tobytes() == np.array([2.0, -1.0]).tobytes()
 
     def test_min_over_grid_one_based(self):
         # Column j - 1 holds the j-th largest eigenvalue; a q certificate reads the (n - q)-th.
@@ -102,8 +128,8 @@ class TestEigenvaluesRelative:
         lam = eigenvalues_relative(np.diag([5.0, 2.0]), 3 * np.eye(2), t)
         assert float(np.min(lam[..., 0])) == pytest.approx(5.0 / 3.0)
         assert float(np.min(lam[..., 1])) == pytest.approx(2.0 / 3.0)
-        assert certify_q_positive(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=1).min_margin == pytest.approx(5.0 / 3.0)
-        assert certify_q_positive(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=0).min_margin == pytest.approx(2.0 / 3.0)
+        assert certify(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=1).min_margin == pytest.approx(5.0 / 3.0)
+        assert certify(np.diag([5.0, 2.0]), 3 * np.eye(2), t, q=0).min_margin == pytest.approx(2.0 / 3.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -176,9 +202,13 @@ class TestSlabEigenvalues:
         bump = np.cos(2 * np.pi * x0) * np.sin(2 * np.pi * y_last)
         b = HermitianFormField(t, random_pd(rng, n) + 0.3 * bump[..., None, None] * np.eye(n))
         assert b.diag.shape[1] == grid and b.diag.shape[1:] != shape
+        lam = whole_grid_eigenvalues(a, b, t)
+        assert np.array_equal(eigenvalues_relative(a, b, t), lam)
         for q in range(n):
-            cert = certify_q_positive(a, b, t, q=q)
-            assert np.array_equal(cert.margin_field, whole_grid_eigenvalues(a, b, t)[..., n - q - 1])
+            margins = lam[..., n - q - 1]
+            cert = certify(a, b, t, q=q)
+            assert float(cert.min_margin).hex() == float(np.min(margins)).hex()
+            assert cert.worst_point == np.unravel_index(int(np.argmin(margins)), margins.shape)
 
     @pytest.mark.parametrize("n,grid,shape", CASES, ids=["n2-g16", "n3-g8"])
     def test_points_near_zero_take_the_lapack_fallback(self, monkeypatch, n, grid, shape):
@@ -206,36 +236,36 @@ class TestCertificate:
         reference = 3 * np.eye(2, dtype=complex)
         reference[1, 1] = np.nan
         with pytest.raises(ModelError, match="finite"):
-            certify_q_positive(H_EXAMPLE, reference, t, q=1)
+            eigenvalues_relative(H_EXAMPLE, reference, t)
 
     def test_frozen_margin(self):
         t = TorusModel(2, 16)
-        cert = certify_q_positive(H_EXAMPLE, 3 * np.eye(2), t, q=1)
+        cert = certify(H_EXAMPLE, 3 * np.eye(2), t, q=1)
         assert cert.passed
         assert cert.min_margin == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert len(cert.worst_point) == 4
 
     def test_failing_margin(self):
         t = TorusModel(2, 16)
-        cert = certify_q_positive(np.diag([-1.0, -2.0]), np.eye(2), t, q=1)
+        cert = certify(np.diag([-1.0, -2.0]), np.eye(2), t, q=1)
         assert not cert.passed
         assert cert.min_margin == pytest.approx(-1.0)
 
     def test_q_zero_needs_all_eigenvalues(self):
         t = TorusModel(2, 16)
-        assert certify_q_positive(np.eye(2), np.eye(2), t, q=0).passed
-        assert not certify_q_positive(np.diag([1.0, -0.1]), np.eye(2), t, q=0).passed
+        assert certify(np.eye(2), np.eye(2), t, q=0).passed
+        assert not certify(np.diag([1.0, -0.1]), np.eye(2), t, q=0).passed
 
     def test_margin_threshold_strict(self):
         t = TorusModel(2, 16)
-        cert = certify_q_positive(H_EXAMPLE, 3 * np.eye(2), t, q=1, margin=0.7)
+        cert = certify(H_EXAMPLE, 3 * np.eye(2), t, q=1, margin=0.7)
         assert not cert.passed  # 2/3 < 0.7
 
     def test_q_range_validated(self):
         t = TorusModel(2, 16)
         for q in (-1, 2, 5):
-            with pytest.raises(ModelError):
-                certify_q_positive(H_EXAMPLE, np.eye(2), t, q=q)
+            with pytest.raises(ModelError, match="q must lie"):
+                one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, torus=t, q=q)
 
 
 class TestOnePositivePipeline:
@@ -264,9 +294,10 @@ class TestOnePositivePipeline:
         assert run.ma_result.iterations == 0
         assert run.certificate.passed
         assert run.certificate.min_margin == pytest.approx(2.0 / 3.0, abs=1e-9)
-        lam = run.lambda_field
+        lam = eigenvalues_relative(run.ma_result.form, run.k_omega, t)
         assert np.max(np.abs(lam[..., 0] - 5.0 / 3.0)) < 1e-9
         assert np.max(np.abs(lam[..., 1] - 2.0 / 3.0)) < 1e-9
+        assert np.max(np.abs(run.margin_field - 2.0 / 3.0)) < 1e-9
 
     def test_cosine_background_run(self):
         t = TorusModel(2, 64)
@@ -322,7 +353,7 @@ class TestDifferentiationCount:
 
 
 class TestSolvedPlanes:
-    def test_lambda_field_reads_the_solver_form(self):
+    def test_margin_field_reads_the_solver_form(self):
         # The certificate's relative eigenvalues are those of the solver's last
         # accepted state, bit for bit, not of a second build of the form.
         t = TorusModel(2, 8)
@@ -330,9 +361,9 @@ class TestSolvedPlanes:
         values = 0.02 * sum(np.cos(2 * np.pi * x) for x in xs) + 0.01 * np.sin(2 * np.pi * (xs[0] + xs[3]))
         run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=PotentialField(t, values), tol=1e-12)
         assert run.ma_result.iterations >= 2
-        expected = eigenvalues_relative(run.ma_result.form, run.k * G_EXAMPLE, t)
-        assert run.lambda_field.shape == expected.shape == t.shape + (2,)
-        assert run.lambda_field.tobytes() == expected.tobytes()
+        expected = eigenvalues_relative(run.ma_result.form, run.k * G_EXAMPLE, t)[..., 0] - 1.0
+        assert run.margin_field.shape == expected.shape == t.shape
+        assert run.margin_field.tobytes() == expected.tobytes()
 
 
 class TestEigenPassCount:
@@ -376,3 +407,60 @@ class TestPseffPipeline:
         assert run.certificate.passed
         assert run.k == 1
         assert run.certificate.min_margin == pytest.approx(1.25, abs=1e-9)
+
+
+class TestGridCertificate:
+    # CI's full-grid certify inputs, and a positive H for the q = 0 count: every
+    # real axis varies, and 3-row slabs cut axis 0 unevenly.
+    INPUTS = [
+        (2, 32, 0.02, np.diag([2.0, -1.0]), None),
+        (3, 8, 0.03, np.diag([2.0, -1.0, 1.0]), None),
+        (2, 16, 0.02, np.diag([2.0, 1.0]), 0),
+    ]
+
+    @pytest.mark.parametrize("n,grid,amplitude,line_class,q", INPUTS, ids=["n2-g32", "n3-g8", "n2-g16-q0"])
+    def test_full_grid_run_is_bitwise_the_whole_grid_reduction(self, monkeypatch, n, grid, amplitude, line_class, q):
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", 3 * grid ** (2 * n - 1))
+        t = TorusModel(n, grid)
+        run = one_positive_pipeline(line_class, np.eye(n), psi0=full_grid_psi0(t, amplitude), tol=1e-12, q=q)
+        assert len(calculus._slab_bounds(grid, grid ** (2 * n - 1))) > 2
+        lam = eigenvalues_relative(run.ma_result.form, run.k_omega, t)
+        assert lam.shape == t.shape + (n,)
+        margins = lam[..., n - run.q - 1] - 1.0
+        cert = run.certificate
+        assert cert.passed and cert.n_points == grid ** (2 * n)
+        assert float(cert.min_margin).hex() == float(np.min(margins)).hex()
+        assert cert.worst_point == np.unravel_index(int(np.argmin(margins)), margins.shape)
+        assert float(run.product_error).hex() == float(np.max(np.abs(np.prod(lam, axis=-1) - run.dk))).hex()
+        assert run.margin_field.tobytes() == margins.tobytes()
+
+    def test_margin_field_is_computed_only_when_read(self, monkeypatch):
+        t = TorusModel(2, 8)
+        calls = []
+        field = positivity.eigenvalues_relative
+
+        def counting(*args):
+            calls.append(1)
+            return field(*args)
+
+        monkeypatch.setattr(positivity, "eigenvalues_relative", counting)
+        run = one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=full_grid_psi0(t, 0.02), tol=1e-12)
+        assert run.certificate.passed and calls == []
+        assert run.margin_field.shape == t.shape and len(calls) == 1
+
+    def test_solved_form_not_positive_somewhere_raises(self, monkeypatch):
+        # Negating the form at one point negates its eigenvalues exactly and keeps
+        # their product (n = 2), so only the positivity check can catch it.
+        t = TorusModel(2, 8)
+        solve = positivity.solve_ma
+
+        def flipped(problem):
+            result = solve(problem)
+            diag, upper = result.form.diag.copy(), result.form.upper.copy()
+            diag[:, 3, 1, 4, 6] *= -1.0
+            upper[:, 3, 1, 4, 6] *= -1.0
+            return dataclasses.replace(result, form=HermitianFormField._trusted(t, diag, upper))
+
+        monkeypatch.setattr(positivity, "solve_ma", flipped)
+        with pytest.raises(ConsistencyFailure, match="positivity"):
+            one_positive_pipeline(H_EXAMPLE, G_EXAMPLE, psi0=full_grid_psi0(t, 0.02), tol=1e-12)
