@@ -331,6 +331,29 @@ def _irfftn(vhat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = N
     return _axis_pass(np.fft.irfft, vhat, out, len(shape) - 1, n=shape[-1])
 
 
+def _resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` resampled to the stored ``shape`` of a coarser or finer grid, by its trigonometric interpolant.
+
+    The ``rfftn`` half spectrum is truncated (restriction) or zero-padded
+    (prolongation) to that of ``shape``, and scaled by the ratio of point
+    counts.  Along each axis only the modes below the Nyquist mode of the
+    smaller of the two lengths are kept, so that mode is dropped either way; an
+    axis of length one keeps its zero mode alone.  A field with no mode at or
+    above that Nyquist mode goes to the other grid and back unchanged, up to
+    rounding.
+    """
+    vhat = _rfftn(values)
+    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+    src, dst = [], []
+    for a, (old, new) in enumerate(zip(values.shape, shape)):
+        keep = max(1, min(old, new) // 2)  # modes 0 .. keep - 1, and on a full axis their negatives
+        neg = 0 if a == len(shape) - 1 else keep - 1
+        src.append(np.r_[0:keep, old - neg : old])
+        dst.append(np.r_[0:keep, new - neg : new])
+    out[np.ix_(*dst)] = vhat[np.ix_(*src)] * (np.prod(shape) / values.size)
+    return _irfftn(out, shape)
+
+
 def complex_hessian(phi: PotentialField) -> HermitianFormField:
     """Pointwise complex Hessian d^2 phi / dz_j dz_bar_k from real second derivatives."""
     v = phi.values

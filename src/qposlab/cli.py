@@ -408,13 +408,26 @@ def _certificate_verdict(run) -> dict:
 
 
 def _newton_trace(ma) -> dict:
-    """The Monge-Ampere solve step by step, from an ``MASolveResult``."""
-    steps = zip(ma.residual_history[1:], ma.cg_iterations, ma.line_search_halvings)
+    """The Monge-Ampere solve step by step, from an ``MASolveResult``: the steps on
+    the solve's own grid, and every level of its grid ladder, coarsest first."""
+
+    def steps(level):
+        record = zip(level.residual_history[1:], level.cg_iterations, level.line_search_halvings)
+        return [{"residual": r, "cg_iterations": cg, "line_search_halvings": h} for r, cg, h in record]
+
     return {
         "newton": {
             "initial_residual": ma.residual_history[0],
-            "steps": [
-                {"residual": r, "cg_iterations": cg, "line_search_halvings": h} for r, cg, h in steps
+            "steps": steps(ma.levels[-1]),
+            "levels": [
+                {
+                    "grid": level.grid,
+                    "initial_residual": level.residual_history[0] if level.residual_history else None,
+                    "steps": steps(level),
+                    "ended": level.ended,
+                    "wall_s": level.wall_s,
+                }
+                for level in ma.levels
             ],
         }
     }

@@ -61,6 +61,22 @@ frees a plane with its last reference: the determinant and log residual once
 the right-hand side's half spectrum is taken, the state planes once the
 operator is built.
 
+A solve without an initial guess, on a grid above 8 where ``psi_0`` or ``f``
+has a whole stored axis, starts from the solution of the same problem on the
+half grid: the nested iteration of full multigrid (A. Brandt, Math. Comp. 31,
+1977).  The half-grid problem restricts ``psi_0`` and ``f`` by truncating their
+half spectra (length-one axes stay length one) and is solved the same way,
+down to grid 8; its potential is prolonged by zero padding (J. P. Boyd,
+*Chebyshev and Fourier Spectral Methods*, 2001), with the smaller grid's
+Nyquist mode dropped both ways (:func:`qposlab.calculus._resample`).  A
+coarse level has no tol of its own: it steps until a step fails to halve its
+residual, which may stall at the level's Nyquist floor, and hands on its
+iterate; one that raises hands on nothing, and the next level starts from
+zero.  The solve's own grid then takes Newton steps while its residual is
+above tol, as without a ladder, so the certified state is the fine one and
+only its starting guess changes.  :attr:`MASolveResult.levels` records each
+level.
+
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
 """
@@ -69,7 +85,8 @@ from __future__ import annotations
 
 import math
 import queue
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +98,7 @@ from .calculus import (
     _half_spectrum_wavenumbers,
     _ifft_passes,
     _irfftn,
+    _resample,
     _rfftn,
     _run_slabs,
     _slab_bounds,
@@ -92,7 +110,7 @@ from .calculus import (
 from .errors import ModelError, NonConvergence, NumericsError, StepFailure
 from .geometry import ConstantHermitianClass, TorusModel
 
-__all__ = ["MAProblem", "MASolveResult", "solve_ma"]
+__all__ = ["MAProblem", "MALevel", "MASolveResult", "solve_ma"]
 
 
 @dataclass(frozen=True)
@@ -147,28 +165,68 @@ class MAProblem:
 
 
 @dataclass(frozen=True)
+class MALevel:
+    """One grid of a solve's ladder: its Newton record, how it ended and its wall time.
+
+    ``residual_history`` holds the residual of the level's starting guess and
+    then the residual after each Newton step; ``cg_iterations`` (operator
+    applications) and ``line_search_halvings`` hold one entry per step.
+    ``ended`` is ``"converged"`` (residual at most tol), ``"stalled"`` (a
+    coarse level that stopped above tol) or ``"failed"`` (a coarse level that
+    raised, and the next level started from zero).  ``wall_s`` is the level's
+    own wall time, without the levels below it; a failed level records no
+    steps, and its wall time includes the levels below it, whose records are
+    not kept.
+    """
+
+    grid: int
+    ended: str
+    wall_s: float
+    residual_history: tuple[float, ...] = ()
+    cg_iterations: tuple[int, ...] = ()
+    line_search_halvings: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class MASolveResult:
-    """Solution and per-step record.
+    """Solution and per-level record.
 
     ``form`` is the solved form ``W + dd_bar(phi)``: the planes of the last
-    accepted state, positive definite at every grid point.  ``compat_factor``
-    is the factor the target density was multiplied by to match the total mass
-    of ``W``.  ``residual_history`` holds the residual of the initial guess and
-    then the residual after each Newton step; ``cg_iterations`` (operator
-    applications) and ``line_search_halvings`` hold one entry per step.  The
-    n = 1 solve is one exact spectral step, recorded with zero CG iterations
-    and halvings.
+    accepted state, positive definite at every grid point (``None`` on a
+    coarse level of the grid ladder).  ``compat_factor`` is the factor the
+    target density was multiplied by to match the total mass of ``W``.
+    ``levels`` holds every grid the solve ran on, coarsest first; the last is
+    the solve's own grid, whose record the residual, iteration count and
+    per-step properties read.  The n = 1 solve is one exact spectral step,
+    recorded with zero CG iterations and halvings.
     """
 
     phi: PotentialField
-    residual: float
-    iterations: int
     log_constant: float
     compat_factor: float
-    form: HermitianFormField
-    residual_history: tuple[float, ...] = field(default_factory=tuple)
-    cg_iterations: tuple[int, ...] = field(default_factory=tuple)
-    line_search_halvings: tuple[int, ...] = field(default_factory=tuple)
+    form: HermitianFormField | None
+    levels: tuple[MALevel, ...]
+
+    @property
+    def residual_history(self) -> tuple[float, ...]:
+        return self.levels[-1].residual_history
+
+    @property
+    def cg_iterations(self) -> tuple[int, ...]:
+        return self.levels[-1].cg_iterations
+
+    @property
+    def line_search_halvings(self) -> tuple[int, ...]:
+        return self.levels[-1].line_search_halvings
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps on the solve's own grid; the coarse levels' steps are in :attr:`levels`."""
+        return len(self.cg_iterations)
 
     @property
     def positivity_margin(self) -> float:
@@ -396,7 +454,65 @@ def _state(problem: MAProblem, phi: np.ndarray, fvals: np.ndarray):
     return _evaluate((form.diag, form.upper), fvals)
 
 
-def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) -> MASolveResult:
+def _coarsens(problem: MAProblem) -> bool:
+    """Whether a solve without a guess starts from its half-grid solution: some stored axis of ``psi_0`` or ``f`` is whole, on a grid above 8."""
+    grid, psi0 = problem.torus.grid_size, problem.background_potential
+    stored = [problem.target_density.shape] + ([] if psi0 is None else [psi0.values.shape])
+    return grid > 8 and any(grid in shape for shape in stored)
+
+
+def _coarse_levels(problem: MAProblem) -> tuple[tuple[MALevel, ...], np.ndarray | None]:
+    """The levels of ``problem``'s half-grid solve, and its potential prolonged to ``problem``'s grid.
+
+    The half-grid problem has the same background and ``max_iter``, and
+    ``psi_0`` and ``f`` restricted by :func:`qposlab.calculus._resample`
+    (length-one axes stay length one).  It is solved by :func:`solve_ma` as a
+    coarse level, so it starts from its own half grid in turn.  A level that
+    raises a :class:`NumericsError` or :class:`ModelError` is recorded as failed
+    and hands on no potential: the next level starts from zero.
+    """
+    start = time.perf_counter()
+    torus, psi0 = problem.torus, problem.background_potential
+    coarse = TorusModel(torus.n, torus.grid_size // 2)
+
+    def restrict(values):
+        return _resample(values, tuple(min(size, coarse.grid_size) for size in values.shape))
+
+    try:
+        result = solve_ma(
+            MAProblem(
+                coarse,
+                problem.background,
+                restrict(problem.target_density),
+                None if psi0 is None else PotentialField(coarse, restrict(psi0.values)),
+                tol=problem.tol,
+                max_iter=problem.max_iter,
+            ),
+            _coarse=True,
+        )
+    except (NumericsError, ModelError):
+        return (MALevel(coarse.grid_size, "failed", time.perf_counter() - start),), None
+    phi = result.phi.values
+    return result.levels, _resample(phi, tuple(1 if size == 1 else torus.grid_size for size in phi.shape))
+
+
+def _continues(history: list[float], problem: MAProblem, coarse: bool) -> bool:
+    """Whether the Newton loop takes another step after the residuals ``history``.
+
+    A solve steps while its residual is above tol.  A coarse level of the
+    grid ladder has no tol of its own: it steps until a step fails to halve
+    the residual, the residual is 0, or it has taken ``max_iter`` steps, and
+    then hands on its iterate, which may sit at the level's Nyquist floor.
+    """
+    if not coarse:
+        return history[-1] > problem.tol
+    stalled = len(history) > 1 and history[-1] > 0.5 * history[-2]
+    return not (stalled or history[-1] == 0 or len(history) > problem.max_iter)
+
+
+def solve_ma(
+    problem: MAProblem, initial_guess: PotentialField | None = None, *, _coarse: bool = False
+) -> MASolveResult:
     """Damped-Newton solve in the mean-zero gauge.
 
     The target density is first rescaled to the total mass of the background
@@ -405,7 +521,16 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
     constant ``c``; for compatible data ``|c|`` is at the spectral-truncation
     level and the plain ratio against ``F`` satisfies the same bound up to
     that term.
+
+    Without an initial guess, a solve with n >= 2 on a grid above 8 where
+    ``psi_0`` or ``f`` varies starts from its half-grid solution
+    (:func:`_coarse_levels`), prolonged by spectral zero padding: the nested
+    iteration of full multigrid.  A prolonged guess that is not positive
+    definite starts the solve from zero instead; an ``initial_guess`` that is
+    not raises :class:`ModelError`.  ``_coarse`` marks a coarse level, which
+    stops by :func:`_continues` and drops its form planes.
     """
+    start = time.perf_counter()
     torus = problem.torus
     n = torus.n
     wform = problem.form()
@@ -440,31 +565,40 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
             raise NonConvergence(
                 f"linear n=1 solve left residual {rinf}, above tol {problem.tol}", residual=rinf
             )
+        level = MALevel(torus.grid_size, "converged", time.perf_counter() - start, (initial_residual, rinf), (0,), (0,))
         return MASolveResult(
             phi=PotentialField(torus, phi, mean_zero=True),
-            residual=rinf,
-            iterations=1,
             log_constant=c,
             compat_factor=compat_factor,
             form=HermitianFormField._trusted(torus, *state[0]),
-            residual_history=(initial_residual, rinf),
-            cg_iterations=(0,),
-            line_search_halvings=(0,),
+            levels=(level,),
         )
 
     del wform, wplanes  # every later state is H_0 + dd_bar(psi_0 + phi); W's planes go with the first state's
-    if initial_guess is None:
+    levels, guess = (), None
+    if initial_guess is not None:
+        guess = initial_guess.values - initial_guess.mean()
+    elif _coarsens(problem):
+        ladder_start = time.perf_counter()
+        levels, guess = _coarse_levels(problem)
+        start += time.perf_counter() - ladder_start  # this level's wall time leaves the ladder out
+    if guess is None:
         phi = np.zeros(shape)
     else:
-        phi = np.broadcast_to(initial_guess.values - initial_guess.mean(), shape).copy()
+        state = None  # W's state goes before the guess's is built
+        phi = np.broadcast_to(guess, shape).copy()
+        del guess
         state = _state(problem, phi, f)
-        if state is None:
+        if state is None and initial_guess is not None:
             raise ModelError("initial guess destroys pointwise positivity of the background form")
+        if state is None:
+            phi = np.zeros(shape)
+            state = _state(problem, phi, f)
     planes, det, rho_c, rinf, c = state
     state = None
     history, cg_counts, halvings = [rinf], [], []
 
-    while rinf > problem.tol:
+    while _continues(history, problem, _coarse):
         if len(history) > problem.max_iter:
             raise NonConvergence(
                 f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
@@ -500,15 +634,18 @@ def solve_ma(problem: MAProblem, initial_guess: PotentialField | None = None) ->
         cg_counts.append(cg)
         halvings.append(halved)
 
+    level = MALevel(
+        torus.grid_size,
+        "converged" if rinf <= problem.tol else "stalled",
+        time.perf_counter() - start,
+        tuple(history),
+        tuple(cg_counts),
+        tuple(halvings),
+    )
     return MASolveResult(
         phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
-        residual=rinf,
-        iterations=len(history) - 1,
         log_constant=c,
         compat_factor=compat_factor,
-        form=HermitianFormField._trusted(torus, *planes),
-        residual_history=tuple(history),
-        cg_iterations=tuple(cg_counts),
-        line_search_halvings=tuple(halvings),
+        form=None if _coarse else HermitianFormField._trusted(torus, *planes),
+        levels=levels + (level,),
     )
-

@@ -251,6 +251,24 @@ class TestCertify:
         for step in steps:
             assert set(step) == {"residual", "cg_iterations", "line_search_halvings"}
             assert step["cg_iterations"] >= 1 and step["line_search_halvings"] >= 0
+        assert [level["grid"] for level in newton["levels"]] == [8]
+        assert newton["levels"][0]["steps"] == steps and newton["levels"][0]["ended"] == "converged"
+
+    def test_trace_records_each_grid_level(self, tmp_path, capsys):
+        cfg = self.worked_config(
+            tmp_path, psi0={"type": "cosine", "amplitude": 0.1, "axis": 0}, tol=1e-12, grid=16
+        )
+        code, report, _ = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 0
+        newton = report["trace"]["newton"]
+        levels = newton["levels"]
+        assert [level["grid"] for level in levels] == [8, 16]
+        for level in levels:
+            assert set(level) == {"grid", "initial_residual", "steps", "ended", "wall_s"}
+            assert level["wall_s"] >= 0 and level["ended"] in ("converged", "stalled")
+        assert levels[-1]["steps"] == newton["steps"] and len(newton["steps"]) == report["verdict"]["ma_iterations"]
+        assert levels[-1]["initial_residual"] == newton["initial_residual"]
+        assert levels[-1]["ended"] == "converged" and report["verdict"]["ma_residual"] <= 1e-12
 
     def test_q_zero_fails_with_exit_one(self, tmp_path, capsys):
         cfg = self.worked_config(tmp_path)

@@ -168,9 +168,10 @@ class TestNewtonPath:
         assert np.max(np.abs(density - res.compat_factor * p.target_density)) < 1e-8
 
     def test_residual_history_non_increasing(self):
+        # An explicit zero guess: no grid ladder, every step on the full grid.
         t = TorusModel(2, 32)
         p, _ = manufactured_problem(t, amplitude=0.05)
-        res = solve_ma(p)
+        res = solve_ma(p, initial_guess=PotentialField.zero(t))
         hist = res.residual_history
         assert len(hist) >= 2
         for a, b in zip(hist, hist[1:]):
@@ -179,7 +180,7 @@ class TestNewtonPath:
     def test_per_step_record(self):
         t = TorusModel(2, 16)
         p, _ = manufactured_problem(t, amplitude=0.05)
-        res = solve_ma(p)
+        res = solve_ma(p, initial_guess=PotentialField.zero(t))
         assert res.iterations >= 2
         assert len(res.residual_history) == res.iterations + 1
         assert len(res.cg_iterations) == len(res.line_search_halvings) == res.iterations
@@ -423,7 +424,7 @@ class TestSlabApply:
         seen = []
         pcg = ma_solver._pcg
         monkeypatch.setattr(ma_solver, "_pcg", lambda op, bhat, **kw: seen.append(bhat.dtype) or pcg(op, bhat, **kw))
-        assert solve_ma(p).iterations >= 2
+        assert solve_ma(p, initial_guess=PotentialField.zero(t)).iterations >= 2
         assert seen and all(dtype == np.complex128 for dtype in seen)
 
 
@@ -468,7 +469,7 @@ class TestBackgroundPotential:
         psi0 = PotentialField(t, 0.05 * np.cos(2 * np.pi * xs[0]))
         density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * xs[3]))
         problem = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, background_potential=psi0, tol=1e-10)
-        guess = PotentialField(t, -0.002 * np.cos(2 * np.pi * xs[3])) if warm else None
+        guess = PotentialField(t, -0.002 * np.cos(2 * np.pi * xs[3])) if warm else PotentialField.zero(t)
         got = solve_ma(problem, initial_guess=guess)
         monkeypatch.setattr(ma_solver, "_state", w_planes_state)
         ref = solve_ma(problem, initial_guess=guess)
@@ -511,3 +512,115 @@ class TestShiftedSolve:
     def test_torus_required(self):
         with pytest.raises(ModelError):
             one_positive_pipeline(H_EXAMPLE, np.eye(2))
+
+
+class TestGridLadder:
+    """A solve without a guess starts from its half-grid solution, prolonged by zero padding."""
+
+    def test_resample_round_trips_a_band_limited_field_and_drops_nyquist(self):
+        t, coarse = TorusModel(2, 32), TorusModel(2, 16)
+        fine_xs, coarse_xs = t.real_coordinates(), coarse.real_coordinates()
+
+        def band_limited(xs):  # every mode below 8, the Nyquist mode of grid 16
+            return 0.7 + np.cos(2 * np.pi * (xs[1] - 5 * xs[2])) + 0.3 * np.cos(2 * np.pi * 7 * xs[0]) * np.sin(
+                2 * np.pi * 3 * xs[3]
+            )
+
+        fine = np.broadcast_to(band_limited(fine_xs), t.shape)
+        restricted = calculus._resample(fine, coarse.shape)
+        assert np.max(np.abs(restricted - np.broadcast_to(band_limited(coarse_xs), coarse.shape))) <= 1e-14
+        assert np.max(np.abs(calculus._resample(restricted, t.shape) - fine)) <= 1e-14
+        # Mode 8 is grid 16's Nyquist mode: dropped on the way down and on the way up.
+        assert np.max(np.abs(calculus._resample(np.cos(2 * np.pi * 8 * fine_xs[0]) + 1.0, (16, 1, 1, 1)) - 1.0)) <= 1e-14
+        assert np.max(np.abs(calculus._resample(np.cos(2 * np.pi * 8 * coarse_xs[0]), (32, 1, 1, 1)))) == 0.0
+        assert calculus._resample(np.cos(2 * np.pi * fine_xs[3]), (1, 1, 1, 16)).shape == (1, 1, 1, 16)
+
+    def test_full_grid_manufactured_takes_no_fine_step(self):
+        t = TorusModel(2, 32)
+        xs = t.real_coordinates()
+        phi_star = 0.005 * (sum(np.cos(2 * np.pi * x) for x in xs) + 0.5 * np.sin(2 * np.pi * (xs[0] + xs[3])))
+        evolved = HermitianFormField.from_constant(t, np.eye(2)) + complex_hessian(PotentialField(t, phi_star))
+        density = 8.0 * smallmat.hermitian_det(evolved.diag, evolved.upper)
+        p = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, tol=1e-10)
+        res = solve_ma(p)
+        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+        assert [level.grid for level in res.levels] == [8, 16, 32]
+        assert res.iterations == 0 and cold.iterations >= 1
+        assert res.residual <= p.tol
+        assert np.max(np.abs(res.phi.values - cold.phi.values)) <= 1e-12
+
+    def test_stalled_coarse_level_hands_on_its_iterate(self):
+        # Background diag(4, 1) and the full-grid density 1 + 0.3 cos 2 pi y_1 cos 2 pi x_2:
+        # grid 8 stalls at its Nyquist floor, and grid 32 then needs at most one step.
+        t = TorusModel(2, 32)
+        xs = t.real_coordinates()
+        density = np.broadcast_to(1 + 0.3 * np.cos(2 * np.pi * xs[1]) * np.cos(2 * np.pi * xs[2]), t.shape)
+        p = MAProblem(t, ConstantHermitianClass(np.diag([4.0, 1.0])), density, tol=1e-9)
+        res = solve_ma(p)
+        assert [(level.grid, level.ended) for level in res.levels[:1]] == [(8, "stalled")]
+        assert res.levels[0].residual_history[-1] > p.tol
+        assert [level.grid for level in res.levels] == [8, 16, 32] and res.levels[-1].ended == "converged"
+        assert res.iterations <= 1 and res.residual <= p.tol
+
+    def test_coarse_background_not_positive_falls_back_to_zero(self):
+        # The first diagonal entry of W is 0.02 plus a narrow bump along x_1: positive on
+        # grid 32, but its restriction to grid 16 rings below zero.
+        t = TorusModel(2, 32)
+        xs = t.real_coordinates()
+        distance = np.minimum(np.abs(xs[0] - 0.5), 1 - np.abs(xs[0] - 0.5))
+        bump = np.exp(-((distance / 0.04) ** 2))
+        k = np.fft.fftfreq(32, 1 / 32)
+        psihat = np.fft.fft((bump - bump.mean()).ravel()) / np.where(k == 0, 1, -((np.pi * k) ** 2))
+        psihat[0] = 0  # (1/4) d^2 psi_0 / dx_1^2 = bump - mean(bump)
+        psi0 = PotentialField(t, np.fft.ifft(psihat).real.reshape(32, 1, 1, 1))
+        h0 = ConstantHermitianClass(np.diag([0.02 + bump.mean(), 1.0]))
+        density = 8.0 * (1.0 + 0.1 * np.cos(2 * np.pi * xs[3]))
+        p = MAProblem(t, h0, density, background_potential=psi0, tol=1e-10)
+        restricted = MAProblem(
+            TorusModel(2, 16), h0, np.full((1,) * 4, 8.0),
+            background_potential=PotentialField(TorusModel(2, 16), calculus._resample(psi0.values, (16, 1, 1, 1))),
+        )
+        assert np.min(restricted.form().diag[0]) < 0 < np.min(p.form().diag[0])
+        res = solve_ma(p)
+        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+        assert [(level.grid, level.ended) for level in res.levels] == [(16, "failed"), (32, "converged")]
+        assert res.levels[0].residual_history == ()
+        assert res.iterations == cold.iterations >= 1 and res.residual <= p.tol
+        assert np.max(np.abs(res.phi.values - cold.phi.values)) <= 1e-12
+
+    def test_prolonged_guess_not_positive_starts_from_zero(self, monkeypatch):
+        t = TorusModel(2, 16)
+        p, _ = manufactured_problem(t, amplitude=0.05)
+        bad = np.broadcast_to(np.cos(2 * np.pi * t.real_coordinates()[0]), p.target_density.shape)
+        monkeypatch.setattr(ma_solver, "_coarse_levels", lambda problem: ((), bad))
+        res = solve_ma(p)
+        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+        assert res.residual_history == cold.residual_history
+        assert np.array_equal(res.phi.values, cold.phi.values)
+        with pytest.raises(ModelError):
+            solve_ma(p, initial_guess=PotentialField(t, bad))
+
+    def test_coarse_levels_keep_length_one_axes(self, monkeypatch):
+        # As in TestBackgroundPotential: psi_0 varies along x_1 only and the density along y_2 only.
+        t = TorusModel(2, 16)
+        xs = t.real_coordinates()
+        psi0 = PotentialField(t, 0.05 * np.cos(2 * np.pi * xs[0]))
+        density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * xs[3]))
+        problem = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, background_potential=psi0, tol=1e-10)
+        solved = []
+        solve = ma_solver.solve_ma
+        monkeypatch.setattr(ma_solver, "solve_ma", lambda p, *a, **kw: solved.append(p) or solve(p, *a, **kw))
+        res = solve_ma(problem)
+        assert [(p.torus.grid_size, p.background_potential.values.shape, p.target_density.shape) for p in solved] == [
+            (8, (8, 1, 1, 1), (1, 1, 1, 8))
+        ]
+        assert [level.grid for level in res.levels] == [8, 16]
+        assert res.phi.values.shape == (16, 1, 1, 16)
+        assert res.residual <= problem.tol
+
+    def test_no_ladder_with_a_guess_or_at_grid_8(self, monkeypatch):
+        monkeypatch.setattr(ma_solver, "_coarse_levels", lambda problem: pytest.fail("no grid ladder expected"))
+        p, _ = manufactured_problem(TorusModel(2, 16), amplitude=0.05)
+        assert len(solve_ma(p, initial_guess=PotentialField.zero(p.torus)).levels) == 1
+        p, _ = manufactured_problem(TorusModel(2, 8), amplitude=0.05)
+        assert len(solve_ma(p).levels) == 1
