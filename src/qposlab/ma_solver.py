@@ -53,29 +53,32 @@ eigenvalue fallback near zero) read them in :mod:`qposlab.smallmat`.  The
 result keeps the solved form's planes, which the certificate reads; their
 smallest eigenvalue is computed only when read.
 
-One Newton step costs one Hessian per line-search trial and nothing more:
-:func:`solve_ma` builds ``W`` and takes its determinant once, for the density
-rescale to its total mass and as the state at a zero initial guess, and then
-drops it: the background is carried by its potential ``psi_0``.  Each step
-frees a plane with its last reference: the determinant and log residual once
-the right-hand side's half spectrum is taken, the state planes once the
+One Newton step costs one Hessian per line-search trial and nothing more.
+Each grid takes ``W``'s Hessian and determinant once, for the density rescale
+to its total mass and the check of its positivity, and only the coarsest
+keeps them, as its starting state: a finer grid drops them before it builds
+its guess's state, and takes ``W``'s Hessian again only if it must start from
+zero after all.  The background is carried by its potential ``psi_0``.  Each
+step frees a plane with its last reference: the determinant and log residual
+once the right-hand side's half spectrum is taken, the state planes once the
 operator is built.
 
-A solve without an initial guess, on a grid above 8 where ``psi_0`` or ``f``
-has a whole stored axis, starts from the solution of the same problem on the
-half grid: the nested iteration of full multigrid (A. Brandt, Math. Comp. 31,
-1977).  The half-grid problem restricts ``psi_0`` and ``f`` by truncating their
-half spectra (length-one axes stay length one) and is solved the same way,
-down to grid 8; its potential is prolonged by zero padding (J. P. Boyd,
-*Chebyshev and Fourier Spectral Methods*, 2001), with the smaller grid's
-Nyquist mode dropped both ways (:func:`qposlab.calculus._resample`).  A
-coarse level has no tol of its own: it steps until a step fails to halve its
-residual, which may stall at the level's Nyquist floor, and hands on its
-iterate; one that raises hands on nothing, and the next level starts from
-zero.  The solve's own grid then takes Newton steps while its residual is
-above tol, as without a ladder, so the certified state is the fine one and
-only its starting guess changes.  :attr:`MASolveResult.levels` records each
-level.
+A solve with n >= 2 on a grid above 8 where ``psi_0`` or ``f`` has a whole
+stored axis starts from the solution of the same problem on the half grid:
+the nested iteration of full multigrid (A. Brandt, Math. Comp. 31, 1977).
+:func:`solve_ma` walks its grid ladder down, restricting ``psi_0`` and ``f``
+grid by grid by truncating their half spectra, to grid 8 or to the first
+coarse grid whose set-up raises; then up, prolonging each grid's potential
+into the next by zero padding (J. P. Boyd, *Chebyshev and Fourier Spectral
+Methods*, 2001).  Length-one axes stay length one, and the smaller grid's
+Nyquist mode is dropped both ways (:func:`qposlab.calculus._resample`).  A
+coarse grid has no tol of its own: it steps until its residual is at rounding
+level or a step fails to halve it, which may stall at the grid's Nyquist
+floor, and hands on its iterate; one that raises hands on nothing, and the
+next grid starts from zero.  The solve's own grid then steps while its
+residual is above tol, as without a ladder, so the certified state is the
+fine one and only its starting guess changes.  :attr:`MASolveResult.levels`
+records each grid.
 
 In one complex dimension the equation is linear in ``phi`` and is solved in a
 single exact spectral step.
@@ -86,7 +89,7 @@ from __future__ import annotations
 import math
 import queue
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,10 +176,9 @@ class MALevel:
     applications) and ``line_search_halvings`` hold one entry per step.
     ``ended`` is ``"converged"`` (residual at most tol), ``"stalled"`` (a
     coarse level that stopped above tol) or ``"failed"`` (a coarse level that
-    raised, and the next level started from zero).  ``wall_s`` is the level's
-    own wall time, without the levels below it; a failed level records no
-    steps, and its wall time includes the levels below it, whose records are
-    not kept.
+    raised in its set-up or its Newton steps, and the next level started from
+    zero); a failed level records no steps.  ``wall_s`` is the level's own
+    wall time, its set-up and its Newton steps.
     """
 
     grid: int
@@ -192,19 +194,18 @@ class MASolveResult:
     """Solution and per-level record.
 
     ``form`` is the solved form ``W + dd_bar(phi)``: the planes of the last
-    accepted state, positive definite at every grid point (``None`` on a
-    coarse level of the grid ladder).  ``compat_factor`` is the factor the
-    target density was multiplied by to match the total mass of ``W``.
-    ``levels`` holds every grid the solve ran on, coarsest first; the last is
-    the solve's own grid, whose record the residual, iteration count and
-    per-step properties read.  The n = 1 solve is one exact spectral step,
-    recorded with zero CG iterations and halvings.
+    accepted state, positive definite at every grid point.  ``compat_factor``
+    is the factor the target density was multiplied by to match the total
+    mass of ``W``.  ``levels`` holds every grid the solve ran on, coarsest
+    first; the last is the solve's own grid, whose record the residual,
+    iteration count and per-step properties read.  The n = 1 solve is one
+    exact spectral step, recorded with zero CG iterations and halvings.
     """
 
     phi: PotentialField
     log_constant: float
     compat_factor: float
-    form: HermitianFormField | None
+    form: HermitianFormField
     levels: tuple[MALevel, ...]
 
     @property
@@ -232,22 +233,6 @@ class MASolveResult:
     def positivity_margin(self) -> float:
         """Smallest eigenvalue of ``form`` over the grid, from one eigen pass per read."""
         return float(np.min(smallmat.eigvalsh(self.form.diag, self.form.upper)[0]))
-
-
-def _compat_factor(density: np.ndarray, wdet: np.ndarray, n: int) -> float:
-    """The factor that rescales ``density`` to the total mass of the background form.
-
-    ``wdet`` is the determinant of the background form's planes, so the mass
-    is the mean of its top density ``n! 2^n wdet``.
-    The equation only constrains the density up to the free constant, and a
-    solution requires equal masses.
-    """
-    if np.min(density) <= 0:
-        raise ModelError("target density must be strictly positive")
-    background_mass = float(np.mean(math.factorial(n) * (2.0**n) * wdet))
-    if background_mass <= 0:
-        raise ModelError("background form has non-positive total volume")
-    return background_mass / float(np.mean(density))
 
 
 class _NewtonOperator:
@@ -431,17 +416,19 @@ def _pcg(op: _NewtonOperator, bhat: np.ndarray, rtol: float, max_cg: int = 400) 
     return _irfftn(x, op.shape), iterations
 
 
-def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray, det: np.ndarray | None = None):
+def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
     """``planes``, determinant, compensated log residual, sup residual and constant ``c`` of a form.
 
-    ``None`` when the form ``planes = (diag, upper)`` is not positive definite
-    at every grid point.  ``det`` is the planes' :func:`hermitian_det` when the
-    caller already has it.
+    ``None`` when the form ``planes = (diag, upper)`` is not positive definite at every grid point.
     """
-    if det is None:
-        det = hermitian_det(*planes)
+    det = hermitian_det(*planes)
     if not np.all(smallmat.positive_definite(*planes, det)):
         return None
+    return _log_residual(planes, det, fvals)
+
+
+def _log_residual(planes: tuple[np.ndarray, np.ndarray], det: np.ndarray, fvals: np.ndarray):
+    """:func:`_evaluate` of a form known to be positive definite, whose determinant ``det`` is taken."""
     rho = np.log(det) - np.log(fvals)
     c = float(np.sum(det * rho) / np.sum(det))
     rinf = float(np.max(np.abs(np.exp(rho - c) - 1.0)))
@@ -454,151 +441,113 @@ def _state(problem: MAProblem, phi: np.ndarray, fvals: np.ndarray):
     return _evaluate((form.diag, form.upper), fvals)
 
 
-def _coarsens(problem: MAProblem) -> bool:
-    """Whether a solve without a guess starts from its half-grid solution: some stored axis of ``psi_0`` or ``f`` is whole, on a grid above 8."""
-    grid, psi0 = problem.torus.grid_size, problem.background_potential
-    stored = [problem.target_density.shape] + ([] if psi0 is None else [psi0.values.shape])
-    return grid > 8 and any(grid in shape for shape in stored)
+@dataclass
+class _Level:
+    """A set-up grid of the ladder: its rescaled density ``f`` on its solve shape, and ``W``'s form and determinant ``w``."""
+
+    problem: MAProblem
+    compat_factor: float
+    f: np.ndarray
+    setup_s: float
+    w: tuple[HermitianFormField, np.ndarray] | None
 
 
-def _coarse_levels(problem: MAProblem) -> tuple[tuple[MALevel, ...], np.ndarray | None]:
-    """The levels of ``problem``'s half-grid solve, and its potential prolonged to ``problem``'s grid.
+def _setup(problem: MAProblem) -> _Level:
+    """Rescale the density by ``compat_factor`` to the mass of ``W``, the mean of its top density ``n! 2^n det W``.
 
-    The half-grid problem has the same background and ``max_iter``, and
-    ``psi_0`` and ``f`` restricted by :func:`qposlab.calculus._resample`
-    (length-one axes stay length one).  It is solved by :func:`solve_ma` as a
-    coarse level, so it starts from its own half grid in turn.  A level that
-    raises a :class:`NumericsError` or :class:`ModelError` is recorded as failed
-    and hands on no potential: the next level starts from zero.
+    The equation only constrains the density up to the free constant, and a solution requires equal masses.
+    Raises :class:`ModelError` when the density, the mass or ``W`` (checked on its stored planes) is not positive.
     """
     start = time.perf_counter()
-    torus, psi0 = problem.torus, problem.background_potential
-    coarse = TorusModel(torus.n, torus.grid_size // 2)
+    n = problem.torus.n
+    wform = problem.form()
+    wdet = hermitian_det(wform.diag, wform.upper)  # W's determinant, on its stored shape, taken once
+    if np.min(problem.target_density) <= 0:
+        raise ModelError("target density must be strictly positive")
+    background_mass = float(np.mean(math.factorial(n) * (2.0**n) * wdet))
+    if background_mass <= 0:
+        raise ModelError("background form has non-positive total volume")
+    compat_factor = background_mass / float(np.mean(problem.target_density))
+    f = problem.target_density * compat_factor / (math.factorial(n) * 2.0**n)
+    if np.min(f) <= 0:
+        raise ModelError("target density must be strictly positive")
+    if not np.all(smallmat.positive_definite(wform.diag, wform.upper, wdet)):
+        raise ModelError("background form is not positive definite at every grid point")
+    shape = np.broadcast_shapes(wform.diag.shape[1:], f.shape)
+    return _Level(problem, compat_factor, np.broadcast_to(f, shape), time.perf_counter() - start, (wform, wdet))
+
+
+def _background_state(w: tuple[HermitianFormField, np.ndarray], fvals: np.ndarray):
+    """The state at ``phi = 0``, where ``dd_bar(0) = 0``: ``W``'s kept form and determinant ``w`` on ``fvals``'s shape."""
+    (wform, wdet), shape = w, fvals.shape
+    planes = tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (wform.diag, wform.upper))
+    return _log_residual(planes, np.ascontiguousarray(np.broadcast_to(wdet, shape)), fvals)
+
+
+def _coarsens(problem: MAProblem) -> bool:
+    """Whether a solve starts from its half-grid solution: n >= 2, a grid above 8 and a whole stored axis of ``psi_0`` or ``f``."""
+    grid, psi0 = problem.torus.grid_size, problem.background_potential
+    stored = [problem.target_density.shape] + ([] if psi0 is None else [psi0.values.shape])
+    return problem.torus.n > 1 and grid > 8 and any(grid in shape for shape in stored)
+
+
+def _half_grid(problem: MAProblem) -> MAProblem:
+    """``problem`` on the half grid: ``psi_0`` and ``f`` restricted by :func:`qposlab.calculus._resample`."""
+    psi0 = problem.background_potential
+    coarse = TorusModel(problem.torus.n, problem.torus.grid_size // 2)
 
     def restrict(values):
         return _resample(values, tuple(min(size, coarse.grid_size) for size in values.shape))
 
-    try:
-        result = solve_ma(
-            MAProblem(
-                coarse,
-                problem.background,
-                restrict(problem.target_density),
-                None if psi0 is None else PotentialField(coarse, restrict(psi0.values)),
-                tol=problem.tol,
-                max_iter=problem.max_iter,
-            ),
-            _coarse=True,
-        )
-    except (NumericsError, ModelError):
-        return (MALevel(coarse.grid_size, "failed", time.perf_counter() - start),), None
-    phi = result.phi.values
-    return result.levels, _resample(phi, tuple(1 if size == 1 else torus.grid_size for size in phi.shape))
+    return replace(
+        problem,
+        torus=coarse,
+        target_density=restrict(problem.target_density),
+        background_potential=None if psi0 is None else PotentialField(coarse, restrict(psi0.values)),
+    )
+
+
+# A coarse level stops at this residual, 64 ulps of 1: a step below it only moves
+# rounding error, and may still halve the residual by chance.
+_COARSE_FLOOR = 64.0 * np.finfo(np.float64).eps
 
 
 def _continues(history: list[float], problem: MAProblem, coarse: bool) -> bool:
     """Whether the Newton loop takes another step after the residuals ``history``.
 
-    A solve steps while its residual is above tol.  A coarse level of the
-    grid ladder has no tol of its own: it steps until a step fails to halve
-    the residual, the residual is 0, or it has taken ``max_iter`` steps, and
-    then hands on its iterate, which may sit at the level's Nyquist floor.
+    A solve steps while its residual is above tol.  A coarse level of the grid ladder has no tol of its own:
+    it steps until its residual is at most ``_COARSE_FLOOR``, a step fails to halve it, or it has taken
+    ``max_iter`` steps, and then hands on its iterate, which may sit at the level's Nyquist floor.
     """
     if not coarse:
         return history[-1] > problem.tol
     stalled = len(history) > 1 and history[-1] > 0.5 * history[-2]
-    return not (stalled or history[-1] == 0 or len(history) > problem.max_iter)
+    return not (stalled or history[-1] <= _COARSE_FLOOR or len(history) > problem.max_iter)
 
 
-def solve_ma(
-    problem: MAProblem, initial_guess: PotentialField | None = None, *, _coarse: bool = False
-) -> MASolveResult:
-    """Damped-Newton solve in the mean-zero gauge.
+def _newton(level: _Level, coarse_phi: np.ndarray | None, coarse: bool):
+    """Damped Newton steps on one grid from ``coarse_phi``, the next coarser grid's potential, prolonged.
 
-    The target density is first rescaled to the total mass of the background
-    form ``W`` (the factor is ``compat_factor``).  The residual reported is
-    ``sup | det(W + dd_bar phi) / (e^c F) - 1 |`` with the compensating
-    constant ``c``; for compatible data ``|c|`` is at the spectral-truncation
-    level and the plain ratio against ``F`` satisfies the same bound up to
-    that term.
-
-    Without an initial guess, a solve with n >= 2 on a grid above 8 where
-    ``psi_0`` or ``f`` varies starts from its half-grid solution
-    (:func:`_coarse_levels`), prolonged by spectral zero padding: the nested
-    iteration of full multigrid.  A prolonged guess that is not positive
-    definite starts the solve from zero instead; an ``initial_guess`` that is
-    not raises :class:`ModelError`.  ``_coarse`` marks a coarse level, which
-    stops by :func:`_continues` and drops its form planes.
+    Without it, or where its form is not positive definite, the start is zero.  Returns the grid's
+    mean-zero potential, its :class:`MALevel`, and the planes and constant ``c`` of its last state.
     """
     start = time.perf_counter()
-    torus = problem.torus
-    n = torus.n
-    wform = problem.form()
-    wdet = hermitian_det(wform.diag, wform.upper)  # W's determinant, on its stored shape, taken once
-    compat_factor = _compat_factor(problem.target_density, wdet, n)
-    f = problem.target_density * compat_factor / (math.factorial(n) * 2.0**n)
-    if np.min(f) <= 0:
-        raise ModelError("target density must be strictly positive")
-
-    shape = np.broadcast_shapes(wform.diag.shape[1:], f.shape)
-    if initial_guess is not None:
-        if initial_guess.torus != torus:
-            raise ModelError("initial guess lives on a different torus")
-        shape = np.broadcast_shapes(shape, initial_guess.values.shape)
-    f = np.broadcast_to(f, shape)
-    # dd_bar(0) = 0: W's own evaluation checks its positivity and is the state at a zero guess.
-    wplanes = tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (wform.diag, wform.upper))
-    state = _evaluate(wplanes, f, np.ascontiguousarray(np.broadcast_to(wdet, shape)))
-    del wdet
+    problem, f = level.problem, level.f
+    torus, shape = problem.torus, f.shape
+    w, level.w = level.w, None  # W's form goes once the starting state is built
+    state = None
+    if coarse_phi is not None:
+        phi = _resample(coarse_phi, shape)
+        state = _state(problem, phi, f)
     if state is None:
-        raise ModelError("background form is not positive definite at every grid point")
-
-    if n == 1:
-        # det is linear in the Hessian: one exact spectral Poisson step.
-        w = np.broadcast_to(wform.diag[0], shape)
-        c = math.log(float(np.mean(w)) / float(np.mean(f)))
-        phi = poisson_solve(torus, np.exp(c) * f - w)
-        initial_residual = state[3]
-        state = _state(problem, phi, f)
-        rinf = None if state is None else state[3]
-        if rinf is None or rinf > problem.tol:
-            raise NonConvergence(
-                f"linear n=1 solve left residual {rinf}, above tol {problem.tol}", residual=rinf
-            )
-        level = MALevel(torus.grid_size, "converged", time.perf_counter() - start, (initial_residual, rinf), (0,), (0,))
-        return MASolveResult(
-            phi=PotentialField(torus, phi, mean_zero=True),
-            log_constant=c,
-            compat_factor=compat_factor,
-            form=HermitianFormField._trusted(torus, *state[0]),
-            levels=(level,),
-        )
-
-    del wform, wplanes  # every later state is H_0 + dd_bar(psi_0 + phi); W's planes go with the first state's
-    levels, guess = (), None
-    if initial_guess is not None:
-        guess = initial_guess.values - initial_guess.mean()
-    elif _coarsens(problem):
-        ladder_start = time.perf_counter()
-        levels, guess = _coarse_levels(problem)
-        start += time.perf_counter() - ladder_start  # this level's wall time leaves the ladder out
-    if guess is None:
         phi = np.zeros(shape)
-    else:
-        state = None  # W's state goes before the guess's is built
-        phi = np.broadcast_to(guess, shape).copy()
-        del guess
-        state = _state(problem, phi, f)
-        if state is None and initial_guess is not None:
-            raise ModelError("initial guess destroys pointwise positivity of the background form")
-        if state is None:
-            phi = np.zeros(shape)
-            state = _state(problem, phi, f)
+        state = _state(problem, phi, f) if w is None else _background_state(w, f)
+    del w
     planes, det, rho_c, rinf, c = state
     state = None
     history, cg_counts, halvings = [rinf], [], []
 
-    while _continues(history, problem, _coarse):
+    while _continues(history, problem, coarse):
         if len(history) > problem.max_iter:
             raise NonConvergence(
                 f"no convergence in {problem.max_iter} Newton iterations (residual {rinf:.3e})",
@@ -634,18 +583,68 @@ def solve_ma(
         cg_counts.append(cg)
         halvings.append(halved)
 
-    level = MALevel(
-        torus.grid_size,
-        "converged" if rinf <= problem.tol else "stalled",
-        time.perf_counter() - start,
-        tuple(history),
-        tuple(cg_counts),
-        tuple(halvings),
-    )
+    wall_s = level.setup_s + time.perf_counter() - start
+    ended = "converged" if rinf <= problem.tol else "stalled"
+    record = MALevel(torus.grid_size, ended, wall_s, tuple(history), tuple(cg_counts), tuple(halvings))
+    return phi - np.mean(phi), record, planes, c
+
+
+def _poisson_step(level: _Level):
+    """The n = 1 solve, returned as :func:`_newton` returns: det is linear in the Hessian, one exact spectral step."""
+    start = time.perf_counter()
+    problem, f = level.problem, level.f
+    w = np.broadcast_to(level.w[0].diag[0], f.shape)
+    c = math.log(float(np.mean(w)) / float(np.mean(f)))
+    phi = poisson_solve(problem.torus, np.exp(c) * f - w)
+    initial_residual = _background_state(level.w, f)[3]
+    state = _state(problem, phi, f)
+    rinf = None if state is None else state[3]
+    if rinf is None or rinf > problem.tol:
+        raise NonConvergence(
+            f"linear n=1 solve left residual {rinf}, above tol {problem.tol}", residual=rinf
+        )
+    wall_s = level.setup_s + time.perf_counter() - start
+    return phi, MALevel(problem.torus.grid_size, "converged", wall_s, (initial_residual, rinf), (0,), (0,)), state[0], c
+
+
+def solve_ma(problem: MAProblem) -> MASolveResult:
+    """Damped-Newton solve in the mean-zero gauge, up the grid ladder of the module docstring.
+
+    The target density is first rescaled to the total mass of the background
+    form ``W`` (the factor is ``compat_factor``).  The residual reported is
+    ``sup | det(W + dd_bar phi) / (e^c F) - 1 |`` with the compensating
+    constant ``c``; for compatible data ``|c|`` is at the spectral-truncation
+    level and the plain ratio against ``F`` satisfies the same bound up to
+    that term.  An input error on the solve's own grid raises before any
+    coarse work.
+    """
+    fine = _setup(problem)
+    ladder, levels = [fine], []
+    while _coarsens(ladder[-1].problem):
+        start = time.perf_counter()
+        try:
+            level = _setup(_half_grid(ladder[-1].problem))
+        except (NumericsError, ModelError):
+            levels.append(MALevel(ladder[-1].problem.torus.grid_size // 2, "failed", time.perf_counter() - start))
+            break
+        ladder[-1].w = None  # the finer grid starts from this one's potential, not from zero
+        ladder.append(level)
+    phi = None
+    while len(ladder) > 1:
+        level = ladder.pop()
+        start = time.perf_counter()
+        try:
+            phi, record, _, _ = _newton(level, phi, coarse=True)
+        except (NumericsError, ModelError):
+            wall_s = level.setup_s + time.perf_counter() - start
+            phi, record = None, MALevel(level.problem.torus.grid_size, "failed", wall_s)
+        levels.append(record)
+        del level  # its restricted psi_0 goes before the finer grid solves
+    phi, record, planes, c = _newton(fine, phi, coarse=False) if problem.torus.n > 1 else _poisson_step(fine)
     return MASolveResult(
-        phi=PotentialField(torus, phi - np.mean(phi), mean_zero=True),
+        phi=PotentialField(problem.torus, phi, mean_zero=True),
         log_constant=c,
-        compat_factor=compat_factor,
-        form=None if _coarse else HermitianFormField._trusted(torus, *planes),
-        levels=levels + (level,),
+        compat_factor=fine.compat_factor,
+        form=HermitianFormField._trusted(problem.torus, *planes),
+        levels=tuple(levels) + (record,),
     )

@@ -192,7 +192,7 @@ def positive_definite(diag, upper, det: np.ndarray) -> np.ndarray:
         if order > 1:
             positive &= minor > 0
             bound *= s
-        near_zero |= np.abs(minor) <= bound
+        near_zero |= np.abs(minor, out=off) <= bound  # into off, dead here: one plane less at the peak
     if near_zero.any():
         idx = np.nonzero(near_zero)
         positive[idx] = eigvalsh([p[idx] for p in diag], [p[idx] for p in upper])[0] > 0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qposlab import calculus
+from qposlab import calculus, ma_solver
 from qposlab.cli import main
 from qposlab.fields_io import write_field
 from qposlab.geometry import TorusModel
@@ -269,6 +269,18 @@ class TestCertify:
         assert levels[-1]["steps"] == newton["steps"] and len(newton["steps"]) == report["verdict"]["ma_iterations"]
         assert levels[-1]["initial_residual"] == newton["initial_residual"]
         assert levels[-1]["ended"] == "converged" and report["verdict"]["ma_residual"] <= 1e-12
+
+    def test_coarse_levels_stop_at_the_rounding_floor(self, capsys):
+        # The shipped input solves on grid 64 from grids 8, 16 and 32.  Grid 16 starts at
+        # rounding level and takes no step; no coarse level steps from at or below the floor.
+        code, report, _ = run_cli(["certify", "--config", str(CONFIGS / "certify.json")], capsys)
+        assert code == 0
+        levels = report["trace"]["newton"]["levels"]
+        assert [level["grid"] for level in levels] == [8, 16, 32, 64]
+        assert levels[1]["initial_residual"] <= ma_solver._COARSE_FLOOR and levels[1]["steps"] == []
+        for level in levels[:-1]:
+            residuals = [level["initial_residual"]] + [step["residual"] for step in level["steps"]]
+            assert all(residual > ma_solver._COARSE_FLOOR for residual in residuals[:-1])
 
     def test_q_zero_fails_with_exit_one(self, tmp_path, capsys):
         cfg = self.worked_config(tmp_path)

@@ -16,6 +16,7 @@ from qposlab import (
     TorusModel,
     complex_hessian,
     HermitianFormField,
+    MASolveResult,
     one_positive_pipeline,
     solve_ma,
 )
@@ -42,6 +43,16 @@ def manufactured_problem(torus, amplitude, tol=1e-11):
         tol=tol,
     )
     return problem, phi_star
+
+
+def solve_one_grid(problem, coarse_phi=None):
+    """The one-grid Newton solve of ``problem``, without a grid ladder: from zero, or from ``coarse_phi``
+    (a potential on the half grid) prolonged."""
+    level = ma_solver._setup(problem)
+    phi, record, planes, c = ma_solver._newton(level, coarse_phi, coarse=False)
+    torus = problem.torus
+    form = HermitianFormField._trusted(torus, *planes)
+    return MASolveResult(PotentialField(torus, phi, mean_zero=True), c, level.compat_factor, form, (record,))
 
 
 class TestProblemValidation:
@@ -168,10 +179,10 @@ class TestNewtonPath:
         assert np.max(np.abs(density - res.compat_factor * p.target_density)) < 1e-8
 
     def test_residual_history_non_increasing(self):
-        # An explicit zero guess: no grid ladder, every step on the full grid.
+        # The one-grid solve from zero: every step on the full grid.
         t = TorusModel(2, 32)
         p, _ = manufactured_problem(t, amplitude=0.05)
-        res = solve_ma(p, initial_guess=PotentialField.zero(t))
+        res = solve_one_grid(p)
         hist = res.residual_history
         assert len(hist) >= 2
         for a, b in zip(hist, hist[1:]):
@@ -180,7 +191,7 @@ class TestNewtonPath:
     def test_per_step_record(self):
         t = TorusModel(2, 16)
         p, _ = manufactured_problem(t, amplitude=0.05)
-        res = solve_ma(p, initial_guess=PotentialField.zero(t))
+        res = solve_one_grid(p)
         assert res.iterations >= 2
         assert len(res.residual_history) == res.iterations + 1
         assert len(res.cg_iterations) == len(res.line_search_halvings) == res.iterations
@@ -229,13 +240,6 @@ class TestNewtonPath:
         with pytest.raises(NonConvergence) as exc:
             solve_ma(MAProblem(t, p.background, p.target_density, tol=1e-13, max_iter=1))
         assert exc.value.residual is not None and exc.value.residual > 1e-13
-
-    def test_initial_guess_speeds_convergence(self):
-        t = TorusModel(2, 32)
-        p, phi_star = manufactured_problem(t, amplitude=0.05)
-        warm = solve_ma(p, initial_guess=PotentialField(t, phi_star))
-        assert warm.iterations <= 1
-        assert warm.residual < p.tol
 
 
 def smooth_operator(n, shape):
@@ -424,7 +428,7 @@ class TestSlabApply:
         seen = []
         pcg = ma_solver._pcg
         monkeypatch.setattr(ma_solver, "_pcg", lambda op, bhat, **kw: seen.append(bhat.dtype) or pcg(op, bhat, **kw))
-        assert solve_ma(p, initial_guess=PotentialField.zero(t)).iterations >= 2
+        assert solve_one_grid(p).iterations >= 2
         assert seen and all(dtype == np.complex128 for dtype in seen)
 
 
@@ -469,10 +473,10 @@ class TestBackgroundPotential:
         psi0 = PotentialField(t, 0.05 * np.cos(2 * np.pi * xs[0]))
         density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * xs[3]))
         problem = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, background_potential=psi0, tol=1e-10)
-        guess = PotentialField(t, -0.002 * np.cos(2 * np.pi * xs[3])) if warm else PotentialField.zero(t)
-        got = solve_ma(problem, initial_guess=guess)
+        guess = -0.002 * np.cos(2 * np.pi * TorusModel(2, 8).real_coordinates()[3]) if warm else None
+        got = solve_one_grid(problem, guess)
         monkeypatch.setattr(ma_solver, "_state", w_planes_state)
-        ref = solve_ma(problem, initial_guess=guess)
+        ref = solve_one_grid(problem, guess)
         assert got.phi.values.shape == (16, 1, 1, 16)
         assert got.iterations == ref.iterations >= 1
         assert got.cg_iterations == ref.cg_iterations
@@ -543,7 +547,7 @@ class TestGridLadder:
         density = 8.0 * smallmat.hermitian_det(evolved.diag, evolved.upper)
         p = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, tol=1e-10)
         res = solve_ma(p)
-        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+        cold = solve_one_grid(p)
         assert [level.grid for level in res.levels] == [8, 16, 32]
         assert res.iterations == 0 and cold.iterations >= 1
         assert res.residual <= p.tol
@@ -582,23 +586,20 @@ class TestGridLadder:
         )
         assert np.min(restricted.form().diag[0]) < 0 < np.min(p.form().diag[0])
         res = solve_ma(p)
-        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+        cold = solve_one_grid(p)
         assert [(level.grid, level.ended) for level in res.levels] == [(16, "failed"), (32, "converged")]
         assert res.levels[0].residual_history == ()
         assert res.iterations == cold.iterations >= 1 and res.residual <= p.tol
         assert np.max(np.abs(res.phi.values - cold.phi.values)) <= 1e-12
 
-    def test_prolonged_guess_not_positive_starts_from_zero(self, monkeypatch):
-        t = TorusModel(2, 16)
-        p, _ = manufactured_problem(t, amplitude=0.05)
-        bad = np.broadcast_to(np.cos(2 * np.pi * t.real_coordinates()[0]), p.target_density.shape)
-        monkeypatch.setattr(ma_solver, "_coarse_levels", lambda problem: ((), bad))
-        res = solve_ma(p)
-        cold = solve_ma(p, initial_guess=PotentialField.zero(t))
+    def test_prolonged_guess_not_positive_starts_from_zero(self):
+        # I + dd_bar(cos 2 pi x_1) has first diagonal entry 1 - pi^2 cos 2 pi x_1, negative at x_1 = 0.
+        p, _ = manufactured_problem(TorusModel(2, 16), amplitude=0.05)
+        bad = np.cos(2 * np.pi * TorusModel(2, 8).real_coordinates()[0])
+        res = solve_one_grid(p, bad)
+        cold = solve_one_grid(p)
         assert res.residual_history == cold.residual_history
         assert np.array_equal(res.phi.values, cold.phi.values)
-        with pytest.raises(ModelError):
-            solve_ma(p, initial_guess=PotentialField(t, bad))
 
     def test_coarse_levels_keep_length_one_axes(self, monkeypatch):
         # As in TestBackgroundPotential: psi_0 varies along x_1 only and the density along y_2 only.
@@ -608,19 +609,62 @@ class TestGridLadder:
         density = 8.0 * (1.0 + 0.2 * np.cos(2 * np.pi * xs[3]))
         problem = MAProblem(t, ConstantHermitianClass(np.eye(2)), density, background_potential=psi0, tol=1e-10)
         solved = []
-        solve = ma_solver.solve_ma
-        monkeypatch.setattr(ma_solver, "solve_ma", lambda p, *a, **kw: solved.append(p) or solve(p, *a, **kw))
+        setup = ma_solver._setup
+        monkeypatch.setattr(ma_solver, "_setup", lambda p: solved.append(p) or setup(p))
         res = solve_ma(problem)
         assert [(p.torus.grid_size, p.background_potential.values.shape, p.target_density.shape) for p in solved] == [
-            (8, (8, 1, 1, 1), (1, 1, 1, 8))
+            (16, (16, 1, 1, 1), (1, 1, 1, 16)),
+            (8, (8, 1, 1, 1), (1, 1, 1, 8)),
         ]
         assert [level.grid for level in res.levels] == [8, 16]
         assert res.phi.values.shape == (16, 1, 1, 16)
         assert res.residual <= problem.tol
 
-    def test_no_ladder_with_a_guess_or_at_grid_8(self, monkeypatch):
-        monkeypatch.setattr(ma_solver, "_coarse_levels", lambda problem: pytest.fail("no grid ladder expected"))
-        p, _ = manufactured_problem(TorusModel(2, 16), amplitude=0.05)
-        assert len(solve_ma(p, initial_guess=PotentialField.zero(p.torus)).levels) == 1
+    def test_no_ladder_at_grid_8_or_n_1(self, monkeypatch):
+        monkeypatch.setattr(ma_solver, "_half_grid", lambda problem: pytest.fail("no grid ladder expected"))
         p, _ = manufactured_problem(TorusModel(2, 8), amplitude=0.05)
         assert len(solve_ma(p).levels) == 1
+        t = TorusModel(1, 16)
+        density = 2.0 * (1.0 + 0.2 * np.cos(2 * np.pi * t.real_coordinates()[0]))
+        assert len(solve_ma(MAProblem(t, ConstantHermitianClass(np.eye(1)), density)).levels) == 1
+
+    def test_coarse_step_failure_keeps_the_levels_below(self, monkeypatch):
+        # The input of test_stalled_coarse_level_hands_on_its_iterate, with every Newton trial
+        # on grid 16 rejected: grid 16 raises StepFailure after grid 8 has solved.
+        t = TorusModel(2, 32)
+        xs = t.real_coordinates()
+        density = np.broadcast_to(1 + 0.3 * np.cos(2 * np.pi * xs[1]) * np.cos(2 * np.pi * xs[2]), t.shape)
+        p = MAProblem(t, ConstantHermitianClass(np.diag([4.0, 1.0])), density, tol=1e-9)
+        state, calls = ma_solver._state, []
+
+        def rejecting(problem, phi, fvals):
+            # On grid 16 the first call builds the starting state, and every later one is a rejected trial.
+            if problem.torus.grid_size == 16:
+                calls.append(problem)
+                if len(calls) > 1:
+                    return None
+            return state(problem, phi, fvals)
+
+        monkeypatch.setattr(ma_solver, "_state", rejecting)
+        res = solve_ma(p)
+        ended = [(level.grid, level.ended) for level in res.levels]
+        assert ended == [(8, "stalled"), (16, "failed"), (32, "converged")]
+        assert len(res.levels[0].residual_history) >= 2 and res.levels[1].residual_history == ()
+        assert len(calls) == 32  # the starting state and 31 trials, down to 2^-30 damping
+        monkeypatch.undo()
+        cold = solve_one_grid(p)
+        assert res.residual <= p.tol and res.iterations == cold.iterations
+        assert np.max(np.abs(res.phi.values - cold.phi.values)) <= 1e-12
+
+    def test_fine_background_not_positive_raises_before_coarse_work(self, monkeypatch):
+        # psi_0 = 0.2 cos 2 pi x_1 on every point of grid 16: W's first diagonal entry
+        # 1 - 0.2 pi^2 cos 2 pi x_1 is negative at x_1 = 0, while W's mass is positive.
+        t = TorusModel(2, 16)
+        xs = t.real_coordinates()
+        psi0 = PotentialField(t, np.broadcast_to(0.2 * np.cos(2 * np.pi * xs[0]), t.shape))
+        p = MAProblem(t, ConstantHermitianClass(np.eye(2)), np.full((1,) * 4, 8.0), background_potential=psi0)
+        assert ma_solver._coarsens(p) and np.min(p.form().diag[0]) < 0
+        monkeypatch.setattr(ma_solver, "_half_grid", lambda problem: pytest.fail("no coarse set-up expected"))
+        monkeypatch.setattr(ma_solver, "_newton", lambda *args, **kwargs: pytest.fail("no Newton solve expected"))
+        with pytest.raises(ModelError, match="not positive definite at every grid point"):
+            solve_ma(p)
