@@ -29,11 +29,12 @@ affinity mask (:func:`fft_workers`); a process pinned to one CPU (``taskset
 -c 0``) runs every pass serially and starts no thread.  Smaller passes run
 serially on the calling thread.
 
-The finite-difference Hessian runs slab by slab along axis 0
-(:func:`_fd_slab_hessian`): each slab of about 65,536 points reads its rows
-with a periodic halo, so every axis-0 stencil is a slice, and each entry is
-bitwise what whole-grid periodic stencils give.  The glue certificates run
-such slabs as leaf tasks on the same pool (:func:`_run_slabs`).
+The finite-difference Hessian has one slab source, :func:`_fd_hessian_rows`:
+each slab of about 65,536 points reads its rows of a stored potential with a
+periodic halo, so every axis-0 stencil is a slice, and each entry is bitwise
+what whole-grid periodic stencils give.  :func:`fd_complex_hessian` writes
+its slabs into one form field; the glue certificates run them as leaf tasks
+on the same pool (:func:`_run_slabs`) and keep no Hessian.
 
 Fields store numpy arrays broadcastable to the full grid shape; an axis of
 length one means "constant along that coordinate" and spectral derivatives
@@ -459,6 +460,29 @@ def _fd_slab_hessian(block: np.ndarray, halo: int, h: float, order: int, n: int)
     return diag, upper
 
 
+def _fd_hessian_rows(phi: PotentialField, order: int):
+    """Slab source of the finite-difference complex Hessian of ``phi``.
+
+    ``rows(lo, hi)`` gives the ``(diag, upper)`` planes on rows ``lo:hi``
+    along axis 0, from those rows and a periodic halo of ``order // 2`` rows
+    (:func:`_periodic_rows`, :func:`_fd_slab_hessian`).  The order (2 or 4)
+    is checked here; each slab checks that its rows are finite, which keeps
+    the check's temporary the size of a slab.
+    """
+    if order not in (2, 4):
+        raise ModelError(f"finite-difference order must be 2 or 4, got {order}")
+    v = phi.values
+    h = 1.0 / phi.torus.grid_size
+
+    def rows(lo, hi):
+        block, halo = _periodic_rows(v, lo, hi, order // 2)
+        if not np.all(np.isfinite(block)):
+            raise NumericsError("potential has non-finite values; cannot differentiate")
+        return _fd_slab_hessian(block, halo, h, order, phi.torus.n)
+
+    return rows
+
+
 def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormField:
     """Periodic central-difference complex Hessian (order 2 or 4).
 
@@ -466,27 +490,20 @@ def fd_complex_hessian(phi: PotentialField, order: int = 2) -> HermitianFormFiel
     first-derivative stencils (which commute exactly, so Hermitian symmetry is
     structural), diagonal entries use the dedicated second-derivative stencil.
     A stencil touches at most two cells per axis, which callers use to keep
-    evaluations away from masked regions.  The field is differentiated block by
-    block along axis 0 (:func:`_fd_slab_hessian`); each entry is bitwise what
-    whole-grid stencils give.
+    evaluations away from masked regions.  The entries are written slab by
+    slab from :func:`_fd_hessian_rows`, the source the glue certificates read
+    without storing the Hessian; each is bitwise what whole-grid stencils give.
     """
-    if order not in (2, 4):
-        raise ModelError(f"finite-difference order must be 2 or 4, got {order}")
+    rows = _fd_hessian_rows(phi, order)
     v = phi.values
-    if not np.all(np.isfinite(v)):
-        raise NumericsError("potential has non-finite values; cannot differentiate")
-    torus = phi.torus
-    n = torus.n
-    h = 1.0 / torus.grid_size
-    halo = order // 2
+    n = phi.torus.n
     diag = np.empty((n,) + v.shape)
     upper = np.empty((n * (n - 1) // 2,) + v.shape, dtype=np.complex128)
     for lo, hi in _slab_bounds(v.shape[0], v[0].size):
-        block, pad = _periodic_rows(v, lo, hi, halo)
-        for dest, planes in zip((diag, upper), _fd_slab_hessian(block, pad, h, order, n)):
+        for dest, planes in zip((diag, upper), rows(lo, hi)):
             for p, plane in enumerate(planes):
                 dest[p, lo:hi] = plane
-    return HermitianFormField._trusted(torus, diag, upper)
+    return HermitianFormField._trusted(phi.torus, diag, upper)
 
 
 def poisson_solve(torus: TorusModel, rhs: np.ndarray) -> np.ndarray:

@@ -19,17 +19,19 @@ failing region and grid point attached.  A region without grid points never
 passes: the report then carries it as failed, because nothing was checked
 there.
 
-Every certificate runs slab by slab along axis 0.  A slab of about 65,536
-grid points (at least one row) reads its rows plus a periodic halo (one row
-for the second-order stencils, two for the fourth-order ones), evaluates the
-smoothed potential and its Hessian as entry planes (the layout of every form
-field) and adds the background's planes; the grid certificate of
-:mod:`qposlab.positivity`, which ``certify`` shares, takes the eigenvalues
-and reduces each region to its point count, minimum and first argmin.  Glue
-runs those slabs on the thread pool of the spectral transforms, one worker
-per CPU in the affinity mask and serially on one CPU.
-Temporaries stay the size of a slab, only the accepted smoothed potential is
-stored whole (the buffer's spectral Hessian is still taken on the whole
+Every certificate reads a stored potential slab by slab along axis 0: the
+singular potential with its poles filled, or one smoothed potential, which
+is computed once per ``eps`` on the whole grid and, when accepted, kept as
+the result.  A slab of about 65,536 grid points (at least one row) takes the
+Hessian of its rows from :func:`qposlab.calculus._fd_hessian_rows` (a
+periodic halo of one row for the second-order stencils, two for the
+fourth-order ones) as entry planes (the layout of every form field) and adds
+the background's planes; the grid certificate of :mod:`qposlab.positivity`,
+which ``certify`` shares, takes the eigenvalues and reduces each region to
+its point count, minimum and first argmin.  Glue runs those slabs on the
+thread pool of the spectral transforms, one worker per CPU in the affinity
+mask and serially on one CPU.  Stencil and eigenvalue temporaries stay the
+size of a slab (the buffer's spectral Hessian is still taken on the whole
 grid), and every count, margin and worst point is bitwise what a whole-grid
 evaluation gives.
 
@@ -50,11 +52,10 @@ from .calculus import (
     _as_form,
     _check_grid_values,
     complex_hessian,
-    _fd_slab_hessian,
-    _periodic_rows,
+    _fd_hessian_rows,
     _run_slabs,
 )
-from .errors import ModelError, NumericsError, PipelineFailure
+from .errors import ModelError, PipelineFailure
 from .geometry import TorusModel
 from .positivity import RegionCertificate, _certify_regions
 
@@ -145,14 +146,10 @@ class SingularPotential:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "pole_mask", mask)
 
-    def finite_values(self, fill: float = 0.0) -> np.ndarray:
-        """Values with pole cells replaced; stencils wider than the pole band
+    def finite_values(self) -> np.ndarray:
+        """Values with pole cells set to zero; stencils wider than the pole band
         never read the replaced cells, so any finite fill works."""
-        return np.where(self.pole_mask, fill, self.values)
-
-
-def _softmax(u, v, eps: float) -> np.ndarray:
-    return eps * np.logaddexp(np.asarray(u) / eps, np.asarray(v) / eps)
+        return np.where(self.pole_mask, 0.0, self.values)
 
 
 def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -163,7 +160,7 @@ def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """
     if eps <= 0:
         raise ModelError(f"smoothing scale must be positive, got {eps}")
-    return _softmax(u, v, eps)
+    return eps * np.logaddexp(np.asarray(u) / eps, np.asarray(v) / eps)
 
 
 def select_threshold(phi_b: PotentialField, singular: SingularPotential, region_u: np.ndarray) -> float:
@@ -207,7 +204,7 @@ def glue_max(
     phi_b: PotentialField,
     threshold: float,
     singular: SingularPotential,
-    region_u: np.ndarray | None = None,
+    region_u: np.ndarray,
 ) -> GlueResult:
     """Pointwise maximum glue ``max(phi_b - C, phi_s)``.
 
@@ -221,8 +218,6 @@ def glue_max(
     shifted = phi_b.values - threshold
     psi_vals = np.maximum(shifted, singular.values)
     region_v = shifted > singular.values
-    if region_u is None:
-        region_u = dilate(singular.pole_mask, 2)
     region_u = np.asarray(region_u, dtype=bool)
     v_bc, u_bc = np.broadcast_arrays(region_v, region_u)
     if np.any(v_bc & ~u_bc):
@@ -256,20 +251,6 @@ class GlueReport:
         return all(c.passed for c in self.certificates)
 
 
-def _fd_hessian_rows(torus: TorusModel, order: int, block_of):
-    """Hessian source for :func:`_certify_glue_regions`: finite differences of a
-    field whose padded rows ``block_of(lo, hi, halo)`` yields as ``(block, halo)``."""
-    h = 1.0 / torus.grid_size
-
-    def rows(lo, hi):
-        block, halo = block_of(lo, hi, order // 2)
-        if not np.all(np.isfinite(block)):
-            raise NumericsError("potential has non-finite values; cannot differentiate")
-        return _fd_slab_hessian(block, halo, h, order, torus.n)
-
-    return rows
-
-
 def _certify_glue_regions(
     hessian_rows, field_shape, background: HermitianFormField, regions, shift: float = 0.0
 ) -> tuple[RegionCertificate, ...]:
@@ -277,7 +258,7 @@ def _certify_glue_regions(
 
     ``regions`` holds ``(name, mask, index, margin)``; ``hessian_rows(lo, hi)``
     gives the Hessian planes on rows ``lo:hi`` of ``field_shape``
-    (:func:`_fd_slab_hessian`, :meth:`HermitianFormField.rows`), and each slab
+    (:func:`qposlab.calculus._fd_hessian_rows`, :meth:`HermitianFormField.rows`), and each slab
     adds the background planes before :func:`qposlab.positivity._certify_regions`
     takes its eigenvalues.  The slabs run on the pool, whose speed-up is
     measured beside :data:`qposlab.calculus._STENCIL_SLAB_POINTS`.
@@ -323,10 +304,11 @@ def zariski_fujita_pipeline(
         first ``eps`` whose smoothed glue certifies on every region that
         holds grid points (band excluded) wins.
 
-    Every stage certifies slab by slab (:func:`_certify_glue_regions`): the
-    finite-difference stencils, the softmax and the eigenvalues run on slabs
-    of rows, and only the accepted smoothed potential is stored whole.  The
-    spectral Hessian of declaration (b) is taken whole, before its slabs.
+    Every stage certifies a stored potential slab by slab
+    (:func:`_certify_glue_regions`): the finite-difference stencils and the
+    eigenvalues run on slabs of rows.  Each smoothed potential is computed
+    once, on the whole grid, and the accepted one is the result's ``psi``.
+    The spectral Hessian of declaration (b) is taken whole, before its slabs.
 
     Any failed stage raises :class:`PipelineFailure` naming the region and
     the worst grid point.  A returned report is a success end to end exactly
@@ -348,10 +330,10 @@ def zariski_fujita_pipeline(
         raise ModelError("region_u covers the whole grid; nothing to glue against")
 
     # declaration (a): singular branch beats the lower bound away from poles
-    phi_s = singular.finite_values()
+    phi_s = PotentialField(torus, singular.finite_values())
     (cert_a,) = _certify_glue_regions(
-        _fd_hessian_rows(torus, 4, lambda lo, hi, halo: _periodic_rows(phi_s, lo, hi, halo)),
-        phi_s.shape,
+        _fd_hessian_rows(phi_s, 4),
+        phi_s.values.shape,
         background,
         [("outside U_C (declaration)", ~u_c, 0, -tol)],
         shift=singular.lower_bound,
@@ -390,23 +372,13 @@ def zariski_fujita_pipeline(
     )
 
     shifted = phi_b.values - threshold
-    psi_shape = np.broadcast_shapes(shifted.shape, singular.values.shape)
-
-    def smoothed_rows(eps):
-        def block_of(lo, hi, halo):
-            u, halo_u = _periodic_rows(shifted, lo, hi, halo)
-            v, halo_v = _periodic_rows(singular.values, lo, hi, halo)
-            return _softmax(u, v, eps), max(halo_u, halo_v)
-
-        return _fd_hessian_rows(torus, 2, block_of)
-
     eps = _EPS_START
     ladder = []
     while eps >= eps_min * (1.0 - 1e-12):
-        certs = _certify_glue_regions(smoothed_rows(eps), psi_shape, background, region_defs)
+        psi_eps = PotentialField(torus, regularized_max(shifted, singular.values, eps))
+        certs = _certify_glue_regions(_fd_hessian_rows(psi_eps, 2), psi_eps.values.shape, background, region_defs)
         ladder.append((eps, certs))
         if all(c.passed or c.n_points == 0 for c in certs):
-            psi_eps = PotentialField(torus, regularized_max(shifted, singular.values, eps))
             return GlueReport(
                 result=replace(raw, psi=psi_eps, smoothing_eps=eps),
                 declarations={

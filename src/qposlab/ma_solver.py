@@ -416,38 +416,42 @@ def _pcg(op: _NewtonOperator, bhat: np.ndarray, rtol: float, max_cg: int = 400) 
     return _irfftn(x, op.shape), iterations
 
 
-def _evaluate(planes: tuple[np.ndarray, np.ndarray], fvals: np.ndarray):
+def _evaluate(planes: tuple[np.ndarray, np.ndarray], log_f: np.ndarray):
     """``planes``, determinant, compensated log residual, sup residual and constant ``c`` of a form.
 
     ``None`` when the form ``planes = (diag, upper)`` is not positive definite at every grid point.
+    ``log_f`` is the level's :attr:`_Level.log_f`, which broadcasts to the planes.
     """
     det = hermitian_det(*planes)
     if not np.all(smallmat.positive_definite(*planes, det)):
         return None
-    return _log_residual(planes, det, fvals)
+    return _log_residual(planes, det, log_f)
 
 
-def _log_residual(planes: tuple[np.ndarray, np.ndarray], det: np.ndarray, fvals: np.ndarray):
+def _log_residual(planes: tuple[np.ndarray, np.ndarray], det: np.ndarray, log_f: np.ndarray):
     """:func:`_evaluate` of a form known to be positive definite, whose determinant ``det`` is taken."""
-    rho = np.log(det) - np.log(fvals)
+    rho = np.log(det) - log_f
     c = float(np.sum(det * rho) / np.sum(det))
     rinf = float(np.max(np.abs(np.exp(rho - c) - 1.0)))
     return planes, det, rho - c, rinf, c
 
 
-def _state(problem: MAProblem, phi: np.ndarray, fvals: np.ndarray):
+def _state(problem: MAProblem, phi: np.ndarray, log_f: np.ndarray):
     """:func:`_evaluate` at the form ``H_0 + dd_bar(psi_0 + phi)`` of :meth:`MAProblem.form`."""
     form = problem.form(phi)
-    return _evaluate((form.diag, form.upper), fvals)
+    return _evaluate((form.diag, form.upper), log_f)
 
 
 @dataclass
 class _Level:
-    """A set-up grid of the ladder: its rescaled density ``f`` on its solve shape, and ``W``'s form and determinant ``w``."""
+    """A set-up grid of the ladder: its rescaled density ``f`` on its solve shape, ``log f`` on the
+    density's stored shape (taken once per grid; the residual's subtraction broadcasts it), and
+    ``W``'s form and determinant ``w``."""
 
     problem: MAProblem
     compat_factor: float
     f: np.ndarray
+    log_f: np.ndarray
     setup_s: float
     w: tuple[HermitianFormField, np.ndarray] | None
 
@@ -474,14 +478,14 @@ def _setup(problem: MAProblem) -> _Level:
     if not np.all(smallmat.positive_definite(wform.diag, wform.upper, wdet)):
         raise ModelError("background form is not positive definite at every grid point")
     shape = np.broadcast_shapes(wform.diag.shape[1:], f.shape)
-    return _Level(problem, compat_factor, np.broadcast_to(f, shape), time.perf_counter() - start, (wform, wdet))
+    return _Level(problem, compat_factor, np.broadcast_to(f, shape), np.log(f), time.perf_counter() - start, (wform, wdet))
 
 
-def _background_state(w: tuple[HermitianFormField, np.ndarray], fvals: np.ndarray):
-    """The state at ``phi = 0``, where ``dd_bar(0) = 0``: ``W``'s kept form and determinant ``w`` on ``fvals``'s shape."""
-    (wform, wdet), shape = w, fvals.shape
+def _background_state(w: tuple[HermitianFormField, np.ndarray], level: _Level):
+    """The state at ``phi = 0``, where ``dd_bar(0) = 0``: ``W``'s kept form and determinant ``w`` on ``level``'s solve shape."""
+    (wform, wdet), shape = w, level.f.shape
     planes = tuple(np.ascontiguousarray(np.broadcast_to(p, p.shape[:1] + shape)) for p in (wform.diag, wform.upper))
-    return _log_residual(planes, np.ascontiguousarray(np.broadcast_to(wdet, shape)), fvals)
+    return _log_residual(planes, np.ascontiguousarray(np.broadcast_to(wdet, shape)), level.log_f)
 
 
 def _coarsens(problem: MAProblem) -> bool:
@@ -532,16 +536,16 @@ def _newton(level: _Level, coarse_phi: np.ndarray | None, coarse: bool):
     mean-zero potential, its :class:`MALevel`, and the planes and constant ``c`` of its last state.
     """
     start = time.perf_counter()
-    problem, f = level.problem, level.f
-    torus, shape = problem.torus, f.shape
+    problem, log_f = level.problem, level.log_f
+    torus, shape = problem.torus, level.f.shape
     w, level.w = level.w, None  # W's form goes once the starting state is built
     state = None
     if coarse_phi is not None:
         phi = _resample(coarse_phi, shape)
-        state = _state(problem, phi, f)
+        state = _state(problem, phi, log_f)
     if state is None:
         phi = np.zeros(shape)
-        state = _state(problem, phi, f) if w is None else _background_state(w, f)
+        state = _state(problem, phi, log_f) if w is None else _background_state(w, level)
     del w
     planes, det, rho_c, rinf, c = state
     state = None
@@ -565,7 +569,7 @@ def _newton(level: _Level, coarse_phi: np.ndarray | None, coarse: bool):
         alpha, halved = 1.0, 0
         while True:
             trial = phi + alpha * delta
-            state = _state(problem, trial, f)
+            state = _state(problem, trial, log_f)
             if state is not None and state[3] <= rinf * (1 + 1e-12) + 1e-15:
                 break
             state = None  # a rejected trial is freed before the next one
@@ -596,8 +600,8 @@ def _poisson_step(level: _Level):
     w = np.broadcast_to(level.w[0].diag[0], f.shape)
     c = math.log(float(np.mean(w)) / float(np.mean(f)))
     phi = poisson_solve(problem.torus, np.exp(c) * f - w)
-    initial_residual = _background_state(level.w, f)[3]
-    state = _state(problem, phi, f)
+    initial_residual = _background_state(level.w, level)[3]
+    state = _state(problem, phi, level.log_f)
     rinf = None if state is None else state[3]
     if rinf is None or rinf > problem.tol:
         raise NonConvergence(

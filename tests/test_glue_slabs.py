@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from qposlab import HermitianFormField, NumericsError, PotentialField, TorusModel, calculus, smallmat
-from qposlab.calculus import _periodic_rows, complex_hessian, fd_complex_hessian
-from qposlab.gluing import (
-    RegionCertificate,
-    SingularPotential,
-    _certify_glue_regions,
-    _fd_hessian_rows,
-    zariski_fujita_pipeline,
-)
+from qposlab.calculus import _fd_hessian_rows, complex_hessian, fd_complex_hessian
+from qposlab.gluing import RegionCertificate, SingularPotential, _certify_glue_regions, zariski_fujita_pipeline
 
 
 def roll_first(v, axis, h, order):
@@ -110,7 +104,7 @@ def random_hermitian(rng, n, shape=()):
 
 
 def fd_source(torus, values, order):
-    return _fd_hessian_rows(torus, order, lambda lo, hi, halo: _periodic_rows(values, lo, hi, halo))
+    return _fd_hessian_rows(PotentialField(torus, values), order)
 
 
 # (n, grid, stored shape): axis 0 of 8 is cut unevenly by 3-row slabs, and

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qposlab import (
+    HermitianFormField,
     ModelError,
     PipelineFailure,
     PotentialField,
@@ -13,10 +14,12 @@ from qposlab import (
     TorusModel,
     dilate,
     glue_max,
+    gluing,
     regularized_max,
     select_threshold,
     zariski_fujita_pipeline,
 )
+from qposlab.calculus import fd_complex_hessian
 
 LOG2 = float(np.log(2.0))
 
@@ -177,10 +180,9 @@ class TestSingularPotential:
         with pytest.raises(ModelError):
             SingularPotential(t, vals, lower_bound=-0.1)
 
-    def test_finite_values_fill(self):
+    def test_finite_values_keep_the_values_off_the_poles(self):
         _, sing = worked_example()
-        filled = sing.finite_values(fill=7.0)
-        assert filled[32, 32] == 7.0
+        filled = sing.finite_values()
         assert np.all(np.isfinite(filled))
         off = ~sing.pole_mask
         assert np.array_equal(filled[off], sing.values[off])
@@ -239,7 +241,7 @@ class TestGlueMax:
         _, sing = worked_example()
         phi_b = PotentialField(sing.torus, np.zeros((1, 1)))
         with pytest.raises(ModelError):
-            glue_max(phi_b, 0.0, sing)
+            glue_max(phi_b, 0.0, sing, dilate(sing.pole_mask, 4))
 
 
 class TestPipeline:
@@ -302,6 +304,40 @@ class TestPipeline:
             assert [c.passed for c in certs] == [True, True, False]
         # the band is the ring around the single V_C cell, a 5 x 5 box less its centre
         assert report.switching_band_points == 24
+
+    def test_each_smoothed_potential_is_computed_once_and_kept(self, monkeypatch):
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        returned = []
+
+        def recording(u, v, eps):
+            returned.append(regularized_max(u, v, eps))
+            return returned[-1]
+
+        monkeypatch.setattr(gluing, "regularized_max", recording)
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.85)
+        assert len(returned) == len(report.smoothing) == 3
+        assert report.result.psi.values is returned[-1]
+
+    def test_the_certified_potentials_are_the_stored_ones(self, monkeypatch):
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        sources, rows = [], gluing._fd_hessian_rows
+
+        def recording(phi, order):
+            sources.append((phi, order))
+            return rows(phi, order)
+
+        monkeypatch.setattr(gluing, "_fd_hessian_rows", recording)
+        report = zariski_fujita_pipeline(np.eye(1), phi_b, sing, margin=0.85)
+        # declaration (a) at order 4, then one order-2 source per smoothing scale
+        assert [order for _, order in sources] == [4, 2, 2, 2]
+        assert np.array_equal(sources[0][0].values, sing.finite_values())
+        assert sources[-1][0] is report.result.psi
+        # the accepted certificate is what the whole-grid Hessian of the reported psi gives
+        hess = fd_complex_hessian(report.result.psi) + HermitianFormField.from_constant(t, np.eye(1))
+        u_c_minus_v_c = next(c for c in report.certificates if c.name == "U_C minus V_C")
+        assert hess.diag[0][u_c_minus_v_c.worst_point] == u_c_minus_v_c.min_margin
 
     # 2.0 lies above the ladder's first scale 1: no scale to try
     @pytest.mark.parametrize("eps_min", [2.0, float("nan"), float("inf"), 0.0, -2.0])

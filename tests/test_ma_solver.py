@@ -432,13 +432,13 @@ class TestSlabApply:
         assert seen and all(dtype == np.complex128 for dtype in seen)
 
 
-def w_planes_state(problem, phi, fvals):
+def w_planes_state(problem, phi, log_f):
     """The state as ``W + dd_bar(phi)`` with the whole form ``W = H_0 + dd_bar(psi_0)``: the solver's former formulation."""
     w = problem.form()
     hess = complex_hessian(PotentialField(problem.torus, phi))
     np.add(hess.diag, w.diag, out=hess.diag)
     np.add(hess.upper, w.upper, out=hess.upper)
-    return ma_solver._evaluate((hess.diag, hess.upper), fvals)
+    return ma_solver._evaluate((hess.diag, hess.upper), log_f)
 
 
 def bits(form):
