@@ -694,8 +694,9 @@ def _cmd_degeneracy(v):
     def _write_flagged(path):
         with Path(path).open("w") as fh:
             fh.write(",".join(f"re_z{j + 1},im_z{j + 1}" for j in range(pmap.n)) + "\n")
-            for row in flagged:
-                fh.write(",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) + "\n")
+            # each complex entry as its real and imaginary float64, in row order
+            for row in flagged.view(np.float64).tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
     artifacts = [("flagged_points.csv", _write_flagged)]
     code = EXIT_CERTIFIED if flagged.shape[0] == 0 else EXIT_NOT_CERTIFIED

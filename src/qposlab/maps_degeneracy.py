@@ -8,9 +8,15 @@ elementary symmetric functions of the pullback ``J^H J``,
 
 which equals the j-th elementary symmetric polynomial of the eigenvalues of
 ``J^H J`` (Cauchy-Binet); ``sigma_j`` vanishes exactly where ``rank J < j``.
-Minor determinants of size <= 4 are expanded in closed form: pivoting
-determinants introduce rounding on exact-integer inputs, cofactor expansion
-does not.
+Minor determinants of size <= 4 are expanded in closed form, by
+:mod:`qposlab.smallmat`'s cofactor expansion on views of the Jacobian
+entries: pivoting determinants introduce rounding on exact-integer inputs,
+cofactor expansion does not.
+
+The sampled scan keeps a bounded working set: it runs the points in slabs
+of about 65,536 on the slab pool of :mod:`qposlab.calculus`, whatever the
+CPU count, and each slab computes its own Jacobians and sigmas.  The fibre
+probe steps all its Gauss-Newton seeds as one batch.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
+from .calculus import _run_slabs, _slab_bounds
 from .errors import ModelError
 
 __all__ = [
@@ -168,12 +175,6 @@ def _add_monomials(z: np.ndarray, table: dict, out: np.ndarray) -> None:
         out += term
 
 
-def _submatrix(mats: np.ndarray, rows, cols) -> np.ndarray:
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    return mats[..., r[:, None], c[None, :]]
-
-
 def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
     """j-th elementary symmetric function of eig(J^H J) from squared minors.
 
@@ -185,13 +186,14 @@ def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
     mrows, ncols = jac.shape[-2:]
     if not 1 <= j <= ncols:
         raise ModelError(f"sigma index {j} outside 1..{ncols}")
-    # one batch axis even for a single Jacobian, so every point takes the
-    # same (array) arithmetic in smallmat.det
+    # one batch axis even for a single Jacobian, so every point takes the same
+    # array arithmetic; each minor is smallmat's cofactor expansion on entry
+    # views of the Jacobians, with no copy of the minor
     flat = jac.reshape((-1, mrows, ncols))
     acc = np.zeros(flat.shape[0], dtype=np.float64)
     for rows in itertools.combinations(range(mrows), j):
         for cols in itertools.combinations(range(ncols), j):
-            d = smallmat.det(_submatrix(flat, rows, cols))
+            d = smallmat._expand([[flat[:, r, c] for c in cols] for r in rows])
             acc = acc + (d * d.conj()).real
     return acc.reshape(jac.shape[:-2])
 
@@ -234,9 +236,11 @@ def sample_box(intervals, per_axis: int) -> np.ndarray:
     if per_axis < 2:
         raise ModelError(f"per_axis must be at least 2, got {per_axis}")
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in intervals]
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     n = len(intervals) // 2
-    pts = np.stack([grids[2 * j] + 1j * grids[2 * j + 1] for j in range(n)], axis=-1)
+    pts = np.empty((per_axis,) * (2 * n) + (n,), dtype=np.complex128)
+    for j in range(n):
+        np.add(grids[2 * j], 1j * grids[2 * j + 1], out=pts[..., j])
     return pts.reshape(-1, n)
 
 
@@ -245,7 +249,6 @@ class DegeneracyScan:
     """Sampled degeneracy-locus report for one map and one positivity level."""
 
     points: np.ndarray
-    sigmas: np.ndarray
     flagged: np.ndarray
     q: int
     rtol: float
@@ -261,18 +264,35 @@ def degeneracy_locus_scan(pmap: PolyMap, q: int, points, rtol: float = _SIGMA_RT
     scale-aware threshold ``rtol * (1 + sigma_1)^j``.  At flagged points the
     pullback ``J^H J`` has fewer than ``n - q`` positive eigenvalues, so the
     pulled-back positivity count q fails there.
+
+    The points run in consecutive slabs of about 65,536 points on the slab
+    pool (:func:`qposlab.calculus._run_slabs`); each slab takes its own
+    Jacobians, sigma_1 and the sigma_j the rank test reads, and writes only its
+    part of the mask, so no whole-grid Jacobian exists.  The slabs do not
+    depend on the CPU count.
     """
     if not 0 <= q < pmap.n:
         raise ModelError(f"q must be in 0..{pmap.n - 1}, got {q}")
     if not (rtol > 0 and np.isfinite(rtol)):
         raise ModelError(f"rtol must be a finite positive number, got {rtol}")
     pts = np.asarray(points, dtype=np.complex128)
-    jac = pmap.jacobian(pts)
-    sig = sigma_profile(jac)
-    thr = _sigma_thresholds(sig[..., 0], pmap.n, rtol)
-    below = sig <= thr
-    flagged = np.all(below[..., pmap.n - q - 1 :], axis=-1)
-    return DegeneracyScan(points=pts, sigmas=sig, flagged=flagged, q=q, rtol=rtol)
+    if pts.ndim == 0 or pts.shape[-1] != pmap.n:
+        raise ModelError(f"points must end in an axis of length n={pmap.n}, got {pts.shape}")
+    flat = pts.reshape((-1, pmap.n))
+    flagged = np.empty(flat.shape[0], dtype=bool)
+
+    def scan(bounds):
+        lo, hi = bounds
+        jac = pmap.jacobian(flat[lo:hi])
+        sigma1 = sigma_j_minors(jac, 1)
+        thr = _sigma_thresholds(sigma1, pmap.n, rtol)
+        out = flagged[lo:hi]
+        out[:] = True
+        for j in range(pmap.n - q, pmap.n + 1):
+            out &= (sigma1 if j == 1 else sigma_j_minors(jac, j)) <= thr[:, j - 1]
+
+    _run_slabs(scan, _slab_bounds(flat.shape[0], 1))
+    return DegeneracyScan(points=pts, flagged=flagged.reshape(pts.shape[:-1]), q=q, rtol=rtol)
 
 
 # Fibre probes: Gauss-Newton from _FIBRE_SEEDS seeds whose real and imaginary
@@ -294,27 +314,32 @@ def fibre_dimension_estimate(pmap: PolyMap, target) -> int:
     ``rank J`` there, and the fibre dimension is ``n - max rank`` (the rank at
     smooth fibre points).  Returns -1 when no seed lands on the fibre, the
     numerical signature of an empty fibre within the probed ball.
+
+    The seeds step together: each iteration evaluates the map, its Jacobians
+    and their pseudo-inverses once for the seeds still running, and a seed
+    stops on its own residual and step-size tests.
     """
     w = np.asarray(target, dtype=np.complex128)
     if w.shape != (pmap.m,):
         raise ModelError(f"target must have shape ({pmap.m},), got {w.shape}")
     rng = np.random.default_rng(_FIBRE_RNG_SEED)
-    seeds = _FIBRE_RADIUS * (
+    z = _FIBRE_RADIUS * (
         rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pmap.n)) + 1j * rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pmap.n))
     )
-    best_rank = None
-    for z in seeds:
-        for _ in range(_FIBRE_MAX_ITER):
-            r = pmap.evaluate(z) - w
-            if np.linalg.norm(r) < _FIBRE_TOL:
-                break
-            step = np.linalg.pinv(pmap.jacobian(z)) @ r
-            if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(z)):
-                break
-            z = z - step
-        if np.linalg.norm(pmap.evaluate(z) - w) < _FIBRE_ACCEPT:
-            rank = int(numeric_rank(pmap.jacobian(z)))
-            best_rank = rank if best_rank is None else max(best_rank, rank)
-    if best_rank is None:
+    live = np.arange(_FIBRE_SEEDS)
+    for _ in range(_FIBRE_MAX_ITER):
+        zl = z[live]
+        r = pmap.evaluate(zl) - w
+        # negated tests, so a seed whose norms are NaN keeps running
+        moving = ~(np.linalg.norm(r, axis=-1) < _FIBRE_TOL)
+        live, zl, r = live[moving], zl[moving], r[moving]
+        if live.size == 0:
+            break
+        step = (np.linalg.pinv(pmap.jacobian(zl)) @ r[:, :, None])[:, :, 0]
+        moving = ~(np.linalg.norm(step, axis=-1) < 1e-15 * (1.0 + np.linalg.norm(zl, axis=-1)))
+        live = live[moving]
+        z[live] = zl[moving] - step[moving]
+    landed = z[np.linalg.norm(pmap.evaluate(z) - w, axis=-1) < _FIBRE_ACCEPT]
+    if landed.shape[0] == 0:
         return -1
-    return pmap.n - best_rank
+    return pmap.n - int(np.max(numeric_rank(pmap.jacobian(landed))))

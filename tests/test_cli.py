@@ -22,6 +22,7 @@ from qposlab import calculus, ma_solver
 from qposlab.cli import main
 from qposlab.fields_io import write_field
 from qposlab.geometry import TorusModel
+from qposlab.maps_degeneracy import sample_box
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -534,6 +535,19 @@ class TestDegeneracy:
         for line in lines[1:]:
             re1, im1 = line.split(",")[:2]
             assert float(re1) == 0.0 and float(im1) == 0.0
+
+    def test_flagged_csv_rows_are_float_reprs(self, tmp_path, capsys):
+        # (z1, z1 z2) drops rank exactly on z1 = 0; the z2 box gives fractional parts
+        box = [[-1, 1], [-1, 1], [-0.7, 0.35], [0.1, 2.0 / 3.0]]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"map": MAP_F, "per_axis": 5, "box": box})
+        code, _, _ = run_cli(["degeneracy", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 1
+        pts = sample_box(box, 5)
+        rows = [",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in pts[pts[:, 0] == 0]]
+        assert len(rows) == 25
+        expect = "re_z1,im_z1,re_z2,im_z2\n" + "".join(row + "\n" for row in rows)
+        assert (out / "flagged_points.csv").read_text() == expect
 
     def test_q_one_tolerates_one_drop(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"map": MAP_F, "per_axis": 5})

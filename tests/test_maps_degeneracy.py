@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,18 @@ from hypothesis import strategies as st
 
 from qposlab import (
     ModelError,
+    calculus,
     degeneracy_locus_scan,
     fibre_dimension_estimate,
     sigma_j_minors,
 )
 from qposlab.maps_degeneracy import (
+    _FIBRE_ACCEPT,
+    _FIBRE_MAX_ITER,
+    _FIBRE_RADIUS,
+    _FIBRE_RNG_SEED,
+    _FIBRE_SEEDS,
+    _FIBRE_TOL,
     PolyMap,
     numeric_rank,
     sample_box,
@@ -30,6 +38,23 @@ MAP_TEXT = """
 
 def example_map():
     return PolyMap.from_text(MAP_TEXT, n=2, m=2)
+
+
+# F = (a z1, b z2^2 + c z1^2, d z1 z3 + e z2^2 + f z1 z2) with complex coefficients:
+# lower-triangular Jacobian with det 2 a b d z1 z2, so rank J < 3 exactly where
+# z1 = 0 or z2 = 0, and rank J = 1 at z1 = z2 = 0
+TRIANGULAR_ROWS = [
+    [0, 1, 0, 0, 1.2, -0.3],
+    [1, 0, 2, 0, 0.9, 0.4],
+    [1, 2, 0, 0, 0.25, 0.1],
+    [2, 1, 0, 1, -0.8, 1.1],
+    [2, 0, 2, 0, 0.3, -0.2],
+    [2, 1, 1, 0, 0.15, 0.35],
+]
+
+
+def triangular_map():
+    return PolyMap.from_rows([(str(i), row) for i, row in enumerate(TRIANGULAR_ROWS)], n=3, m=3)
 
 
 def esym(values, j):
@@ -178,6 +203,13 @@ class TestNumericRank:
 
 
 class TestSampleBox:
+    def test_bytes_match_full_meshgrids(self):
+        intervals = [(-1, 1), (-0.7, 0.35), (0.1, 2.0 / 3.0), (-3, -1), (-1, 1), (0.5, 0.5)]
+        axes = [np.linspace(lo, hi, 7) for lo, hi in intervals]
+        grids = np.meshgrid(*axes, indexing="ij")
+        expect = np.stack([grids[2 * j] + 1j * grids[2 * j + 1] for j in range(3)], axis=-1).reshape(-1, 3)
+        assert sample_box(intervals, 7).tobytes() == expect.tobytes()
+
     def test_shape_and_endpoints(self):
         pts = sample_box([(-1, 1)] * 4, per_axis=5)
         assert pts.shape == (625, 2)
@@ -226,7 +258,115 @@ class TestDegeneracyScan:
             degeneracy_locus_scan(pm, q=2, points=np.zeros((3, 2)))
 
 
+def whole_array_flags(pm, q, pts, rtol=1e-10):
+    """The scan's rank test on the whole array of points at once."""
+    sig = sigma_profile(pm.jacobian(pts))
+    thr = rtol * (1.0 + sig[:, :1]) ** np.arange(1, pm.n + 1, dtype=np.float64)
+    return np.all((sig <= thr)[:, pm.n - q - 1 :], axis=-1)
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch):
+    """Run the scan's slabs on a fresh pool of that many workers (serially for one)."""
+    monkeypatch.setattr(calculus, "fft_workers", lambda: request.param)
+    monkeypatch.setattr(calculus, "_pool", None)
+    yield request.param
+    if request.param == 1:
+        assert calculus._pool is None
+    elif calculus._pool is not None:
+        calculus._pool.shutdown()
+
+
+class TestSlabbedScan:
+    """The 9^6 sample box of C^3: 531,441 points, nine slabs."""
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        return sample_box([(-1, 1)] * 6, per_axis=9)
+
+    @pytest.fixture(scope="class")
+    def reference(self, box):
+        return {q: whole_array_flags(triangular_map(), q, box) for q in range(3)}
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_matches_whole_array_on_every_pool_size(self, box, reference, workers, q):
+        scan = degeneracy_locus_scan(triangular_map(), q=q, points=box)
+        assert scan.flagged.shape == (box.shape[0],)
+        assert np.array_equal(scan.flagged, reference[q])
+        assert (calculus._pool is not None) == (workers > 1)  # the slabs ran on the pool
+
+    def test_flags_the_known_locus(self, reference, box):
+        # rank < 3 on {z1 = 0} u {z2 = 0}, 6,561 points each and 81 on both; rank < 2 on both
+        assert int(np.count_nonzero(reference[0])) == 2 * 6561 - 81
+        assert np.array_equal(reference[0], (box[:, 0] == 0) | (box[:, 1] == 0))
+        assert np.array_equal(reference[1], (box[:, 0] == 0) & (box[:, 1] == 0))
+        assert not reference[2].any()
+
+    def test_peak_below_one_whole_grid_jacobian(self, box):
+        pm = triangular_map()
+        whole_jacobian = box.shape[0] * pm.m * pm.n * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            degeneracy_locus_scan(pm, q=0, points=box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < whole_jacobian
+
+    def test_batch_shape_kept(self):
+        pm = example_map()
+        pts = sample_box([(-1, 1)] * 4, per_axis=5).reshape(25, 25, 2)
+        scan = degeneracy_locus_scan(pm, q=0, points=pts)
+        assert scan.flagged.shape == (25, 25)
+        assert np.array_equal(scan.flagged, pts[..., 0] == 0)
+        single = degeneracy_locus_scan(pm, q=0, points=[0.0, 2.0])
+        assert single.flagged.shape == () and bool(single.flagged)
+
+    def test_point_length_checked(self):
+        with pytest.raises(ModelError, match="length n=3"):
+            degeneracy_locus_scan(triangular_map(), q=0, points=np.zeros((3, 2)))
+
+
+def per_seed_fibre_dimension(pm, target):
+    """Gauss-Newton from each seed in turn, one point at a time."""
+    w = np.asarray(target, dtype=np.complex128)
+    rng = np.random.default_rng(_FIBRE_RNG_SEED)
+    seeds = _FIBRE_RADIUS * (
+        rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pm.n)) + 1j * rng.uniform(-1.0, 1.0, (_FIBRE_SEEDS, pm.n))
+    )
+    ranks = []
+    for z in seeds:
+        for _ in range(_FIBRE_MAX_ITER):
+            r = pm.evaluate(z) - w
+            if np.linalg.norm(r) < _FIBRE_TOL:
+                break
+            step = np.linalg.pinv(pm.jacobian(z)) @ r
+            if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(z)):
+                break
+            z = z - step
+        if np.linalg.norm(pm.evaluate(z) - w) < _FIBRE_ACCEPT:
+            ranks.append(int(numeric_rank(pm.jacobian(z))))
+    return pm.n - max(ranks) if ranks else -1
+
+
 class TestFibreDimension:
+    @pytest.mark.parametrize(
+        "pm, target, dimension",
+        [
+            (example_map(), (0.0, 0.0), 1),
+            (example_map(), (2.0, 6.0), 0),
+            (example_map(), (0.0, 1.0), -1),  # z1 = 0 forces z1 z2 = 0
+            (PolyMap(n=1, m=2, components=({(1,): 1.0}, {(1,): 1.0})), (1.0, 2.0), -1),
+            # the fibre {0} x {0.6, -0.6} x C, of rank 2 along it
+            (triangular_map(), (0.0, 0.36 * (0.9 + 0.4j), 0.36 * (0.3 - 0.2j)), 1),
+            (triangular_map(), (0.5 + 0.2j, -0.3j, 0.4), 0),
+        ],
+    )
+    def test_batched_seeds_match_per_seed_loop(self, pm, target, dimension):
+        assert per_seed_fibre_dimension(pm, target) == dimension
+        assert fibre_dimension_estimate(pm, target) == dimension
+
     def test_positive_dimensional_fibre(self):
         pm = example_map()
         assert fibre_dimension_estimate(pm, (0.0, 0.0)) == 1
