@@ -55,7 +55,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .geometry import TorusModel
+from .geometry import _HERMITIAN_TOL, TorusModel
 from .smallmat import hermitian_det, hermitian_matrices, upper_pairs
 
 __all__ = [
@@ -148,7 +148,7 @@ class HermitianFormField:
         if not np.all(np.isfinite(v)):
             raise ModelError("form field entries must be finite")
         scale = max(1.0, float(np.max(np.abs(v))))
-        if np.max(np.abs(v - v.conj().swapaxes(-1, -2))) > 1e-12 * scale:
+        if np.max(np.abs(v - v.conj().swapaxes(-1, -2))) > _HERMITIAN_TOL * scale:
             raise ModelError("form field is not pointwise Hermitian within 1e-12")
         rows, cols = np.triu_indices(n, 1)
         object.__setattr__(self, "diag", np.ascontiguousarray(np.moveaxis(v.real[..., range(n), range(n)], -1, 0)))

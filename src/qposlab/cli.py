@@ -5,13 +5,13 @@ and prints a single JSON run report.  The report's ``verdict`` section is a
 pure function of the inputs (sorted keys, no timestamps, no timings), so two
 runs of the same config are byte-identical there; wall-clock data lives in
 the separate ``timings`` section, how the run got there (for a Monge-Ampere
-solve: the residual, CG iterations and line-search halvings of each Newton
-step; for a glue run: each smoothing scale tried with its region margins,
-and the size of the excluded switching band; for every run that transforms
-fields: ``fft_workers``, the threads an FFT pass and a stencil slab run
-on) in ``trace``, and an sha256 digest over the resolved
-inputs (with each referenced file's path replaced by the digest of its
-content) ties the verdict to what produced it, wherever the inputs sit.
+solve: per grid of its ladder, coarsest first, the residual, CG iterations
+and line-search halvings of each Newton step; for a glue run: each smoothing
+scale tried with its region margins, and the size of the excluded switching
+band; for every run that transforms fields: ``fft_workers``, the threads an
+FFT pass and a stencil slab run on) in ``trace``, and an sha256 digest over
+the resolved inputs (with each input file's path replaced by the digest of
+its content) ties the verdict to what produced it, wherever the inputs sit.
 
 Each subcommand has one key table: it gives every config key the command
 accepts a kind and a default (none when the key is required), and holds the
@@ -43,8 +43,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -72,7 +71,7 @@ from .surface_cones import (
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 _ENV_PREFIX = "QPOSLAB_"
 
 EXIT_CERTIFIED = 0
@@ -156,11 +155,15 @@ class _Text(_Kind):
         return raw if isinstance(raw, str) else None
 
 
+class _InputFile(str):
+    """The path of an input file, which the inputs digest replaces by the digest of its content."""
+
+
 class _File(_Kind):
     what = "the path of an existing file"
 
     def convert(self, raw):
-        return raw if isinstance(raw, str) and Path(raw).is_file() else None
+        return _InputFile(raw) if isinstance(raw, str) and Path(raw).is_file() else None
 
 
 class _Complex(_Kind):
@@ -336,45 +339,41 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _field(path: str, torus: TorusModel, files: list, finite: bool = False) -> np.ndarray:
-    """Values of the field stored at ``path``, which joins the digest's files (all finite, when ``finite``)."""
-    files.append(path)
+def _field(path: str, torus: TorusModel, finite: bool = False) -> np.ndarray:
+    """Values of the field stored at ``path`` (all finite, when ``finite``)."""
     values = read_field(path, torus)[1]
     if finite and not np.all(np.isfinite(values)):
         raise ConfigError([f"field file {path} holds non-finite values; a potential must be finite"])
     return values
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if obj is None or isinstance(obj, str):
-        return obj
+def _json_default(obj):
+    """What ``json`` cannot write itself: complex numbers as ``[re, im]``, numpy
+    scalars and arrays as Python values, and anything else (a ``Fraction``) as text."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return str(obj)
 
 
-def _inputs_digest(command: str, config: dict, values: dict, file_paths) -> str:
+def _input_files(value):
+    """Every ``_InputFile`` in a typed value, nested objects and lists included."""
+    if isinstance(value, _InputFile):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _input_files(item)
+
+
+def _inputs_digest(command: str, config: dict, values: dict) -> str:
     # The payload holds all four settings; one the command does not read
-    # enters at its default.  Each referenced file's path is replaced in the
+    # enters at its default.  Each input file's path is replaced in the
     # config by the sha256 of its content, and the config's ``out`` is left
     # out, so the digest depends neither on where the inputs sit nor on where
     # the outputs go.
     settings = {k: values.get(k, _SETTINGS[k].default) for k in ("grid", "q", "k_max", "tol")}
-    content = {str(fp): "sha256:" + hashlib.sha256(Path(fp).read_bytes()).hexdigest() for fp in file_paths}
+    content = {fp: "sha256:" + hashlib.sha256(Path(fp).read_bytes()).hexdigest() for fp in _input_files(values)}
 
     def by_content(obj):  # file paths sit in objects only, never in lists
         if isinstance(obj, dict):
@@ -383,10 +382,10 @@ def _inputs_digest(command: str, config: dict, values: dict, file_paths) -> str:
 
     payload = {
         "command": command,
-        "config": _jsonable(by_content({k: v for k, v in config.items() if k != "out"})),
-        "settings": _jsonable(settings),
+        "config": by_content({k: v for k, v in config.items() if k != "out"}),
+        "settings": settings,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_default).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -408,8 +407,8 @@ def _certificate_verdict(run) -> dict:
 
 
 def _newton_trace(ma) -> dict:
-    """The Monge-Ampere solve step by step, from an ``MASolveResult``: the steps on
-    the solve's own grid, and every level of its grid ladder, coarsest first."""
+    """The Monge-Ampere solve step by step, from an ``MASolveResult``: every level
+    of its grid ladder, coarsest first, the solve's own grid last."""
 
     def steps(level):
         record = zip(level.residual_history[1:], level.cg_iterations, level.line_search_halvings)
@@ -417,8 +416,6 @@ def _newton_trace(ma) -> dict:
 
     return {
         "newton": {
-            "initial_residual": ma.residual_history[0],
-            "steps": steps(ma.levels[-1]),
             "levels": [
                 {
                     "grid": level.grid,
@@ -456,7 +453,7 @@ def _cmd_intersect(v):
         "n": int(mats[0].shape[0]),
         "classes": len(mats),
     }
-    return EXIT_CERTIFIED, verdict, [], [], {}
+    return EXIT_CERTIFIED, verdict, [], {}
 
 
 _MA_SOLVE = {
@@ -469,11 +466,10 @@ _MA_SOLVE = {
 
 
 def _cmd_ma_solve(v):
-    files = []
     torus = TorusModel(n=int(v["background"].shape[0]), grid_size=v["grid"])
     density = v["density_constant"]
     if density is None:
-        density = _field(v["density_file"], torus, files)
+        density = _field(v["density_file"], torus)
     problem = MAProblem(
         torus=torus,
         background=ConstantHermitianClass(v["background"]),
@@ -496,7 +492,7 @@ def _cmd_ma_solve(v):
     ]
     if np.squeeze(result.phi.values).ndim <= 2:
         artifacts.append(("phi_heatmap.csv", lambda p: write_heatmap_csv(p, result.phi.values)))
-    return EXIT_CERTIFIED, verdict, artifacts, files, _spectral_trace(_newton_trace(result))
+    return EXIT_CERTIFIED, verdict, artifacts, _spectral_trace(_newton_trace(result))
 
 
 _CERTIFICATE = {
@@ -522,9 +518,9 @@ def _certificate_torus(v) -> TorusModel:
     return TorusModel(n=int(line.shape[0]), grid_size=v["grid"])
 
 
-def _psi0(spec: dict, torus: TorusModel, files: list) -> PotentialField:
+def _psi0(spec: dict, torus: TorusModel) -> PotentialField:
     if spec["type"] == "file":
-        return PotentialField(torus, _field(spec["path"], torus, files, finite=True))
+        return PotentialField(torus, _field(spec["path"], torus, finite=True))
     if spec["axis"] >= torus.ndim_real:
         raise ConfigError([f"psi0.axis must be below {torus.ndim_real}, got {spec['axis']}"])
     coord = torus.real_coordinates()[spec["axis"]]
@@ -532,9 +528,8 @@ def _psi0(spec: dict, torus: TorusModel, files: list) -> PotentialField:
 
 
 def _cmd_certify(v):
-    files = []
     torus = _certificate_torus(v)
-    psi0 = None if v["psi0"] is None else _psi0(v["psi0"], torus, files)
+    psi0 = None if v["psi0"] is None else _psi0(v["psi0"], torus)
     run = one_positive_pipeline(
         ConstantHermitianClass(v["line_class"]),
         KahlerClass(v["kahler"]),
@@ -552,7 +547,7 @@ def _cmd_certify(v):
     if sum(size > 1 for size in run.ma_result.form.diag.shape[1:]) <= 2:
         artifacts.append(("margin_heatmap.csv", lambda p: write_heatmap_csv(p, run.margin_field)))
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files, _spectral_trace(_newton_trace(run.ma_result))
+    return code, verdict, artifacts, _spectral_trace(_newton_trace(run.ma_result))
 
 
 def _cmd_pseff(v):
@@ -566,7 +561,7 @@ def _cmd_pseff(v):
         margin=v["margin"],
     )
     code = EXIT_CERTIFIED if run.certificate.passed else EXIT_NOT_CERTIFIED
-    return code, _certificate_verdict(run), [], [], _spectral_trace(_newton_trace(run.ma_result))
+    return code, _certificate_verdict(run), [], _spectral_trace(_newton_trace(run.ma_result))
 
 
 _LATTICE = _Object(
@@ -633,7 +628,7 @@ def _cmd_ag_surface(v):
         verdict["analytic"] = _certificate_verdict(report.analytic_run)
         trace = _spectral_trace({"analytic": _newton_trace(report.analytic_run.ma_result)})
     code = EXIT_CERTIFIED if report.one_ample else EXIT_NOT_CERTIFIED
-    return code, verdict, [], [], trace
+    return code, verdict, [], trace
 
 
 _MAP = _Object(
@@ -656,19 +651,17 @@ _DEGENERACY = {
 }
 
 
-def _polymap(spec: dict, files: list) -> PolyMap:
+def _polymap(spec: dict) -> PolyMap:
     n, m = spec["n"], spec["m"]
     if spec["monomials"] is not None:
         return PolyMap.from_rows(((f"map.monomials[{i}]", row) for i, row in enumerate(spec["monomials"])), n, m)
     if spec["file"] is not None:
-        files.append(spec["file"])
         return PolyMap.from_text(Path(spec["file"]).read_text(), n=n, m=m)
     return PolyMap.from_text(spec["text"], n=n, m=m)
 
 
 def _cmd_degeneracy(v):
-    files = []
-    pmap = _polymap(v["map"], files)
+    pmap = _polymap(v["map"])
     intervals = v["box"] or [(-1.0, 1.0)] * (2 * pmap.n)
     targets = v["fibre_targets"] or []
     if len(intervals) != 2 * pmap.n:
@@ -700,7 +693,7 @@ def _cmd_degeneracy(v):
 
     artifacts = [("flagged_points.csv", _write_flagged)]
     code = EXIT_CERTIFIED if flagged.shape[0] == 0 else EXIT_NOT_CERTIFIED
-    return code, verdict, artifacts, files, {}
+    return code, verdict, artifacts, {}
 
 
 _LOWER_BOUND = _Key(_NONNEGATIVE, 0.0)
@@ -720,9 +713,9 @@ _GLUE = {
 }
 
 
-def _singular(spec: dict, torus: TorusModel, files: list) -> SingularPotential:
+def _singular(spec: dict, torus: TorusModel) -> SingularPotential:
     if spec["type"] == "file":
-        return SingularPotential(torus, _field(spec["path"], torus, files), lower_bound=spec["lower_bound"])
+        return SingularPotential(torus, _field(spec["path"], torus), lower_bound=spec["lower_bound"])
     center = spec["center"] or [0.5] * torus.ndim_real
     if len(center) != torus.ndim_real:
         raise ConfigError([f"singular.center must hold {torus.ndim_real} numbers, got {len(center)}"])
@@ -735,13 +728,12 @@ def _singular(spec: dict, torus: TorusModel, files: list) -> SingularPotential:
 
 
 def _cmd_glue(v):
-    files = []
     torus = TorusModel(n=int(v["background"].shape[0]), grid_size=v["grid"])
-    singular = _singular(v["singular"], torus, files)
+    singular = _singular(v["singular"], torus)
     if v["buffer_file"] is None:
         phi_b = PotentialField.zero(torus)
     else:
-        phi_b = PotentialField(torus, _field(v["buffer_file"], torus, files, finite=True))
+        phi_b = PotentialField(torus, _field(v["buffer_file"], torus, finite=True))
     report = zariski_fujita_pipeline(
         ConstantHermitianClass(v["background"]),
         phi_b,
@@ -757,16 +749,7 @@ def _cmd_glue(v):
         "threshold": report.result.threshold,
         "smoothing_eps": report.result.smoothing_eps,
         "declarations": dict(report.declarations),
-        "regions": [
-            {
-                "name": c.name,
-                "n_points": c.n_points,
-                "min_margin": c.min_margin,
-                "passed": c.passed,
-                "worst_point": list(c.worst_point) if c.worst_point is not None else None,
-            }
-            for c in report.certificates
-        ],
+        "regions": [asdict(c) for c in report.certificates],
     }
     psi = report.result.psi
     artifacts = [("psi.qpf", lambda p: write_field(p, torus, psi.values))]
@@ -780,7 +763,7 @@ def _cmd_glue(v):
         ],
         "switching_band_points": report.switching_band_points,
     }
-    return code, verdict, artifacts, files, _spectral_trace(trace)
+    return code, verdict, artifacts, _spectral_trace(trace)
 
 
 # name: (help, key table, handler)
@@ -830,8 +813,8 @@ def main(argv=None) -> int:
         _override_settings(table, args, values, problems)
         if problems:
             raise ConfigError(problems)
-        code, verdict, artifacts, files, trace = handler(values)
-        digest = _inputs_digest(args.command, config, values, files)
+        code, verdict, artifacts, trace = handler(values)
+        digest = _inputs_digest(args.command, config, values)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MODEL
@@ -855,16 +838,17 @@ def main(argv=None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "inputs_digest": digest,
-        "verdict": _jsonable(verdict),
+        "verdict": verdict,
         "timings": {
             "total_s": round(time.perf_counter() - t_start, 6),
         },
-        "trace": _jsonable(trace),
+        "trace": trace,
         "artifacts": written,
     }
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if values["out"] is not None:
-        (Path(values["out"]) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+        (Path(values["out"]) / "report.json").write_text(text + "\n")
+    print(text)
     return code
 
 

@@ -160,7 +160,11 @@ def regularized_max(u: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """
     if eps <= 0:
         raise ModelError(f"smoothing scale must be positive, got {eps}")
-    return eps * np.logaddexp(np.asarray(u) / eps, np.asarray(v) / eps)
+    u, v = np.asarray(u), np.asarray(v)
+    # u/eps, the logaddexp and the product share one plane of the broadcast shape
+    out = np.divide(u, eps, out=np.empty(np.broadcast_shapes(u.shape, v.shape)))
+    np.logaddexp(out, v / eps, out=out)
+    return np.multiply(out, eps, out=out)
 
 
 def select_threshold(phi_b: PotentialField, singular: SingularPotential, region_u: np.ndarray) -> float:

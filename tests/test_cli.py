@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qposlab import calculus, ma_solver
+from qposlab import calculus, cli, ma_solver
 from qposlab.cli import main
 from qposlab.fields_io import write_field
 from qposlab.geometry import TorusModel
@@ -39,6 +39,32 @@ GLUE_CONFIG = {
         "weight": 0.05,
         "lower_bound": 0.5,
     },
+}
+
+
+def _pole_values(grid):
+    """GLUE_CONFIG's log-trig pole on the n = 1 grid, -inf at the centre."""
+    x = np.arange(grid) / grid
+    with np.errstate(divide="ignore"):
+        return 0.025 * np.log(np.sin(np.pi * (x[:, None] - 0.5)) ** 2 + np.sin(np.pi * (x[None, :] - 0.5)) ** 2)
+
+
+# Every config key that names an input file, as (command, dotted key): a config
+# that lacks only that key, the file's name, and its text or grid values.
+FILE_KEYS = {
+    ("ma-solve", "density_file"): ({"background": [[1]], "grid": 8}, "density.qpf", np.full((8, 8), 2.0)),
+    ("certify", "psi0.path"): (
+        {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "grid": 8, "psi0": {"type": "file"}},
+        "psi0.qpf",
+        0.02 * np.cos(2 * np.pi * np.arange(8) / 8).reshape(8, 1, 1, 1),
+    ),
+    ("degeneracy", "map.file"): ({"map": {"n": 2, "m": 2}, "per_axis": 3}, "map.txt", "0 1 0 1 0\n1 1 1 1 0\n"),
+    ("glue", "buffer_file"): (GLUE_CONFIG, "buffer.qpf", np.zeros((64, 64))),
+    ("glue", "singular.path"): (
+        {"background": [[1]], "singular": {"type": "file", "lower_bound": 0.5}},
+        "pole.qpf",
+        _pole_values(64),
+    ),
 }
 
 
@@ -69,7 +95,7 @@ class TestIntersect:
         assert code == 0
         assert err == ""
         assert report["command"] == "intersect"
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["trace"] == {}
         assert report["verdict"] == {"intersection_number": 4.0, "n": 2, "classes": 2}
 
@@ -120,9 +146,10 @@ class TestMASolve:
         assert code == 0
         assert report["verdict"]["iterations"] == 1
         assert report["verdict"]["residual"] == 0.0
-        assert report["trace"]["newton"]["steps"] == [
-            {"residual": 0.0, "cg_iterations": 0, "line_search_halvings": 0}
-        ]
+        assert list(report["trace"]["newton"]) == ["levels"]
+        (level,) = report["trace"]["newton"]["levels"]
+        assert (level["grid"], level["ended"]) == (16, "converged")
+        assert level["steps"] == [{"residual": 0.0, "cg_iterations": 0, "line_search_halvings": 0}]
         names = {os.path.basename(p) for p in report["artifacts"]}
         assert names == {"phi.qpf", "phi_heatmap.csv"}
         for p in report["artifacts"]:
@@ -245,15 +272,16 @@ class TestCertify:
         code, report, _ = run_cli(["certify", "--config", cfg], capsys)
         assert code == 0
         newton = report["trace"]["newton"]
-        steps = newton["steps"]
+        assert list(newton) == ["levels"] and [level["grid"] for level in newton["levels"]] == [8]
+        (level,) = newton["levels"]
+        steps = level["steps"]
         assert len(steps) == report["verdict"]["ma_iterations"] >= 1
-        assert newton["initial_residual"] > steps[0]["residual"]
+        assert level["initial_residual"] > steps[0]["residual"]
         assert steps[-1]["residual"] == report["verdict"]["ma_residual"]
         for step in steps:
             assert set(step) == {"residual", "cg_iterations", "line_search_halvings"}
             assert step["cg_iterations"] >= 1 and step["line_search_halvings"] >= 0
-        assert [level["grid"] for level in newton["levels"]] == [8]
-        assert newton["levels"][0]["steps"] == steps and newton["levels"][0]["ended"] == "converged"
+        assert level["ended"] == "converged"
 
     def test_trace_records_each_grid_level(self, tmp_path, capsys):
         cfg = self.worked_config(
@@ -262,13 +290,14 @@ class TestCertify:
         code, report, _ = run_cli(["certify", "--config", cfg], capsys)
         assert code == 0
         newton = report["trace"]["newton"]
+        assert list(newton) == ["levels"]
         levels = newton["levels"]
         assert [level["grid"] for level in levels] == [8, 16]
         for level in levels:
             assert set(level) == {"grid", "initial_residual", "steps", "ended", "wall_s"}
             assert level["wall_s"] >= 0 and level["ended"] in ("converged", "stalled")
-        assert levels[-1]["steps"] == newton["steps"] and len(newton["steps"]) == report["verdict"]["ma_iterations"]
-        assert levels[-1]["initial_residual"] == newton["initial_residual"]
+        assert len(levels[-1]["steps"]) == report["verdict"]["ma_iterations"]
+        assert levels[-1]["initial_residual"] > 0.0
         assert levels[-1]["ended"] == "converged" and report["verdict"]["ma_residual"] <= 1e-12
 
     def test_coarse_levels_stop_at_the_rounding_floor(self, capsys):
@@ -821,17 +850,62 @@ class TestSettingsAndReport:
         _, changed, _ = run_cli(["ma-solve", "--config", cfg], capsys)
         assert base["inputs_digest"] != changed["inputs_digest"]
 
-    def test_digest_tracks_referenced_file_content(self, tmp_path, capsys):
-        map_path = tmp_path / "map.txt"
-        map_path.write_text("0 1 0 1 0\n1 1 1 1 0\n")
-        cfg = write_config(
-            tmp_path,
-            {"map": {"n": 2, "m": 2, "file": str(map_path)}, "per_axis": 3},
-        )
-        _, base, _ = run_cli(["degeneracy", "--config", cfg], capsys)
-        map_path.write_text("0 1 0 1 0\n1 1 1 1 0\n1 0 0 2 0\n")
-        _, changed, _ = run_cli(["degeneracy", "--config", cfg], capsys)
-        assert base["inputs_digest"] != changed["inputs_digest"]
+    @pytest.mark.parametrize("command, key", sorted(FILE_KEYS))
+    def test_digest_tracks_referenced_file_content(self, tmp_path, capsys, command, key):
+        base, name, content = FILE_KEYS[(command, key)]
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            write_field(path, TorusModel(n=content.ndim // 2, grid_size=content.shape[0]), content)
+        data = copy.deepcopy(base)
+        *parents, leaf = key.split(".")
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = str(path)
+        cfg = write_config(tmp_path, data)
+        code, first, err = run_cli([command, "--config", cfg], capsys)
+        assert code in (0, 1), err
+        # one byte: a digit of the map text's last coefficient, or the low
+        # mantissa byte of the last number of a field file
+        raw = bytearray(path.read_bytes())
+        raw[-2 if isinstance(content, str) else -8] ^= 1
+        path.write_bytes(bytes(raw))
+        code, second, err = run_cli([command, "--config", cfg], capsys)
+        assert code in (0, 1), err
+        assert first["inputs_digest"] != second["inputs_digest"]
+
+    def test_every_file_key_has_a_digest_test(self):
+        def file_keys(kind, where):
+            if isinstance(kind, cli._File):
+                yield where
+            elif isinstance(kind, cli._Object):
+                for table in kind.tables.values():
+                    for key, spec in table.items():
+                        yield from file_keys(spec.kind, f"{where}.{key}")
+            elif isinstance(kind, cli._List) and kind.item is not None:
+                yield from file_keys(kind.item, f"{where}[]")
+
+        found = {
+            (command, key)
+            for command, (_, table, _) in cli._COMMANDS.items()
+            for name, spec in table.items()
+            for key in file_keys(spec.kind, name)
+        }
+        assert found == set(FILE_KEYS)
+
+    def test_report_writes_numpy_complex_and_fraction_values(self, tmp_path, capsys, monkeypatch):
+        help_text, table, _ = cli._COMMANDS["intersect"]
+        monkeypatch.setitem(cli._COMMANDS, "intersect", (help_text, table, lambda v: (0, MIXED, [], MIXED)))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"classes": [IDENTITY_2]})
+        assert main(["intersect", "--config", cfg, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text == (out / "report.json").read_text()
+        nested = MIXED_TEXT.replace("\n", "\n  ")
+        assert f'\n  "trace": {nested},\n' in text
+        assert text.endswith(f'\n  "verdict": {nested}\n}}\n')
 
     def test_digest_does_not_depend_on_where_the_inputs_sit(self, tmp_path, capsys):
         torus = TorusModel(n=2, grid_size=8)
@@ -865,6 +939,67 @@ class TestSettingsAndReport:
             main(["--version"])
         assert exc_info.value.code == 0
         assert "qposlab" in capsys.readouterr().out
+
+
+MIXED = {
+    "bool": np.bool_(True),
+    "int": np.int64(-7),
+    "float": np.float64(0.1),
+    "inf": np.float64("inf"),
+    "nan": np.float64("nan"),
+    "complex": complex(1.5, -2.0),
+    "np_complex": np.complex128(0.25 + 1e-17j),
+    "real_array": np.array([[1.0, 2.5], [-0.0, 3.0]]),
+    "complex_array": np.array([1 + 2j, -0.5j]),
+    "fraction": Fraction(-10, 9),
+    "tuple": (np.int64(3), 4, (np.float64(0.5), None)),
+}
+# MIXED as the report wrote it when every value was first converted to plain
+# Python, frozen: numpy scalars as Python numbers, complex numbers as [re, im].
+MIXED_TEXT = """{
+  "bool": true,
+  "complex": [
+    1.5,
+    -2.0
+  ],
+  "complex_array": [
+    [
+      1.0,
+      2.0
+    ],
+    [
+      -0.0,
+      -0.5
+    ]
+  ],
+  "float": 0.1,
+  "fraction": "-10/9",
+  "inf": Infinity,
+  "int": -7,
+  "nan": NaN,
+  "np_complex": [
+    0.25,
+    1e-17
+  ],
+  "real_array": [
+    [
+      1.0,
+      2.5
+    ],
+    [
+      -0.0,
+      3.0
+    ]
+  ],
+  "tuple": [
+    3,
+    4,
+    [
+      0.5,
+      null
+    ]
+  ]
+}"""
 
 
 SHIPPED = {
