@@ -38,10 +38,8 @@ from .positivity import (
     RegionCertificate,
     eigenvalues_relative,
     one_positive_pipeline,
-    pseff_pipeline,
 )
 from .surface_cones import (
-    AnalyticSurfaceModel,
     DivisorClass,
     SurfaceLattice,
     abelian_diag_lattice,
@@ -62,7 +60,6 @@ from .gluing import (
     GlueReport,
     SingularPotential,
     dilate,
-    glue_max,
     regularized_max,
     select_threshold,
     zariski_fujita_pipeline,

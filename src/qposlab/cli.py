@@ -57,13 +57,13 @@ from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, intersect
 from .gluing import SingularPotential, zariski_fujita_pipeline
 from .ma_solver import MAProblem, solve_ma
 from .maps_degeneracy import PolyMap, degeneracy_locus_scan, fibre_dimension_estimate, sample_box
-from .positivity import one_positive_pipeline, pseff_pipeline
+from .positivity import one_positive_pipeline
 from .surface_cones import (
-    AnalyticSurfaceModel,
     DivisorClass,
     SurfaceLattice,
     _frac,
     abelian_diag_lattice,
+    check_analytic_pairing,
     converse_ag_surface,
     hirzebruch_f1_lattice,
     p1xp1_lattice,
@@ -551,10 +551,21 @@ def _cmd_certify(v):
 
 
 def _cmd_pseff(v):
-    run = pseff_pipeline(
-        v["line_class"],
-        v["kahler"],
-        torus=_certificate_torus(v),
+    torus = _certificate_torus(v)
+    line = ConstantHermitianClass(v["line_class"])
+    # Desk-scale pseudoeffectivity for a constant class: its matrix is positive semidefinite and non-zero.
+    scale = float(np.max(np.abs(line.matrix)))
+    if scale == 0.0:
+        raise ModelError("the zero class is trivially semipositive; nothing to certify")
+    smallest = np.linalg.eigvalsh(line.matrix)[0]
+    if smallest < -1e-12 * scale:
+        raise ModelError(f"class is indefinite (smallest eigenvalue {smallest:.3e}); pseudoeffective model requires PSD")
+    # Such a class pairs positively with every Kahler class, the hypothesis of one_positive_pipeline.
+    run = one_positive_pipeline(
+        line,
+        KahlerClass(v["kahler"]),
+        psi0=None,
+        torus=torus,
         k_max=v["k_max"],
         tol=v["tol"],
         max_iter=v["max_iter"],
@@ -597,17 +608,21 @@ def _lattice(spec: dict) -> SurfaceLattice:
 
 
 def _cmd_ag_surface(v):
-    analytic = None
-    if v["analytic"] is not None:
-        spec = v["analytic"]
-        analytic = AnalyticSurfaceModel(
-            line_class=ConstantHermitianClass(spec["line_class"]),
-            kahler=KahlerClass(spec["kahler"]),
-            omega_lattice_class=DivisorClass(spec["omega_class"]),
-            torus=TorusModel(n=int(spec["line_class"].shape[0]), grid_size=v["grid"]),
-            k_max=v["k_max"],
-        )
-    report = converse_ag_surface(DivisorClass(v["divisor"]), _lattice(v["lattice"]), analytic_model=analytic)
+    spec = v["analytic"]
+    # The analytic model is built before the cone decision: a bad one exits 3 whatever the divisor.
+    if spec is not None:
+        line = ConstantHermitianClass(spec["line_class"])
+        kahler = KahlerClass(spec["kahler"])
+        omega = DivisorClass(spec["omega_class"])
+        torus = TorusModel(n=int(spec["line_class"].shape[0]), grid_size=v["grid"])
+    divisor = DivisorClass(v["divisor"])
+    lattice = _lattice(v["lattice"])
+    report = converse_ag_surface(divisor, lattice)
+    run = None
+    if spec is not None:
+        check_analytic_pairing(divisor, lattice, omega, line, kahler)
+        if report.one_ample:
+            run = one_positive_pipeline(line, kahler, torus=torus, k_max=v["k_max"])
     witness = None
     if report.witness is not None:
         witness = {
@@ -624,9 +639,9 @@ def _cmd_ag_surface(v):
         "notes": list(report.notes),
     }
     trace = {}
-    if report.analytic_run is not None:
-        verdict["analytic"] = _certificate_verdict(report.analytic_run)
-        trace = _spectral_trace({"analytic": _newton_trace(report.analytic_run.ma_result)})
+    if run is not None:
+        verdict["analytic"] = _certificate_verdict(run)
+        trace = _spectral_trace({"analytic": _newton_trace(run.ma_result)})
     code = EXIT_CERTIFIED if report.one_ample else EXIT_NOT_CERTIFIED
     return code, verdict, [], trace
 

@@ -1,10 +1,12 @@
 """Gluing a singular potential to a smooth buffer with certified positivity.
 
-The glue is the pointwise maximum ``psi = max(phi_b - C, phi_s)`` of a smooth
+The glue smooths the pointwise maximum ``max(phi_b - C, phi_s)`` of a smooth
 buffer potential shifted down by a dyadic threshold ``C`` and a potential
 ``phi_s`` with logarithmic poles.  ``C`` is selected so the singular branch
 wins outside a declared neighbourhood ``U_C`` of the poles, which caps the
-singularity while leaving ``phi_s`` untouched far away.
+singularity while leaving ``phi_s`` untouched far away.  The maximum itself
+is never stored: the regions need only where the buffer branch wins,
+``V_C = {phi_b - C > phi_s}``.
 
 Certification splits the torus into three regions: outside ``U_C`` the
 singular branch must dominate a declared Kahler lower bound (full
@@ -42,7 +44,7 @@ separable per-axis sweep, periodic across the torus seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +67,6 @@ __all__ = [
     "regularized_max",
     "select_threshold",
     "GlueResult",
-    "glue_max",
     "RegionCertificate",
     "GlueReport",
     "zariski_fujita_pipeline",
@@ -195,43 +196,13 @@ def select_threshold(phi_b: PotentialField, singular: SingularPotential, region_
 
 @dataclass(frozen=True)
 class GlueResult:
-    """Glued potential with the masks that justified it."""
+    """The accepted smoothed glue at scale ``smoothing_eps``, with the threshold and the masks that justified it."""
 
     psi: PotentialField
     threshold: float
     region_u: np.ndarray
     region_v: np.ndarray
-    smoothing_eps: float | None = None
-
-
-def glue_max(
-    phi_b: PotentialField,
-    threshold: float,
-    singular: SingularPotential,
-    region_u: np.ndarray,
-) -> GlueResult:
-    """Pointwise maximum glue ``max(phi_b - C, phi_s)``.
-
-    ``region_v`` records where the buffer branch is strictly active; the pole
-    cells always belong to it, so the result is finite everywhere.
-    """
-    if phi_b.torus != singular.torus:
-        raise ModelError("buffer and singular potential live on different torus models")
-    if threshold <= 0:
-        raise ModelError(f"threshold must be positive, got {threshold}")
-    shifted = phi_b.values - threshold
-    psi_vals = np.maximum(shifted, singular.values)
-    region_v = shifted > singular.values
-    region_u = np.asarray(region_u, dtype=bool)
-    v_bc, u_bc = np.broadcast_arrays(region_v, region_u)
-    if np.any(v_bc & ~u_bc):
-        raise ModelError("buffer branch active outside region_u; threshold too small for this region")
-    return GlueResult(
-        psi=PotentialField(singular.torus, psi_vals),
-        threshold=float(threshold),
-        region_u=region_u,
-        region_v=region_v,
-    )
+    smoothing_eps: float
 
 
 @dataclass(frozen=True)
@@ -303,7 +274,8 @@ def zariski_fujita_pipeline(
         stencils stay clear of the poles because their reach is two cells.
     2.  Declaration (b): the buffer metric ``H + Hess(phi_b)`` keeps
         ``n - q`` positive eigenvalues on a one-cell enlargement of ``U_C``.
-    3.  Threshold selection and the raw maximum glue.
+    3.  Threshold selection, and the buffer-active region ``V_C`` where
+        ``phi_b - C > phi_s``.
     4.  Dyadic smoothing sweep from 1 down to ``eps_min``: the
         first ``eps`` whose smoothed glue certifies on every region that
         holds grid points (band excluded) wins.
@@ -366,8 +338,11 @@ def zariski_fujita_pipeline(
         )
 
     threshold = select_threshold(phi_b, singular, u_c)
-    raw = glue_max(phi_b, threshold, singular, u_c)
-    u_c_b, v_b = np.broadcast_arrays(u_c, raw.region_v)
+    # select_threshold puts the gap phi_b - phi_s below C outside U_C, so the
+    # buffer branch wins (region_v) inside U_C only.
+    shifted = phi_b.values - threshold
+    region_v = shifted > singular.values
+    u_c_b, v_b = np.broadcast_arrays(u_c, region_v)
     band = dilate(v_b, 1) & dilate(~v_b, 1)
     region_defs = (
         ("outside U_C", ~u_c_b & ~band, 0, margin),
@@ -375,7 +350,6 @@ def zariski_fujita_pipeline(
         ("U_C minus V_C", u_c_b & ~v_b & ~band, q, margin),
     )
 
-    shifted = phi_b.values - threshold
     eps = _EPS_START
     ladder = []
     while eps >= eps_min * (1.0 - 1e-12):
@@ -384,7 +358,7 @@ def zariski_fujita_pipeline(
         ladder.append((eps, certs))
         if all(c.passed or c.n_points == 0 for c in certs):
             return GlueReport(
-                result=replace(raw, psi=psi_eps, smoothing_eps=eps),
+                result=GlueResult(psi_eps, threshold, region_u=u_c, region_v=region_v, smoothing_eps=eps),
                 declarations={
                     "outside_margin": cert_a.min_margin,
                     "buffer_margin": cert_b.min_margin,

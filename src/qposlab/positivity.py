@@ -57,7 +57,6 @@ __all__ = [
     "eigenvalues_relative",
     "OnePositiveRun",
     "one_positive_pipeline",
-    "pseff_pipeline",
 ]
 
 
@@ -299,41 +298,4 @@ def one_positive_pipeline(
         ma_result=ma,
         product_error=product_error,
         pairing=pairing,
-    )
-
-
-def pseff_pipeline(
-    line_class,
-    kahler,
-    torus: TorusModel,
-    k_max: int = 64,
-    tol: float = 1e-9,
-    max_iter: int = 50,
-    margin: float = 1e-8,
-) -> OnePositiveRun:
-    """(n-1)-positivity for a non-trivial pseudoeffective constant class.
-
-    Desk-scale reading of pseudoeffectivity for constant classes: the matrix
-    is positive semidefinite and non-zero.  Such a class pairs positively
-    with any Kahler class (trace-type positivity of the mixed pairing), which
-    is exactly the hypothesis of :func:`one_positive_pipeline`; the rest of
-    the run is delegated with a trivial background potential.
-    """
-    H = line_class if isinstance(line_class, ConstantHermitianClass) else ConstantHermitianClass(line_class)
-    scale = float(np.max(np.abs(H.matrix)))
-    if scale == 0.0:
-        raise ModelError("the zero class is trivially semipositive; nothing to certify")
-    eigs = np.linalg.eigvalsh(H.matrix)
-    if eigs[0] < -1e-12 * scale:
-        raise ModelError(
-            f"class is indefinite (smallest eigenvalue {eigs[0]:.3e}); pseudoeffective model requires PSD"
-        )
-    G = kahler if isinstance(kahler, KahlerClass) else KahlerClass(np.asarray(kahler))
-    pairing = intersection_number([H.matrix] + [G.matrix] * (torus.n - 1))
-    if pairing <= 0:
-        raise ConsistencyFailure(
-            "PSD non-zero class paired non-positively with a Kahler class; pairing code defect"
-        )
-    return one_positive_pipeline(
-        H, G, psi0=None, torus=torus, k_max=k_max, tol=tol, max_iter=max_iter, margin=margin
     )

@@ -19,6 +19,11 @@ Duality note: a class is recorded cohomologically 1-ample exactly when its
 negative is *not* pseudoeffective in the closed-cone sense, so lattice points
 on the effective boundary count as not 1-ample; reports carry that semantics
 explicitly.
+
+Nothing here runs on a torus grid: :func:`check_analytic_pairing` checks a
+declared analytic counterpart (constant matrix classes on the abelian
+surface) against the lattice pairing, and ``qposlab ag-surface`` runs its
+curvature certificate through :func:`qposlab.positivity.one_positive_pipeline`.
 """
 
 from __future__ import annotations
@@ -28,11 +33,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ModelError
-from .geometry import ConstantHermitianClass, KahlerClass, TorusModel, intersection_number
-from .positivity import OnePositiveRun, one_positive_pipeline
+from .geometry import ConstantHermitianClass, KahlerClass, intersection_number
 
 __all__ = [
     "SurfaceLattice",
@@ -43,6 +45,7 @@ __all__ = [
     "is_cohomologically_1ample",
     "positive_pairing_witness",
     "converse_ag_surface",
+    "check_analytic_pairing",
     "p1xp1_lattice",
     "hirzebruch_f1_lattice",
     "abelian_diag_lattice",
@@ -278,40 +281,18 @@ def positive_pairing_witness(divisor: DivisorClass, lattice: SurfaceLattice) -> 
 
 
 @dataclass(frozen=True)
-class AnalyticSurfaceModel:
-    """Declared analytic counterpart of a lattice class on an abelian surface."""
-
-    line_class: ConstantHermitianClass
-    kahler: KahlerClass
-    omega_lattice_class: DivisorClass
-    torus: TorusModel
-    k_max: int = 64
-
-
-@dataclass(frozen=True)
 class AgSurfaceReport:
     one_ample: bool
     witness: NefWitness | None
     cone_semantics: str
     lattice_name: str
     divisor: DivisorClass
-    analytic_run: OnePositiveRun | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def converse_ag_surface(
-    divisor: DivisorClass,
-    lattice: SurfaceLattice,
-    analytic_model: AnalyticSurfaceModel | None = None,
-) -> AgSurfaceReport:
-    """Surface converse: decide 1-ampleness through the cone lattice and, when
-    an analytic torus model is declared, attach the matching curvature
-    certificate.
-
-    The analytic model must be consistent: the lattice pairing of the divisor
-    against the declared omega class must equal the intersection number of
-    the matrix classes (checked, error otherwise).
-    """
+def converse_ag_surface(divisor: DivisorClass, lattice: SurfaceLattice) -> AgSurfaceReport:
+    """Surface converse on the lattice: decide 1-ampleness through the cone
+    duality and record the positive nef pairing witness, if any."""
     one_ample = is_cohomologically_1ample(divisor, lattice)
     witness = positive_pairing_witness(divisor, lattice)
     if one_ample and witness is None:
@@ -324,33 +305,41 @@ def converse_ag_surface(
         notes.append(
             "witness exists but -L is pseudoeffective: declared cones are not mutually dual"
         )
-    analytic_run = None
-    if analytic_model is not None:
-        lattice_pairing = lattice.pair(divisor, analytic_model.omega_lattice_class)
-        matrix_pairing = intersection_number(
-            [analytic_model.line_class.matrix, analytic_model.kahler.matrix]
-        )
-        if abs(float(lattice_pairing) - matrix_pairing) > 1e-9 * max(1.0, abs(matrix_pairing)):
-            raise ModelError(
-                f"analytic model inconsistent with the lattice: Q(L, omega) = {lattice_pairing} "
-                f"but the matrix intersection number is {matrix_pairing}"
-            )
-        if one_ample:
-            analytic_run = one_positive_pipeline(
-                analytic_model.line_class,
-                analytic_model.kahler,
-                torus=analytic_model.torus,
-                k_max=analytic_model.k_max,
-            )
     return AgSurfaceReport(
         one_ample=one_ample,
         witness=witness,
         cone_semantics="closed-cone boundary counts as pseudoeffective (hence not 1-ample)",
         lattice_name=lattice.name,
         divisor=divisor,
-        analytic_run=analytic_run,
         notes=tuple(notes),
     )
+
+
+def check_analytic_pairing(
+    divisor: DivisorClass,
+    lattice: SurfaceLattice,
+    omega_class: DivisorClass,
+    line_class: ConstantHermitianClass,
+    kahler: KahlerClass,
+) -> None:
+    """Check a declared analytic counterpart ``line_class`` of ``divisor`` on an abelian surface.
+
+    ``omega_class`` is the lattice class of ``kahler``.  The lattice pairing
+    ``Q(divisor, omega_class)`` must equal the intersection number of
+    ``line_class`` and ``kahler``; a mismatch raises :class:`ModelError`.
+    """
+    if len(omega_class.coefficients) != lattice.rank:
+        raise ModelError(
+            f"omega_class must hold one entry per lattice basis class ({lattice.rank}), "
+            f"got {len(omega_class.coefficients)}"
+        )
+    lattice_pairing = lattice.pair(divisor, omega_class)
+    matrix_pairing = intersection_number([line_class.matrix, kahler.matrix])
+    if abs(float(lattice_pairing) - matrix_pairing) > 1e-9 * max(1.0, abs(matrix_pairing)):
+        raise ModelError(
+            f"analytic model inconsistent with the lattice: Q(L, omega) = {lattice_pairing} "
+            f"but the matrix intersection number is {matrix_pairing}"
+        )
 
 
 def p1xp1_lattice() -> SurfaceLattice:

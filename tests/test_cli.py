@@ -383,6 +383,26 @@ class TestPseff:
         assert code == 3
         assert err.startswith("model error:")
 
+    def test_shape_error_comes_before_the_psd_test(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"line_class": [[1, 0], [0, -1]], "kahler": [[1]], "grid": 8})
+        code, report, err = run_cli(["pseff", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert "line_class is (2, 2) but kahler is (1, 1)" in err
+        assert "indefinite" not in err
+
+    def test_verdict_is_the_certify_verdict(self, tmp_path, capsys):
+        # pseff is certify behind a PSD check: same classes and grid, no psi0, default q.
+        config = json.loads((CONFIGS / "pseff.json").read_text())
+        cfg = write_config(
+            tmp_path, {key: config[key] for key in ("line_class", "kahler", "grid")}, name="certify.json"
+        )
+        verdicts = []
+        for argv in (["pseff", "--config", str(CONFIGS / "pseff.json")], ["certify", "--config", cfg]):
+            code, report, _ = run_cli(argv, capsys)
+            assert code == 0
+            verdicts.append(json.dumps(report["verdict"], sort_keys=True))
+        assert verdicts[0] == verdicts[1]
+
 
 class TestAgSurface:
     def test_abelian_witness(self, tmp_path, capsys):
@@ -531,6 +551,36 @@ class TestAgSurface:
         assert analytic["min_margin"] == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert report["trace"]["fft_workers"] == calculus.fft_workers()
         assert "newton" in report["trace"]["analytic"]
+
+    def test_analytic_model_consistency_checked(self, tmp_path, capsys):
+        # Q((2, -1), (1, 1)) = 4 on the lattice, but diag(2, -1) . 2I = 8
+        analytic = {"line_class": DIAG_2_M1, "kahler": [[2, 0], [0, 2]], "omega_class": [1, 1]}
+        cfg = write_config(
+            tmp_path, {"lattice": {"model": "abelian_diag"}, "divisor": [2, -1], "analytic": analytic, "grid": 8}
+        )
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert err.startswith("model error: analytic model inconsistent with the lattice")
+
+    @pytest.mark.parametrize("omega", [[1], [1, 1, 5]])
+    def test_omega_class_of_another_rank_exits_three(self, tmp_path, capsys, omega):
+        analytic = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "omega_class": omega}
+        cfg = write_config(
+            tmp_path, {"lattice": {"model": "abelian_diag"}, "divisor": [2, -1], "analytic": analytic, "grid": 8}
+        )
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert err.startswith("model error:") and "omega_class" in err
+
+    def test_analytic_grid_is_checked_before_the_cone_decision(self, tmp_path, capsys):
+        # (-1, -1) is not 1-ample, so no analytic run follows; grid 12 still exits 3.
+        analytic = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "omega_class": [1, 1]}
+        cfg = write_config(
+            tmp_path, {"lattice": {"model": "abelian_diag"}, "divisor": [-1, -1], "analytic": analytic, "grid": 12}
+        )
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert "grid_size must be a power of two" in err
 
 
 class TestDegeneracy:

@@ -13,7 +13,6 @@ from qposlab import (
     SingularPotential,
     TorusModel,
     dilate,
-    glue_max,
     gluing,
     regularized_max,
     select_threshold,
@@ -214,36 +213,6 @@ class TestThresholdSelection:
             select_threshold(phi_b, sing, np.ones((64, 64), dtype=bool))
 
 
-class TestGlueMax:
-    def test_nine_cell_buffer_region(self):
-        _, sing = worked_example()
-        phi_b = PotentialField(sing.torus, np.zeros((1, 1)))
-        res = glue_max(phi_b, 0.125, sing, dilate(sing.pole_mask, 4))
-        assert int(np.count_nonzero(res.region_v)) == 9
-        assert res.region_v[32, 32]
-        assert np.all(np.isfinite(res.psi.values))
-        assert res.psi.values[32, 32] == -0.125
-
-    def test_untouched_far_from_pole(self):
-        _, sing = worked_example()
-        phi_b = PotentialField(sing.torus, np.zeros((1, 1)))
-        res = glue_max(phi_b, 0.125, sing, dilate(sing.pole_mask, 4))
-        far = ~dilate(sing.pole_mask, 4)
-        assert np.array_equal(res.psi.values[far], sing.values[far])
-
-    def test_region_v_must_stay_inside_region_u(self):
-        _, sing = worked_example()
-        phi_b = PotentialField(sing.torus, np.zeros((1, 1)))
-        with pytest.raises(ModelError):
-            glue_max(phi_b, 0.03125, sing, dilate(sing.pole_mask, 2))
-
-    def test_threshold_positive(self):
-        _, sing = worked_example()
-        phi_b = PotentialField(sing.torus, np.zeros((1, 1)))
-        with pytest.raises(ModelError):
-            glue_max(phi_b, 0.0, sing, dilate(sing.pole_mask, 4))
-
-
 class TestPipeline:
     def test_worked_example_certifies(self):
         t, sing = worked_example()
@@ -265,6 +234,15 @@ class TestPipeline:
         assert by_name["U_C minus V_C"].min_margin == pytest.approx(0.7530, abs=2e-3)
         assert by_name["U_C minus V_C"].worst_point == (29, 32)
         assert by_name["V_C"].min_margin > 100  # softmax cap curves up steeply
+
+    def test_nine_cell_buffer_region(self):
+        # At C = 1/8 the buffer branch wins on the pole cell and its eight neighbours.
+        t, sing = worked_example()
+        phi_b = PotentialField(t, np.zeros((1, 1)))
+        result = zariski_fujita_pipeline(np.eye(1), phi_b, sing).result
+        assert result.threshold == 0.125
+        assert int(np.count_nonzero(result.region_v)) == 9
+        assert result.region_v[32, 32]
 
     def test_greedy_lower_bound_fails_declaration_a(self):
         t, sing = worked_example(lower_bound=1.5)

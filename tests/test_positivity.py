@@ -17,7 +17,6 @@ from qposlab import (
     TorusModel,
     eigenvalues_relative,
     one_positive_pipeline,
-    pseff_pipeline,
 )
 from qposlab import calculus, positivity, smallmat
 from qposlab.calculus import _as_form
@@ -390,23 +389,6 @@ class TestEigenPassCount:
         assert run.certificate.passed
         assert run.ma_result.iterations >= 2
         assert len(grid_passes) == 1
-
-
-class TestPseffPipeline:
-    def test_zero_class_rejected(self):
-        with pytest.raises(ModelError):
-            pseff_pipeline(np.zeros((2, 2)), G_EXAMPLE, TorusModel(2, 16))
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ModelError):
-            pseff_pipeline(H_EXAMPLE, G_EXAMPLE, TorusModel(2, 16))
-
-    def test_rank_one_psd_certifies(self):
-        p = np.array([[1.0, 0.5], [0.5, 0.25]])
-        run = pseff_pipeline(p, G_EXAMPLE, TorusModel(2, 16))
-        assert run.certificate.passed
-        assert run.k == 1
-        assert run.certificate.min_margin == pytest.approx(1.25, abs=1e-9)
 
 
 class TestGridCertificate:

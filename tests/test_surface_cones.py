@@ -3,19 +3,14 @@
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qposlab import (
-    AnalyticSurfaceModel,
-    ConstantHermitianClass,
     DivisorClass,
-    KahlerClass,
     ModelError,
     SurfaceLattice,
-    TorusModel,
     abelian_diag_lattice,
     converse_ag_surface,
     hirzebruch_f1_lattice,
@@ -315,7 +310,6 @@ class TestConverseReport:
         rep = converse_ag_surface(DivisorClass((1, -1)), p1xp1_lattice())
         assert rep.one_ample
         assert rep.witness is not None and rep.witness.pairing == 1
-        assert rep.analytic_run is None
         assert rep.lattice_name == "p1xp1"
 
     def test_not_ample_report(self):
@@ -329,27 +323,3 @@ class TestConverseReport:
         lat = SurfaceLattice(2, ((0, 1), (1, 0)), (e2,), (e1,), name="lopsided")
         with pytest.raises(ModelError):
             converse_ag_surface(e2, lat)
-
-    def test_analytic_model_consistency_checked(self):
-        model = AnalyticSurfaceModel(
-            line_class=ConstantHermitianClass(np.diag([2.0, -1.0])),
-            kahler=KahlerClass(2 * np.eye(2)),
-            omega_lattice_class=DivisorClass((1, 1)),
-            torus=TorusModel(2, 64),
-        )
-        with pytest.raises(ModelError):
-            converse_ag_surface(DivisorClass((2, -1)), abelian_diag_lattice(), model)
-
-    def test_analytic_model_attached_run(self):
-        model = AnalyticSurfaceModel(
-            line_class=ConstantHermitianClass(np.diag([2.0, -1.0])),
-            kahler=KahlerClass(np.eye(2)),
-            omega_lattice_class=DivisorClass((1, 1)),
-            torus=TorusModel(2, 64),
-        )
-        rep = converse_ag_surface(DivisorClass((2, -1)), abelian_diag_lattice(), model)
-        assert rep.one_ample
-        assert rep.witness.pairing == Fraction(12)
-        assert rep.analytic_run is not None
-        assert rep.analytic_run.certificate.passed
-        assert rep.analytic_run.certificate.min_margin == pytest.approx(2.0 / 3.0, abs=1e-9)
