@@ -1,7 +1,9 @@
 """Relative eigenvalue fields, the grid certificate, and the pairing pipeline."""
 
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from qposlab import (
     eigenvalues_relative,
     one_positive_pipeline,
 )
-from qposlab import calculus, positivity, smallmat
+from qposlab import calculus, cli, positivity, smallmat
 from qposlab.calculus import _as_form
 from qposlab.positivity import _certify_regions, _in_order, _inverse_cholesky, _whitened
 
@@ -389,6 +391,43 @@ class TestEigenPassCount:
         assert run.certificate.passed
         assert run.ma_result.iterations >= 2
         assert len(grid_passes) == 1
+
+
+class TestPseffPipeline:
+    """The pseff command: a PSD, non-zero check in front of the certify pipeline."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_environment(self, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("QPOSLAB_"):
+                monkeypatch.delenv(key)
+
+    @staticmethod
+    def pseff(line_class, tmp_path, capsys):
+        config = tmp_path / "pseff.json"
+        config.write_text(json.dumps({"line_class": np.asarray(line_class).tolist(), "kahler": G_EXAMPLE.tolist(), "grid": 16}))
+        code = cli.main(["pseff", "--config", str(config)])
+        captured = capsys.readouterr()
+        return code, json.loads(captured.out) if captured.out.strip() else None, captured.err
+
+    def test_zero_class_rejected(self, tmp_path, capsys):
+        code, report, err = self.pseff(np.zeros((2, 2)), tmp_path, capsys)
+        assert code == 3 and report is None
+        assert err.startswith("model error: the zero class")
+
+    def test_indefinite_rejected(self, tmp_path, capsys):
+        code, report, err = self.pseff(H_EXAMPLE, tmp_path, capsys)
+        assert code == 3 and report is None
+        assert err.startswith("model error: class is indefinite")
+
+    def test_rank_one_psd_certifies(self, tmp_path, capsys):
+        p = np.array([[1.0, 0.5], [0.5, 0.25]])
+        code, report, _ = self.pseff(p, tmp_path, capsys)
+        assert code == 0
+        verdict = report["verdict"]
+        assert verdict["passed"] is True
+        assert verdict["k"] == 1
+        assert verdict["min_margin"] == pytest.approx(1.25, abs=1e-9)
 
 
 class TestGridCertificate:

@@ -3,23 +3,28 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qposlab import (
+    ConstantHermitianClass,
     DivisorClass,
+    KahlerClass,
     ModelError,
     SurfaceLattice,
+    TorusModel,
     abelian_diag_lattice,
     converse_ag_surface,
     hirzebruch_f1_lattice,
     is_cohomologically_1ample,
     is_pseudoeffective,
+    one_positive_pipeline,
     p1xp1_lattice,
     positive_pairing_witness,
 )
-from qposlab.surface_cones import _cone_contains
+from qposlab.surface_cones import _cone_contains, check_analytic_pairing
 
 rational = st.fractions(
     min_value=Fraction(-12), max_value=Fraction(12), max_denominator=8
@@ -323,3 +328,15 @@ class TestConverseReport:
         lat = SurfaceLattice(2, ((0, 1), (1, 0)), (e2,), (e1,), name="lopsided")
         with pytest.raises(ModelError):
             converse_ag_surface(e2, lat)
+
+    def test_analytic_model_attached_run(self):
+        # What ``qposlab ag-surface`` runs for a 1-ample divisor with a declared analytic model.
+        divisor, lattice = DivisorClass((2, -1)), abelian_diag_lattice()
+        line, kahler = ConstantHermitianClass(np.diag([2.0, -1.0])), KahlerClass(np.eye(2))
+        rep = converse_ag_surface(divisor, lattice)
+        assert rep.one_ample
+        assert rep.witness.pairing == Fraction(12)
+        check_analytic_pairing(divisor, lattice, DivisorClass((1, 1)), line, kahler)
+        run = one_positive_pipeline(line, kahler, torus=TorusModel(2, 64), k_max=64)
+        assert run.certificate.passed
+        assert run.certificate.min_margin == pytest.approx(2.0 / 3.0, abs=1e-9)
