@@ -203,15 +203,20 @@ class _List(_Kind):
 
 
 class _Matrix(_List):
-    """A square complex matrix as a list of rows, read as a complex array."""
+    """A square complex matrix as a list of rows, read as a complex array;
+    ``size`` rows when given."""
 
-    def __init__(self):
+    def __init__(self, size: int | None = None):
         super().__init__(_List(_Complex()))
+        self.size = size
 
     def read(self, raw, where, problems):
         rows = super().read(raw, where, problems)
         if rows is not None and any(len(row) != len(rows) for row in rows):
             problems.append(f"{where}: matrix must be square, got row lengths {[len(row) for row in rows]}")
+            return None
+        if rows is not None and self.size not in (None, len(rows)):
+            problems.append(f"{where}: matrix must be {self.size}x{self.size}, got {len(rows)}x{len(rows)}")
             return None
         return None if rows is None else np.array(rows)
 
@@ -586,7 +591,11 @@ _LATTICE = _Object(
     tag="model",
     **{name: {} for name in _LATTICE_MODELS},
 )
-_ANALYTIC = _Object({"line_class": _Key(_MATRIX), "kahler": _Key(_MATRIX), "omega_class": _Key(_RATIONALS)})
+# The analytic side is an abelian surface: constant classes on a complex 2-torus.
+_SURFACE_MATRIX = _Matrix(size=2)
+_ANALYTIC = _Object(
+    {"line_class": _Key(_SURFACE_MATRIX), "kahler": _Key(_SURFACE_MATRIX), "omega_class": _Key(_RATIONALS)}
+)
 _AG_SURFACE = {
     "lattice": _Key(_LATTICE),
     "divisor": _Key(_RATIONALS),
@@ -614,7 +623,7 @@ def _cmd_ag_surface(v):
         line = ConstantHermitianClass(spec["line_class"])
         kahler = KahlerClass(spec["kahler"])
         omega = DivisorClass(spec["omega_class"])
-        torus = TorusModel(n=int(spec["line_class"].shape[0]), grid_size=v["grid"])
+        torus = TorusModel(n=2, grid_size=v["grid"])
     divisor = DivisorClass(v["divisor"])
     lattice = _lattice(v["lattice"])
     report = converse_ag_surface(divisor, lattice)

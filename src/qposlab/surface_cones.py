@@ -1,19 +1,28 @@
-"""Exact rational cone tests on small surface Picard lattices.
+"""Exact cone tests on small surface Picard lattices, decided in integers.
 
 A surface model is a lattice of rank <= 4 with a symmetric intersection
 pairing of signature (1, rho-1) and finitely generated nef and effective
-cones.  Every decision here is exact over the rationals:
+cones.  Inputs are exact rationals; each rational vector, and the pairing
+matrix, is scaled once by the least common multiple of its denominators, and
+every decision is then made on Python integers.  A positive scale changes
+none of them: cone membership, the signs of pairings and the signature all
+stay the same.
 
 * cone membership by conic Caratheodory: a class lies in cone(G) exactly
   when it is a nonnegative combination of some basis of span(G) drawn from
-  G, so each of the at most C(|G|, rank) bases is solved by Gauss-Jordan
-  elimination over the rationals and the signs checked (no floating-point
-  LP, polynomial for rank <= 4),
-* the signature by Descartes' rule on the characteristic polynomial, which
-  counts exactly because symmetric matrices have real spectra,
+  G, so each of the at most C(|G|, rank) bases is solved by fraction-free
+  Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22, 1968) and the
+  signs of the solution read off by Cramer's rule (no floating-point LP,
+  polynomial for rank <= 4),
+* the signature by Descartes' rule on the integer characteristic polynomial
+  (Faddeev-LeVerrier, each division by k exact), which counts exactly
+  because symmetric matrices have real spectra,
 * witness search by maximising the pairing over cone generators (the linear
   functional attains its sign on a generator) and then perturbing the
   maximiser into the cone interior.
+
+Classes, pairings and witnesses stay :class:`fractions.Fraction` values; a
+pairing is an integer sum divided once by its scale.
 
 Duality note: a class is recorded cohomologically 1-ample exactly when its
 negative is *not* pseudoeffective in the closed-cone sense, so lattice points
@@ -29,6 +38,7 @@ curvature certificate through :func:`qposlab.positivity.one_positive_pipeline`.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,23 +115,36 @@ class DivisorClass:
         return DivisorClass(tuple(t * c for c in self.coefficients))
 
 
-def _char_poly(mat: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]:
-    """Characteristic polynomial coefficients [1, c1, ..., c_rho] of a rational
-    matrix, by the Faddeev-LeVerrier recursion (exact)."""
-    rho = len(mat)
-    m = [[mat[i][j] for j in range(rho)] for i in range(rho)]
-    coeffs = [Fraction(1)]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(rho)] for i in range(rho)]
-    mb = None
+def _integral(values) -> tuple[list[int], int]:
+    """Integers ``scale * values`` and ``scale``, the least common multiple of the denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _times(mat: list[list[int]], vec: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _char_poly(m: list[list[int]]) -> list[int]:
+    """Characteristic polynomial coefficients [1, c1, ..., c_rho] of an integer
+    matrix, by the Faddeev-LeVerrier recursion: every B_k is an integer
+    matrix and each division by k is exact."""
+    rho = len(m)
+    coeffs = [1]
+    b = [[int(i == j) for j in range(rho)] for i in range(rho)]
     for k in range(1, rho + 1):
         mb = [[sum(m[i][l] * b[l][j] for l in range(rho)) for j in range(rho)] for i in range(rho)]
-        ck = -sum(mb[i][i] for i in range(rho)) / k
+        ck = -sum(mb[i][i] for i in range(rho)) // k
         coeffs.append(ck)
         b = [[mb[i][j] + (ck if i == j else 0) for j in range(rho)] for i in range(rho)]
     return coeffs
 
 
-def _real_root_signs(coeffs: list[Fraction]) -> tuple[int, int, int]:
+def _real_root_signs(coeffs: list[int]) -> tuple[int, int, int]:
     """(positive, negative, zero) root counts of a real-rooted polynomial.
 
     Descartes' rule is exact (with multiplicity) when all roots are real,
@@ -149,6 +172,9 @@ class SurfaceLattice:
     nef_generators: tuple[DivisorClass, ...]
     effective_generators: tuple[DivisorClass, ...]
     name: str = "surface"
+    # ``_gram_scale * pairing`` in integers, with ``_gram_scale`` > 0 the common denominator
+    _gram: list[list[int]] = field(init=False, repr=False, compare=False)
+    _gram_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.rank <= 4:
@@ -161,6 +187,10 @@ class SurfaceLattice:
                 if q[i][j] != q[j][i]:
                     raise ModelError("pairing matrix must be symmetric")
         object.__setattr__(self, "pairing", q)
+        flat, scale = _integral([v for row in q for v in row])
+        gram = [flat[i : i + self.rank] for i in range(0, len(flat), self.rank)]
+        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_gram_scale", scale)
         nef = tuple(g if isinstance(g, DivisorClass) else DivisorClass(g) for g in self.nef_generators)
         eff = tuple(g if isinstance(g, DivisorClass) else DivisorClass(g) for g in self.effective_generators)
         if not nef or not eff:
@@ -170,40 +200,52 @@ class SurfaceLattice:
                 raise ModelError("cone generator length does not match the rank")
         object.__setattr__(self, "nef_generators", nef)
         object.__setattr__(self, "effective_generators", eff)
-        pos, negn, zero = _real_root_signs(_char_poly(q))
+        pos, negn, zero = _real_root_signs(_char_poly(gram))
         if (pos, negn, zero) != (1, self.rank - 1, 0):
             raise ModelError(
                 f"pairing signature is ({pos},{negn},{zero}), model requires (1,{self.rank - 1},0)"
             )
+        q_eff = [_times(gram, _integral(h.coefficients)[0]) for h in eff]
         for g in nef:
-            for h in eff:
-                if self.pair(g, h) < 0:
+            g_int = _integral(g.coefficients)[0]
+            for h, qh in zip(eff, q_eff):
+                if _dot(g_int, qh) < 0:
                     raise ModelError(
                         f"nef generator {g.coefficients} pairs negatively with effective generator {h.coefficients}"
                     )
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> Fraction:
-        return sum(
-            a.coefficients[i] * self.pairing[i][j] * b.coefficients[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        x, x_scale = _integral(a.coefficients)
+        y, y_scale = _integral(b.coefficients)
+        return Fraction(_dot(x, _times(self._gram, y)), x_scale * y_scale * self._gram_scale)
 
 
-def _gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` in place to reduced row-echelon form (exact); return the pivot columns."""
+def _bareiss(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer ``rows`` in
+    place; return the pivot columns.
+
+    The pivot in each column is the first non-zero entry at or below the next
+    pivot row.  Every other row becomes ``(p * row - row[col] * pivot_row) /
+    prev``, with p the new pivot and prev the last one; each division is exact,
+    as every entry is then a minor of the input.  At the end each pivot row
+    holds the last pivot d on its own pivot column and zero on the others, so
+    it is d times the row of the reduced row-echelon form.
+    """
     pivots: list[int] = []
+    prev = 1
     for col in range(len(rows[0])):
         r = len(pivots)
-        pick = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pick is None:
             continue
         rows[r], rows[pick] = rows[pick], rows[r]
-        rows[r] = [a / rows[r][col] for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(col)
     return pivots
 
@@ -215,20 +257,24 @@ def _cone_contains(generators: tuple[DivisorClass, ...], point: DivisorClass) ->
     generators, and those extend to a basis of span(G) drawn from G, so it
     suffices to solve point = B c on each such basis B and check the signs.
     A basis that cannot express the point shows it lies outside span(G).
+    Each vector is scaled to integers first, which moves no decision.
     """
-    x = point.coefficients
-    if all(c == 0 for c in x):
+    x = _integral(point.coefficients)[0]
+    if not any(x):
         return True
-    rank = len(_gauss_jordan([list(g.coefficients) for g in generators]))
-    for basis in itertools.combinations(generators, rank):
+    gens = [_integral(g.coefficients)[0] for g in generators]
+    rank = len(_bareiss([list(g) for g in gens]))
+    for basis in itertools.combinations(gens, rank):
         # augmented system [B | x], one row per coordinate
-        rows = [[g.coefficients[i] for g in basis] + [x[i]] for i in range(len(x))]
-        pivots = _gauss_jordan(rows)
+        rows = [[g[i] for g in basis] + [x[i]] for i in range(len(x))]
+        pivots = _bareiss(rows)
         if pivots[:rank] != list(range(rank)):
             continue  # dependent subset, not a basis
         if len(pivots) > rank:
             return False
-        if all(rows[i][rank] >= 0 for i in range(rank)):
+        # Cramer: c_i = rows[i][rank] / d, with d the last pivot
+        d = rows[rank - 1][rank - 1]
+        if all(rows[i][rank] * d >= 0 for i in range(rank)):
             return True
     return False
 
@@ -263,17 +309,20 @@ def positive_pairing_witness(divisor: DivisorClass, lattice: SurfaceLattice) -> 
     """
     if len(divisor.coefficients) != lattice.rank:
         raise ModelError("divisor length does not match the lattice rank")
-    pairings = [lattice.pair(divisor, g) for g in lattice.nef_generators]
-    best = max(range(len(pairings)), key=lambda i: pairings[i])
+    # One common scale for every generator keeps the pairings' order and ratios.
+    flat, scale = _integral([c for g in lattice.nef_generators for c in g.coefficients])
+    gens = [flat[i : i + lattice.rank] for i in range(0, len(flat), lattice.rank)]
+    q_divisor = _times(lattice._gram, _integral(divisor.coefficients)[0])
+    pairings = [_dot(q_divisor, g) for g in gens]
+    best = max(range(len(pairings)), key=pairings.__getitem__)
     if pairings[best] <= 0:
         return None
-    total = sum(pairings, Fraction(0))
-    t = max(Fraction(1), 1 - total / pairings[best])
+    t = max(Fraction(1), 1 - Fraction(sum(pairings), pairings[best]))
     coeffs = [Fraction(1)] * len(pairings)
     coeffs[best] += t
-    vec = DivisorClass(tuple(Fraction(0) for _ in range(lattice.rank)))
-    for c, g in zip(coeffs, lattice.nef_generators):
-        vec = vec + g.scaled(c)
+    # sum of every generator plus t times the best one
+    best_gen = lattice.nef_generators[best].coefficients
+    vec = DivisorClass(tuple(Fraction(sum(col), scale) + t * c for col, c in zip(zip(*gens), best_gen)))
     pairing = lattice.pair(divisor, vec)
     if pairing <= 0:
         raise ModelError("witness construction failed to realise a positive pairing; model corrupt")
@@ -324,22 +373,30 @@ def check_analytic_pairing(
 ) -> None:
     """Check a declared analytic counterpart ``line_class`` of ``divisor`` on an abelian surface.
 
-    ``omega_class`` is the lattice class of ``kahler``.  The lattice pairing
-    ``Q(divisor, omega_class)`` must equal the intersection number of
-    ``line_class`` and ``kahler``; a mismatch raises :class:`ModelError`.
+    ``omega_class`` is the lattice class of ``kahler``.  The Gram matrix of the
+    lattice pairing on ``divisor`` and ``omega_class`` must equal that of the
+    intersection numbers of ``line_class`` and ``kahler``: Q(L, L), Q(L, omega)
+    and Q(omega, omega), each within 1e-9 relative.  A mismatch raises
+    :class:`ModelError`.
     """
     if len(omega_class.coefficients) != lattice.rank:
         raise ModelError(
             f"omega_class must hold one entry per lattice basis class ({lattice.rank}), "
             f"got {len(omega_class.coefficients)}"
         )
-    lattice_pairing = lattice.pair(divisor, omega_class)
-    matrix_pairing = intersection_number([line_class.matrix, kahler.matrix])
-    if abs(float(lattice_pairing) - matrix_pairing) > 1e-9 * max(1.0, abs(matrix_pairing)):
-        raise ModelError(
-            f"analytic model inconsistent with the lattice: Q(L, omega) = {lattice_pairing} "
-            f"but the matrix intersection number is {matrix_pairing}"
-        )
+    entries = (
+        ("L, L", divisor, divisor, line_class, line_class),
+        ("L, omega", divisor, omega_class, line_class, kahler),
+        ("omega, omega", omega_class, omega_class, kahler, kahler),
+    )
+    for name, a, b, ma, mb in entries:
+        lattice_pairing = lattice.pair(a, b)
+        matrix_pairing = intersection_number([ma.matrix, mb.matrix])
+        if abs(float(lattice_pairing) - matrix_pairing) > 1e-9 * max(1.0, abs(matrix_pairing)):
+            raise ModelError(
+                f"analytic model inconsistent with the lattice: Q({name}) = {lattice_pairing} "
+                f"but the matrix intersection number is {matrix_pairing}"
+            )
 
 
 def p1xp1_lattice() -> SurfaceLattice:

@@ -562,6 +562,31 @@ class TestAgSurface:
         assert code == 3 and report is None
         assert err.startswith("model error: analytic model inconsistent with the lattice")
 
+    def test_analytic_model_of_another_class_exits_three(self, tmp_path, capsys):
+        # Q((1, 0), (1, 1)) = 4 = diag(2, -1) . I, but Q((1, 0), (1, 0)) = 0 while diag(2, -1)^2 = -16
+        analytic = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "omega_class": [1, 1]}
+        cfg = write_config(
+            tmp_path, {"lattice": {"model": "abelian_diag"}, "divisor": [1, 0], "analytic": analytic, "grid": 8}
+        )
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        assert err == (
+            "model error: analytic model inconsistent with the lattice: "
+            "Q(L, L) = 0 but the matrix intersection number is -16.0\n"
+        )
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_analytic_classes_must_be_two_by_two(self, tmp_path, capsys, size):
+        eye = np.eye(size, dtype=int).tolist()
+        analytic = {"line_class": eye, "kahler": eye, "omega_class": [1, 1]}
+        cfg = write_config(
+            tmp_path, {"lattice": {"model": "abelian_diag"}, "divisor": [2, -1], "analytic": analytic, "grid": 8}
+        )
+        code, report, err = run_cli(["ag-surface", "--config", cfg], capsys)
+        assert code == 3 and report is None
+        for key in ("analytic.line_class", "analytic.kahler"):
+            assert f"{key}: matrix must be 2x2, got {size}x{size}" in err
+
     @pytest.mark.parametrize("omega", [[1], [1, 1, 5]])
     def test_omega_class_of_another_rank_exits_three(self, tmp_path, capsys, omega):
         analytic = {"line_class": DIAG_2_M1, "kahler": IDENTITY_2, "omega_class": omega}

@@ -45,6 +45,47 @@ def rank3_lattice():
     )
 
 
+def fraction_signature(q) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a rational symmetric
+    matrix: Faddeev-LeVerrier over the rationals, then Descartes' rule of signs,
+    which counts exactly because the characteristic polynomial is real-rooted."""
+    rank = len(q)
+    coeffs, b = [Fraction(1)], [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    for k in range(1, rank + 1):
+        qb = [[sum(q[i][m] * b[m][j] for m in range(rank)) for j in range(rank)] for i in range(rank)]
+        c = -sum(qb[i][i] for i in range(rank)) / k
+        coeffs.append(c)
+        b = [[qb[i][j] + (c if i == j else 0) for j in range(rank)] for i in range(rank)]
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(coeffs), changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]), zero
+
+
+@st.composite
+def hyperbolic_pairings(draw):
+    """Q = A^T diag(1, -1, ..., -1) A with A upper triangular, rational, with
+    A[0][0] = 1 and a non-zero diagonal: signature (1, rank - 1) by Sylvester's
+    law of inertia, and Q(e1, e1) = 1."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    nonzero = rational.filter(lambda x: x != 0)
+    a = [[Fraction(0)] * rank for _ in range(rank)]
+    a[0][0] = Fraction(1)
+    for i in range(rank):
+        if i:
+            a[i][i] = draw(nonzero)
+        for j in range(i + 1, rank):
+            a[i][j] = draw(rational)
+    sign = [1] + [-1] * (rank - 1)
+    return [[sum(a[k][i] * sign[k] * a[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
+
+
 class TestDivisorClass:
     def test_rational_coercion(self):
         d = DivisorClass(("1/2", 2, 3.0))
@@ -112,6 +153,53 @@ class TestSurfaceLattice:
         bad = DivisorClass((1, 0, 0))
         with pytest.raises(ModelError):
             SurfaceLattice(2, ((0, 1), (1, 0)), (e1, bad), (e1,), name="mismatch")
+
+    @pytest.mark.parametrize(
+        "pairing, message",
+        [
+            (((0, "1/2"), ("1/3", 0)), "pairing matrix must be symmetric"),
+            ((("1/2", 0), (0, "1/3")), r"pairing signature is \(2,0,0\), model requires \(1,1,0\)"),
+            ((("1/2", "1/2"), ("1/2", "1/2")), r"pairing signature is \(1,0,1\), model requires \(1,1,0\)"),
+            (
+                ((0, "1/2"), ("1/2", "-1/2")),
+                r"nef generator \(Fraction\(0, 1\), Fraction\(1, 1\)\) pairs negatively with "
+                r"effective generator \(Fraction\(0, 1\), Fraction\(1, 1\)\)",
+            ),
+        ],
+    )
+    def test_rational_pairing_refusals_keep_their_messages(self, pairing, message):
+        f, s = DivisorClass((1, 0)), DivisorClass((0, 1))
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            SurfaceLattice(2, pairing, (f, s), (f, s), name="refused")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_signature_matches_fraction_faddeev_leverrier(self, data):
+        rank = data.draw(st.integers(min_value=1, max_value=4))
+        q = [[Fraction(0)] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                q[i][j] = q[j][i] = data.draw(st.one_of(st.just(Fraction(0)), rational))
+        expected = fraction_signature(q)
+        zero = DivisorClass((0,) * rank)  # pairs with everything to 0, so only the signature can refuse
+        if expected == (1, rank - 1, 0):
+            SurfaceLattice(rank, q, (zero,), (zero,))
+        else:
+            pos, neg, null = expected
+            with pytest.raises(ModelError, match=rf"^pairing signature is \({pos},{neg},{null}\),"):
+                SurfaceLattice(rank, q, (zero,), (zero,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hyperbolic_pairings(), st.data())
+    def test_pair_matches_the_fraction_double_sum(self, q, data):
+        rank = len(q)
+        e1 = DivisorClass((1,) + (0,) * (rank - 1))  # Q(e1, e1) = 1
+        lat = SurfaceLattice(rank, q, (e1,), (e1,))
+        vector = st.lists(rational, min_size=rank, max_size=rank)
+        a, b = DivisorClass(data.draw(vector)), DivisorClass(data.draw(vector))
+        value = lat.pair(a, b)
+        assert isinstance(value, Fraction)
+        assert value == sum(a.coefficients[i] * q[i][j] * b.coefficients[j] for i in range(rank) for j in range(rank))
 
     def test_pair_is_exact_fraction(self):
         lat = abelian_diag_lattice()
@@ -183,14 +271,16 @@ def fourier_motzkin_contains(generators, point) -> bool:
 
 
 small_int = st.integers(min_value=-3, max_value=3)
+small_rational = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5)
 
 
 @st.composite
-def cone_queries(draw):
+def cone_queries(draw, entry=small_int):
     """Up to four generators in rank 1..4, with zero, repeated and dependent
-    generators, and a point that is often a signed combination of them."""
+    generators, and a point that is often a signed combination of them;
+    entries and weights are drawn from ``entry``."""
     rank = draw(st.integers(min_value=1, max_value=4))
-    vector = st.lists(small_int, min_size=rank, max_size=rank)
+    vector = st.lists(entry, min_size=rank, max_size=rank)
     gens = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         kind = draw(st.sampled_from(["free", "zero", "repeat", "combination"]))
@@ -200,12 +290,12 @@ def cone_queries(draw):
             gens.append(list(draw(st.sampled_from(gens))))
         elif kind == "combination":
             a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
-            s, t = draw(small_int), draw(small_int)
+            s, t = draw(entry), draw(entry)
             gens.append([s * x + t * y for x, y in zip(a, b)])
         else:
             gens.append(draw(vector))
     if draw(st.booleans()):
-        weights = draw(st.lists(small_int, min_size=len(gens), max_size=len(gens)))
+        weights = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
         point = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(rank)]
     else:
         point = draw(vector)
@@ -216,6 +306,13 @@ class TestConeMembership:
     @settings(max_examples=300, deadline=None)
     @given(cone_queries())
     def test_caratheodory_matches_fourier_motzkin(self, query):
+        gens, point = query
+        assert _cone_contains(gens, point) is fourier_motzkin_contains(gens, point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_queries(small_rational))
+    def test_rational_generators_match_fourier_motzkin(self, query):
+        # p/q entries: each vector is scaled to integers before the elimination
         gens, point = query
         assert _cone_contains(gens, point) is fourier_motzkin_contains(gens, point)
 
@@ -243,6 +340,45 @@ class TestConeMembership:
         start = time.perf_counter()
         assert not is_pseudoeffective(d, lat)
         assert not is_pseudoeffective(-d, lat)
+        assert time.perf_counter() - start < 2.0
+
+    def test_rank4_hundred_digit_rationals_decided_quickly(self):
+        # The rank-4 lattice above with each generator, the divisor and the
+        # pairing scaled by its own positive p/q of 99 digits each: every
+        # decision is the small lattice's, and finishes in bounded time.
+        rng = np.random.default_rng(4)
+
+        def big():
+            return Fraction(*(int("".join(map(str, rng.integers(1, 10, 99)))) for _ in range(2)))
+
+        def scaled(vector):
+            t = big()
+            return DivisorClass(tuple(str(t * c) for c in vector))
+
+        def lattice(pairing_scale, vector):
+            return SurfaceLattice(
+                rank=4,
+                pairing=[[str(pairing_scale * (i == j) * (1 if i == 0 else -1)) for j in range(4)] for i in range(4)],
+                nef_generators=(vector((1, 0, 0, 0)), vector((3, 1, 1, 1))),
+                effective_generators=tuple(
+                    vector(g) for g in ((2, 3, -2, -2), (3, 1, 1, 3), (1, 1, -1, 0), (1, -2, -1, 0), (4, -3, -3, -3))
+                ),
+            )
+
+        small, lat = lattice(1, DivisorClass), lattice(big(), scaled)
+        entries = [x for g in lat.effective_generators for x in g.coefficients]
+        assert all(len(t) <= 100 for x in entries for t in str(abs(x)).split("/"))
+        start = time.perf_counter()
+        for d in ((2, 1, 4, 3), (1, 0, 0, 0), (9, 1, 1, 3), (-3, -1, -1, -1), (0, 0, 0, -1), (-1, 1, 1, 1)):
+            divisor = scaled(d)
+            for sign in (1, -1):
+                assert is_pseudoeffective(divisor.scaled(sign), lat) is is_pseudoeffective(
+                    DivisorClass(d).scaled(sign), small
+                ), (d, sign)
+            witness = positive_pairing_witness(divisor, lat)
+            assert (witness is None) is (positive_pairing_witness(DivisorClass(d), small) is None), d
+            if witness is not None:
+                assert witness.pairing == lat.pair(divisor, witness.vector) > 0
         assert time.perf_counter() - start < 2.0
 
 
