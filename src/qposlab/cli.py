@@ -684,6 +684,24 @@ def _polymap(spec: dict) -> PolyMap:
     return PolyMap.from_text(spec["text"], n=n, m=m)
 
 
+def _write_flagged(path, points: np.ndarray) -> None:
+    """The ``(k, n)`` complex ``points`` as CSV: a header, then each point's
+    real and imaginary float64 parts in row order, each as its ``repr``.
+
+    A sample grid holds few distinct values per coordinate, so each column
+    formats each of its distinct values once.  They are told apart by their
+    bits, since ``-0.0`` equals ``0.0`` but is written differently.
+    """
+    parts = np.ascontiguousarray(points, dtype=np.complex128).view(np.float64)
+    columns = []
+    for column in parts.view(np.uint64).T:
+        keys, index = np.unique(column, return_inverse=True)
+        text = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
+        columns.append(text[index].tolist())
+    header = ",".join(f"re_z{j + 1},im_z{j + 1}" for j in range(points.shape[-1]))
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+
+
 def _cmd_degeneracy(v):
     pmap = _polymap(v["map"])
     intervals = v["box"] or [(-1.0, 1.0)] * (2 * pmap.n)
@@ -707,15 +725,7 @@ def _cmd_degeneracy(v):
         "flagged_count": int(flagged.shape[0]),
         "fibre_dimensions": fibre_dims if targets else None,
     }
-
-    def _write_flagged(path):
-        with Path(path).open("w") as fh:
-            fh.write(",".join(f"re_z{j + 1},im_z{j + 1}" for j in range(pmap.n)) + "\n")
-            # each complex entry as its real and imaginary float64, in row order
-            for row in flagged.view(np.float64).tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
-
-    artifacts = [("flagged_points.csv", _write_flagged)]
+    artifacts = [("flagged_points.csv", lambda p: _write_flagged(p, flagged))]
     code = EXIT_CERTIFIED if flagged.shape[0] == 0 else EXIT_NOT_CERTIFIED
     return code, verdict, artifacts, {}
 

@@ -9,9 +9,16 @@ elementary symmetric functions of the pullback ``J^H J``,
 which equals the j-th elementary symmetric polynomial of the eigenvalues of
 ``J^H J`` (Cauchy-Binet); ``sigma_j`` vanishes exactly where ``rank J < j``.
 Minor determinants of size <= 4 are expanded in closed form, by
-:mod:`qposlab.smallmat`'s cofactor expansion on views of the Jacobian
-entries: pivoting determinants introduce rounding on exact-integer inputs,
-cofactor expansion does not.
+:mod:`qposlab.smallmat`'s cofactor expansion on the Jacobian's entry planes:
+pivoting determinants introduce rounding on exact-integer inputs, cofactor
+expansion does not.
+
+A map builds its m * n derivative tables once, on first use.  A Jacobian is
+written as contiguous ``(m, n, *batch)`` entry planes and returned as their
+``(*batch, m, n)`` view, so each minor entry is a contiguous plane.  Each
+power ``z_v^e`` is taken once per batch, and every product is formed in one
+fixed operand order, so a point's Jacobian does not depend on the batch it
+is taken in.
 
 The sampled scan keeps a bounded working set: it runs the points in slabs
 of about 65,536 on the slab pool of :mod:`qposlab.calculus`, whatever the
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,10 +146,7 @@ class PolyMap:
         z = np.asarray(points, dtype=np.complex128)
         if z.shape[-1] != self.n:
             raise ModelError(f"points must end in an axis of length n={self.n}, got {z.shape}")
-        out = np.zeros(z.shape[:-1] + (self.m,), dtype=np.complex128)
-        for i, table in enumerate(self.components):
-            _add_monomials(z, table, out[..., i])
-        return out
+        return np.moveaxis(_monomial_planes(z, self.components), 0, -1)
 
     def derivative_table(self, comp: int, var: int) -> dict:
         """Formal d(component comp)/d z_var as an exponent table (exact)."""
@@ -153,26 +158,46 @@ class PolyMap:
                 out[key] = out.get(key, 0.0) + e * coeff
         return out
 
+    @cached_property
+    def _derivative_tables(self) -> list[dict]:
+        """``derivative_table(i, v)`` for every ``(i, v)``, in row-major order."""
+        return [self.derivative_table(i, v) for i in range(self.m) for v in range(self.n)]
+
     def jacobian(self, points) -> np.ndarray:
-        """Holomorphic Jacobian at ``points`` (..., n); returns (..., m, n)."""
+        """Holomorphic Jacobian at ``points`` (..., n); returns (..., m, n).
+
+        The result is a view of contiguous ``(m, n, ...)`` entry planes.
+        """
         z = np.asarray(points, dtype=np.complex128)
         if z.shape[-1] != self.n:
             raise ModelError(f"points must end in an axis of length n={self.n}, got {z.shape}")
-        out = np.zeros(z.shape[:-1] + (self.m, self.n), dtype=np.complex128)
-        for i in range(self.m):
-            for v in range(self.n):
-                _add_monomials(z, self.derivative_table(i, v), out[..., i, v])
-        return out
+        planes = _monomial_planes(z, self._derivative_tables).reshape((self.m, self.n) + z.shape[:-1])
+        return np.moveaxis(planes, (0, 1), (-2, -1))
 
 
-def _add_monomials(z: np.ndarray, table: dict, out: np.ndarray) -> None:
-    """Add each term ``coeff * z^exps`` of ``table`` into ``out``, in table order."""
-    for exps, coeff in table.items():
-        term = np.full(z.shape[:-1], coeff, dtype=np.complex128)
-        for v, e in enumerate(exps):
-            if e:
-                term = term * z[..., v] ** e
-        out += term
+def _monomial_planes(z: np.ndarray, tables) -> np.ndarray:
+    """``(len(tables), ...)`` planes: plane k sums the terms ``coeff * z^exps``
+    of ``tables[k]`` at the points ``z`` (..., n), in table order.
+
+    Each power ``z_v^e`` is taken once.  Each product is ``power * term`` into
+    a new array, which rounds the same at every batch size: numpy takes that
+    order for ``term * power`` only once it elides the temporary power (at
+    256 KiB), and a product in place rounds otherwise on a one-point batch.
+    A single point is a batch of one.
+    """
+    flat = z.reshape(-1, z.shape[-1])
+    planes = np.zeros((len(tables), flat.shape[0]), dtype=np.complex128)
+    powers = {}
+    for table, plane in zip(tables, planes):
+        for exps, coeff in table.items():
+            term = coeff
+            for v, e in enumerate(exps):
+                if e:
+                    if (v, e) not in powers:
+                        powers[v, e] = flat[:, v] ** e
+                    term = powers[v, e] * term
+            plane += term
+    return planes.reshape((len(tables),) + z.shape[:-1])
 
 
 def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
@@ -188,13 +213,14 @@ def sigma_j_minors(jacobians: np.ndarray, j: int) -> np.ndarray:
         raise ModelError(f"sigma index {j} outside 1..{ncols}")
     # one batch axis even for a single Jacobian, so every point takes the same
     # array arithmetic; each minor is smallmat's cofactor expansion on entry
-    # views of the Jacobians, with no copy of the minor
+    # views of the Jacobians (contiguous planes for PolyMap.jacobian's), with
+    # no copy of the minor
     flat = jac.reshape((-1, mrows, ncols))
     acc = np.zeros(flat.shape[0], dtype=np.float64)
     for rows in itertools.combinations(range(mrows), j):
         for cols in itertools.combinations(range(ncols), j):
             d = smallmat._expand([[flat[:, r, c] for c in cols] for r in rows])
-            acc = acc + (d * d.conj()).real
+            acc += (d * d.conj()).real
     return acc.reshape(jac.shape[:-2])
 
 
@@ -205,28 +231,29 @@ def sigma_profile(jacobians: np.ndarray) -> np.ndarray:
     return np.stack([sigma_j_minors(jac, j) for j in range(1, n + 1)], axis=-1)
 
 
-def _sigma_thresholds(sigma1: np.ndarray, n: int, rtol: float) -> np.ndarray:
+def _sigma_threshold(sigma1: np.ndarray, j: int, rtol: float) -> np.ndarray:
     # sigma_j is a degree-j polynomial in the singular values, so the scale
-    # reference (1 + sigma_1) enters at the j-th power
-    js = np.arange(1, n + 1, dtype=np.float64)
-    return rtol * (1.0 + sigma1)[..., None] ** js
+    # reference (1 + sigma_1) enters at the j-th power.  The exponent is a 1-d
+    # array: on a scalar exponent 2 numpy squares, which rounds unlike pow
+    base = np.reshape(1.0 + sigma1, -1)
+    return (rtol * np.power(base, np.full(base.shape, float(j)))).reshape(np.shape(sigma1))
 
 
 def numeric_rank(jacobians: np.ndarray, rtol: float = _SIGMA_RTOL) -> np.ndarray:
     """Largest j with sigma_j above its scale-aware threshold (0 if none)."""
     sig = sigma_profile(jacobians)
-    n = sig.shape[-1]
-    above = sig > _sigma_thresholds(sig[..., 0], n, rtol)
     ranks = np.zeros(sig.shape[:-1], dtype=np.intp)
-    for j in range(n):
-        ranks = np.where(above[..., j], j + 1, ranks)
+    for j in range(sig.shape[-1]):
+        ranks = np.where(sig[..., j] > _sigma_threshold(sig[..., 0], j + 1, rtol), j + 1, ranks)
     return ranks
 
 
 def sample_box(intervals, per_axis: int) -> np.ndarray:
     """Cartesian sample grid of C^n from 2n real intervals (Re_1, Im_1, ...).
 
-    Returns points of shape (per_axis ** (2n), n), endpoints included.
+    Returns points of shape (per_axis ** (2n), n), endpoints included: real
+    axis k is ``np.linspace(lo_k, hi_k, per_axis)``, the axes vary in
+    ``indexing="ij"`` order (the last fastest), and ``z_j = Re_j + 1j * Im_j``.
     """
     intervals = [tuple(map(float, iv)) for iv in intervals]
     if not np.all(np.isfinite(intervals)):
@@ -285,11 +312,10 @@ def degeneracy_locus_scan(pmap: PolyMap, q: int, points, rtol: float = _SIGMA_RT
         lo, hi = bounds
         jac = pmap.jacobian(flat[lo:hi])
         sigma1 = sigma_j_minors(jac, 1)
-        thr = _sigma_thresholds(sigma1, pmap.n, rtol)
         out = flagged[lo:hi]
         out[:] = True
         for j in range(pmap.n - q, pmap.n + 1):
-            out &= (sigma1 if j == 1 else sigma_j_minors(jac, j)) <= thr[:, j - 1]
+            out &= (sigma1 if j == 1 else sigma_j_minors(jac, j)) <= _sigma_threshold(sigma1, j, rtol)
 
     _run_slabs(scan, _slab_bounds(flat.shape[0], 1))
     return DegeneracyScan(points=pts, flagged=flagged.reshape(pts.shape[:-1]), q=q, rtol=rtol)

@@ -608,6 +608,13 @@ class TestAgSurface:
         assert "grid_size must be a power of two" in err
 
 
+def repr_csv(points):
+    """flagged_points.csv as a writer that formats every float with repr writes it."""
+    lines = [",".join(f"re_z{j + 1},im_z{j + 1}" for j in range(points.shape[-1]))]
+    lines += [",".join(map(repr, row)) for row in np.ascontiguousarray(points).view(np.float64).tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
 class TestDegeneracy:
     def test_rank_drop_scan_flags_axis(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -652,6 +659,33 @@ class TestDegeneracy:
         assert len(rows) == 25
         expect = "re_z1,im_z1,re_z2,im_z2\n" + "".join(row + "\n" for row in rows)
         assert (out / "flagged_points.csv").read_text() == expect
+
+    def test_flagged_csv_keeps_negative_zero(self, tmp_path, capsys):
+        # Re z2 ends at -0.0; the flagged rows hold both -0.0 and 0.0 in that column
+        box = [[-1, 1], [-1, 1], [-1, -0.0], [-1, 1 / 3]]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"map": MAP_F, "per_axis": 7, "box": box})
+        code, report, _ = run_cli(["degeneracy", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 1 and report["verdict"]["flagged_count"] == 7**2
+        pts = sample_box(box, 7)
+        expect = repr_csv(pts[pts[:, 0] == 0])
+        assert "-0.0," in expect and ",0.0," in expect
+        assert (out / "flagged_points.csv").read_text() == expect
+
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(None), slice(0, 1), slice(0, 0)],
+        ids=["all", "one-row", "no-rows"],
+    )
+    @pytest.mark.parametrize(
+        "box",
+        [[[-1, 1], [-1, 1], [-1, -0.0], [-1, 1 / 3]], [[-1, 1 / 3]] * 4],
+        ids=["negative-zero-end", "non-dyadic"],
+    )
+    def test_write_flagged_equals_repr_per_float(self, tmp_path, box, rows):
+        pts = sample_box(box, 7)[rows]
+        cli._write_flagged(tmp_path / "flagged.csv", pts)
+        assert (tmp_path / "flagged.csv").read_text() == repr_csv(pts)
 
     def test_q_one_tolerates_one_drop(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"map": MAP_F, "per_axis": 5})

@@ -57,6 +57,32 @@ def triangular_map():
     return PolyMap.from_rows([(str(i), row) for i, row in enumerate(TRIANGULAR_ROWS)], n=3, m=3)
 
 
+# (z1 + z2 z3, z2 + 2 z1 z3, z3 + i z1 z2): integer coefficients, rank drops off the axes
+ALIASED_ROWS = [
+    [0, 1, 0, 0, 1, 0],
+    [0, 0, 1, 1, 1, 0],
+    [1, 0, 1, 0, 1, 0],
+    [1, 1, 0, 1, 2, 0],
+    [2, 0, 0, 1, 1, 0],
+    [2, 1, 1, 0, 0, 1],
+]
+
+
+def integer_triangular_map():
+    """TRIANGULAR_ROWS' monomials with small Gaussian-integer coefficients."""
+    coeffs = [(2, -1), (1, 1), (1, 0), (-3, 1), (1, -2), (0, 1)]
+    rows = [row[:4] + list(c) for row, c in zip(TRIANGULAR_ROWS, coeffs)]
+    return PolyMap.from_rows([(str(i), row) for i, row in enumerate(rows)], n=3, m=3)
+
+
+def aliased_map():
+    return PolyMap.from_rows([(str(i), row) for i, row in enumerate(ALIASED_ROWS)], n=3, m=3)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def esym(values, j):
     return sum(math.prod(c) for c in itertools.combinations(values, j))
 
@@ -85,6 +111,42 @@ class TestPolyMap:
         jac = pm.jacobian(z)
         expect = np.array([[1.0, 0.0], [z[1], z[0]]])
         assert np.max(np.abs(jac - expect)) == 0.0
+
+    def test_single_point_jacobian_is_the_matrix(self):
+        pm = triangular_map()
+        z = np.array([0.5 - 1j, 2.0 + 0.25j, -1.5j])
+        jac = pm.jacobian(z)
+        assert jac.shape == (3, 3)
+        # every entry reached the (m, n) result: the six of the lower triangle are non-zero
+        assert np.array_equal(bits(jac), bits(pm.jacobian(z[None])[0]))
+        assert np.count_nonzero(jac) == 6
+
+    def test_entries_are_contiguous_planes(self):
+        jac = triangular_map().jacobian(sample_box([(-1, 1)] * 6, per_axis=3).reshape(27, 27, 3))
+        assert jac.shape == (27, 27, 3, 3)
+        assert all(jac[..., r, c].flags.c_contiguous for r in range(3) for c in range(3))
+
+    def test_derivative_tables_built_once(self, monkeypatch):
+        pm = triangular_map()
+        first = pm.jacobian(np.ones((4, 3)))
+
+        def rebuilt(*_):
+            raise AssertionError("derivative tables rebuilt")
+
+        monkeypatch.setattr(PolyMap, "derivative_table", rebuilt)
+        assert np.array_equal(pm.jacobian(np.ones((4, 3))), first)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 16384, 20000])
+    @pytest.mark.parametrize("make", [triangular_map, integer_triangular_map], ids=["real", "integer"])
+    def test_batch_bits_equal_its_chunks(self, make, chunk):
+        # 40,000 points: above the 16,384 at which numpy elides temporaries and,
+        # unless the product order is fixed, rounds complex products differently
+        pm = make()
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(40_000, 3)) + 1j * rng.normal(size=(40_000, 3))
+        parts = [slice(lo, lo + chunk) for lo in range(0, z.shape[0], chunk)]
+        assert np.array_equal(bits(pm.jacobian(z)), np.concatenate([bits(pm.jacobian(z[p])) for p in parts]))
+        assert np.array_equal(bits(pm.evaluate(z)), np.concatenate([bits(pm.evaluate(z[p])) for p in parts]))
 
     def test_zero_coefficients_dropped(self):
         pm = PolyMap(n=1, m=1, components=({(1,): 0.0, (2,): 1.0},))
@@ -326,6 +388,27 @@ class TestSlabbedScan:
     def test_point_length_checked(self):
         with pytest.raises(ModelError, match="length n=3"):
             degeneracy_locus_scan(triangular_map(), q=0, points=np.zeros((3, 2)))
+
+
+class TestSmallSlabs:
+    """Many slabs and a remainder slab, on integer-coefficient maps: their sigmas
+    are exact on the dyadic 5^6 box, so the flags cannot depend on rounding."""
+
+    @pytest.fixture(autouse=True)
+    def small_slabs(self, monkeypatch):
+        monkeypatch.setattr(calculus, "_STENCIL_SLAB_POINTS", 1000)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("make", [integer_triangular_map, aliased_map], ids=["triangular", "aliased"])
+    def test_flags_equal_whole_batch_sigma_profile(self, workers, make, q):
+        pm = make()
+        box = sample_box([(-1, 1)] * 6, per_axis=5)
+        slabs = calculus._slab_bounds(box.shape[0], 1)
+        assert len(slabs) == 16 and slabs[-1] == (15_000, 15_625)  # 15 full slabs and a remainder
+        expect = whole_array_flags(pm, q, box)
+        assert np.array_equal(degeneracy_locus_scan(pm, q=q, points=box).flagged, expect)
+        if q == 0:
+            assert expect.any()
 
 
 def per_seed_fibre_dimension(pm, target):
